@@ -76,6 +76,24 @@ func (s *dedupSet) insert(id *[32]byte) bool {
 	}
 }
 
+// contains reports whether id is in the set, without inserting it.
+func (s *dedupSet) contains(id *[32]byte) bool {
+	if len(s.slots) == 0 {
+		return false
+	}
+	prefix := binary.LittleEndian.Uint64(id[:8])
+	mask := uint64(len(s.slots) - 1)
+	for i := prefix & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.epoch != s.epoch {
+			return false
+		}
+		if sl.prefix == prefix && sl.id == *id {
+			return true
+		}
+	}
+}
+
 // grow doubles the table (allocating the initial table on first use) and
 // re-inserts the live epoch's entries; stale entries are dropped.
 func (s *dedupSet) grow() {

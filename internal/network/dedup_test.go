@@ -165,6 +165,12 @@ func TestDedupMatchesMap(t *testing.T) {
 				case 0: // occasional epoch reset
 					s.reset()
 					clear(ref)
+				case 1, 2, 3, 4, 5: // read-only membership query
+					id := id32(next() % 3000)
+					_, want := ref[id]
+					if got := s.contains(&id); got != want {
+						t.Fatalf("op %d: contains = %v, map says %v", op, got, want)
+					}
 				default:
 					id := id32(next() % 3000) // small key space forces duplicates
 					_, dup := ref[id]
@@ -333,6 +339,15 @@ func TestDeliveredMatchesPerNodeSets(t *testing.T) {
 					s.reset()
 					for i := range ref {
 						ref[i].reset()
+					}
+				case 1, 2, 3, 4, 5: // membership query: one find, several nodes
+					id := id32(next() % 2000)
+					slot := s.find(&id)
+					for k := 0; k < 5; k++ {
+						node := int(next() % nodes)
+						if got, want := s.has(slot, node), ref[node].contains(&id); got != want {
+							t.Fatalf("op %d: has(msg, node %d) = %v, per-node oracle says %v", op, node, got, want)
+						}
 					}
 				default:
 					id := id32(next() % 2000) // small key space forces duplicates

@@ -193,9 +193,63 @@ func (s *deliveredSet) mark(id *[32]byte, node int) bool {
 	}
 }
 
+// find returns the slot recording id this epoch, or -1 when no node has
+// received it. It is read-only: it never claims a slot or grows the
+// table, so a slot it returns stays valid until the next mark.
+func (s *deliveredSet) find(id *[32]byte) int {
+	if len(s.slots) == 0 {
+		return -1
+	}
+	prefix := binary.LittleEndian.Uint64(id[:8])
+	mask := uint64(len(s.slots) - 1)
+	for i := prefix & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.epoch != s.epoch {
+			return -1
+		}
+		if sl.prefix == prefix && sl.id == *id {
+			return int(i)
+		}
+	}
+}
+
+// has reports whether node already received the message in slot, a
+// result of find (-1 holds nothing).
+func (s *deliveredSet) has(slot, node int) bool {
+	if slot < 0 {
+		return false
+	}
+	if node>>6 < s.inlineWords {
+		return s.bits[slot*s.inlineWords+node>>6]&(1<<(uint(node)&63)) != 0
+	}
+	return s.hasOverflow(&s.slots[slot], node)
+}
+
+// hasOverflow reports whether a node beyond the inline window already
+// received the message in sl.
+func (s *deliveredSet) hasOverflow(sl *deliveredSlot, node int) bool {
+	if sl.ext == 0 {
+		return false
+	}
+	e := &s.exts[sl.ext-1]
+	if e.promoted {
+		off := node - s.inlineWords*64
+		return e.bits[off>>6]&(1<<(uint(off)&63)) != 0
+	}
+	for _, id := range e.list {
+		if int(id) == node {
+			return true
+		}
+	}
+	return false
+}
+
 // markOverflow records a delivery to a node beyond the inline window,
 // claiming this slot's extension on first use.
 func (s *deliveredSet) markOverflow(sl *deliveredSlot, node int) bool {
+	if s.hasOverflow(sl, node) {
+		return false
+	}
 	if sl.ext == 0 {
 		if s.extLive == len(s.exts) {
 			s.exts = append(s.exts, deliveredExt{})
@@ -210,18 +264,8 @@ func (s *deliveredSet) markOverflow(sl *deliveredSlot, node int) bool {
 	e := &s.exts[sl.ext-1]
 	off := node - s.inlineWords*64
 	if e.promoted {
-		w := &e.bits[off>>6]
-		bit := uint64(1) << (uint(off) & 63)
-		if *w&bit != 0 {
-			return false
-		}
-		*w |= bit
+		e.bits[off>>6] |= 1 << (uint(off) & 63)
 		return true
-	}
-	for _, id := range e.list {
-		if int(id) == node {
-			return false
-		}
 	}
 	if len(e.list) < deliveredOverflowCap {
 		e.list = append(e.list, int32(node))

@@ -144,6 +144,18 @@ func TestDeliveredMatchesPerNodeSetsLarge(t *testing.T) {
 						for i := range ref {
 							ref[i].reset()
 						}
+					case 1, 2, 3, 4, 5, 6, 7, 8, 9, 10: // membership query across the inline/overflow split
+						id := id32(next() % 300)
+						slot := s.find(&id)
+						for k := 0; k < 5; k++ {
+							node := base + int(next()%uint64(nodes-base))
+							if k == 0 {
+								node = int(next() % uint64(base))
+							}
+							if got, want := s.has(slot, node), ref[node].contains(&id); got != want {
+								t.Fatalf("seed %d op %d: has(msg, node %d) = %v, per-node oracle says %v", seed, op, node, got, want)
+							}
+						}
 					default:
 						id := id32(next() % 300) // few messages: dense per-message fan drives promotion
 						node := int(next()) % nodes

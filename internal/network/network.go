@@ -179,10 +179,14 @@ func takeBools(store *[]bool, n int) []bool {
 }
 
 // Stats counts network activity for the cost model and for debugging.
+// A push to a peer that already holds the message is never scheduled
+// (see push) but counts exactly as its dropped delivery would have: in
+// Sent, then in Duplicate, or in DroppedOffline when the peer is offline
+// at push time.
 type Stats struct {
 	Sent           uint64 // messages pushed onto links
 	Delivered      uint64 // first-time deliveries to a node
-	Duplicate      uint64 // suppressed duplicate deliveries
+	Duplicate      uint64 // duplicate deliveries, suppressed at push time or dropped on arrival
 	DroppedOffline uint64 // deliveries to offline nodes
 	DroppedLoss    uint64 // pushes lost to per-hop loss (base + overlay bursts)
 	DroppedFault   uint64 // pushes severed by the fault overlay (partitions/eclipses)
@@ -407,7 +411,9 @@ func (n *Network) Stats() Stats { return n.stats }
 // ResetSeen clears all de-duplication state; the round driver calls it
 // between rounds to bound memory. The epoch stamp makes this O(nodes) —
 // entries are retired in place and the tables stay sized, so steady-state
-// rounds insert without growing.
+// rounds insert without growing. Call it only once gossip has drained:
+// pushes suppressed as duplicates before the reset are gone, so they
+// cannot deliver afresh after it.
 func (n *Network) ResetSeen() {
 	n.seen.reset()
 }
@@ -434,11 +440,16 @@ func (n *Network) Gossip(origin int, msg Message) {
 	}
 }
 
-// push schedules delivery of msg to each of node i's peers.
+// push schedules delivery of msg to each of node i's peers. A peer that
+// already holds msg received it at or before now, so its delivery could
+// only pop and be dropped: push draws its loss and delay exactly as for
+// any peer, keeping the random stream and the order of the remaining
+// events unchanged, counts the drop, and elides the event.
 func (n *Network) push(from int, msg *Message) {
 	if n.observer != nil {
 		n.observer(from)
 	}
+	held := n.seen.lookup(&msg.ID)
 	for _, peer := range n.peers[from] {
 		var fault LinkFault
 		if n.overlay != nil {
@@ -461,6 +472,15 @@ func (n *Network) push(from int, msg *Message) {
 			delay = time.Duration(float64(delay) * fault.DelayScale)
 		}
 		n.stats.Sent++
+		if n.seen.holds(held, peer) {
+			if n.online[peer] {
+				n.stats.Duplicate++
+			} else {
+				n.stats.DroppedOffline++
+			}
+			n.engine.Elide(delay)
+			continue
+		}
 		n.engine.ScheduleFn(delay, n.deliverCb, peer, msg)
 	}
 }

@@ -10,7 +10,13 @@ type seenSet struct {
 	d deliveredSet
 }
 
+// seenRef locates one message's delivery record for holds queries: the
+// message's slot, found once per push and then tested per peer.
+type seenRef = int
+
 func (s *seenSet) init(n int)                       { s.d.init(n) }
 func (s *seenSet) adopt(n int)                      { s.d.adopt(n) }
 func (s *seenSet) reset()                           { s.d.reset() }
 func (s *seenSet) mark(id *[32]byte, node int) bool { return s.d.mark(id, node) }
+func (s *seenSet) lookup(id *[32]byte) seenRef      { return s.d.find(id) }
+func (s *seenSet) holds(ref seenRef, node int) bool { return s.d.has(ref, node) }

@@ -11,6 +11,10 @@ type seenSet struct {
 	per []dedupSet
 }
 
+// seenRef locates one message's delivery record for holds queries; the
+// per-node layout has no shared record, so it is the message ID itself.
+type seenRef = *[32]byte
+
 func (s *seenSet) init(n int) { s.per = make([]dedupSet, n) }
 
 // adopt re-initialises a recycled set for a population of n: per-node
@@ -31,3 +35,5 @@ func (s *seenSet) reset() {
 }
 
 func (s *seenSet) mark(id *[32]byte, node int) bool { return s.per[node].insert(id) }
+func (s *seenSet) lookup(id *[32]byte) seenRef      { return id }
+func (s *seenSet) holds(id seenRef, node int) bool  { return s.per[node].contains(id) }

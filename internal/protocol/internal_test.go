@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/dsn2020-algorand/incentives/internal/ledger"
@@ -9,20 +10,98 @@ import (
 
 func TestStepTallyDeduplicatesVoters(t *testing.T) {
 	tally := newStepTally()
-	h := ledger.Hash{1}
-	tally.add(7, h, 5)
-	tally.add(7, h, 5) // same voter again: ignored
-	tally.add(8, h, 3)
+	h, other := ledger.Hash{1}, ledger.Hash{2}
+	tally.add(7, h, 5, true)
+	tally.add(7, other, 5, true) // the same voter's second variant: ignored
+	tally.add(7, h, 5, true)     // and a repeat of the first: ignored
+	tally.add(8, h, 3, false)
 	if got := tally.weightFor(h); got != 8 {
 		t.Errorf("weight = %v, want 8", got)
+	}
+	if got := tally.weightFor(other); got != 0 {
+		t.Errorf("later variant weight = %v, want 0 (first arrival wins)", got)
+	}
+	// An unflagged vote is a distinct message the network delivered once,
+	// so it always counts.
+	tally.add(9, other, 2, false)
+	if got := tally.weightFor(other); got != 2 {
+		t.Errorf("unflagged vote weight = %v, want 2", got)
+	}
+	// A reset tally forgets its equivocators.
+	tally.reset()
+	tally.add(7, other, 4, true)
+	if got := tally.weightFor(other); got != 4 {
+		t.Errorf("after reset weight = %v, want 4", got)
+	}
+}
+
+// TestStepTallyMatchesFirstArrivalReference feeds random vote streams
+// with equivocating voters through stepTally and through a map-based
+// reference that counts each voter's first arriving vote, as the
+// network would deliver them: every honest vote once, every variant of
+// an equivocator's vote once, interleaved in random order.
+func TestStepTallyMatchesFirstArrivalReference(t *testing.T) {
+	type vote struct {
+		voter     int
+		value     ledger.Hash
+		weight    float64
+		equivocal bool
+	}
+	rng := rand.New(rand.NewSource(11))
+	values := []ledger.Hash{{1}, {2}, {3}, {4}, {5}}
+	tally := newStepTally()
+	for trial := 0; trial < 200; trial++ {
+		tally.reset() // reuse across trials, as rounds do
+		var stream []vote
+		voters := 1 + rng.Intn(60)
+		for voter := 0; voter < voters; voter++ {
+			weight := float64(1 + rng.Intn(4))
+			variants := 1
+			if rng.Float64() < 0.3 {
+				variants = 2 + rng.Intn(3)
+			}
+			for v := 0; v < variants; v++ {
+				stream = append(stream, vote{
+					voter:     voter,
+					value:     values[rng.Intn(len(values))],
+					weight:    weight,
+					equivocal: variants > 1,
+				})
+			}
+		}
+		rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+
+		counted := make(map[int]bool)
+		want := make(map[ledger.Hash]float64)
+		for _, v := range stream {
+			tally.add(v.voter, v.value, v.weight, v.equivocal)
+			if !counted[v.voter] {
+				counted[v.voter] = true
+				want[v.value] += v.weight
+			}
+		}
+		for _, h := range values {
+			if got := tally.weightFor(h); got != want[h] {
+				t.Fatalf("trial %d: weight for %v = %v, reference %v", trial, h[0], got, want[h])
+			}
+		}
+		wantLeader, wantW := ledger.Hash{}, -1.0
+		for _, h := range values {
+			if w, ok := want[h]; ok && (w > wantW || (w == wantW && hashLess(h, wantLeader))) {
+				wantLeader, wantW = h, w
+			}
+		}
+		if leader, w := tally.leader(); leader != wantLeader || w != wantW {
+			t.Fatalf("trial %d: leader %v (%v), reference %v (%v)", trial, leader[0], w, wantLeader[0], wantW)
+		}
 	}
 }
 
 func TestStepTallyLeader(t *testing.T) {
 	tally := newStepTally()
 	a, b := ledger.Hash{1}, ledger.Hash{2}
-	tally.add(1, a, 5)
-	tally.add(2, b, 9)
+	tally.add(1, a, 5, false)
+	tally.add(2, b, 9, false)
 	leader, w := tally.leader()
 	if leader != b || w != 9 {
 		t.Errorf("leader = %v (%v), want b (9)", leader, w)
@@ -36,8 +115,8 @@ func TestStepTallyLeader(t *testing.T) {
 func TestStepTallyLeaderTieBreak(t *testing.T) {
 	tally := newStepTally()
 	a, b := ledger.Hash{1}, ledger.Hash{2}
-	tally.add(1, b, 5)
-	tally.add(2, a, 5)
+	tally.add(1, b, 5, false)
+	tally.add(2, a, 5, false)
 	leader, _ := tally.leader()
 	// Ties break towards the lexicographically smaller hash for
 	// determinism.

@@ -66,6 +66,9 @@ type votePayload struct {
 	Voter      int
 	Credential sortition.Result
 	verdict    verifyMemo
+	// equivocal marks one of several conflicting votes its voter cast in
+	// this step (see stepTally).
+	equivocal bool
 }
 
 func voteID(round, step uint64, final bool, voter int) [32]byte {

@@ -22,10 +22,18 @@ type tallyEntry struct {
 // per-lookup hashing of 32-byte keys and no map rebuild churn. Slots are
 // scanned in index order for leader selection, which stays deterministic
 // because the (weight, hashLess) comparison is a total order.
+//
+// Each committee member counts once per step. A vote message reaches a
+// node at most once (network de-duplication on the dense path, one
+// mean-field copy per receiver on the sparse path), so only a voter that
+// equivocates, gossiping several votes under distinct message IDs, can
+// reach one tally twice. Its votes arrive flagged equivocal and are
+// checked against a voter set allocated on the first such vote; the
+// first to arrive counts.
 type stepTally struct {
-	slots  []tallyEntry
-	n      int // live slot count
-	voters map[int]struct{}
+	slots        []tallyEntry
+	n            int // live slot count
+	equivocators map[int]struct{}
 }
 
 // tallyMinSlots is the initial value-array size; it covers every
@@ -33,10 +41,7 @@ type stepTally struct {
 const tallyMinSlots = 8
 
 func newStepTally() *stepTally {
-	return &stepTally{
-		slots:  make([]tallyEntry, tallyMinSlots),
-		voters: make(map[int]struct{}),
-	}
+	return &stepTally{slots: make([]tallyEntry, tallyMinSlots)}
 }
 
 // slotFor returns the entry for value, claiming a free slot when absent.
@@ -79,17 +84,23 @@ func (t *stepTally) grow() {
 	}
 }
 
-// add records a vote of the given weight, once per voter.
-func (t *stepTally) add(voter int, value ledger.Hash, weight float64) {
-	if _, dup := t.voters[voter]; dup {
-		return
+// add records a vote of the given weight. An equivocal vote counts only
+// if it is the first of its voter's votes to reach this tally.
+func (t *stepTally) add(voter int, value ledger.Hash, weight float64, equivocal bool) {
+	if equivocal {
+		if _, dup := t.equivocators[voter]; dup {
+			return
+		}
+		if t.equivocators == nil {
+			t.equivocators = make(map[int]struct{})
+		}
+		t.equivocators[voter] = struct{}{}
 	}
-	t.voters[voter] = struct{}{}
 	t.slotFor(value).w += weight
 }
 
 // reset empties the tally for reuse in a later round, keeping the sized
-// array and map.
+// array and voter set.
 func (t *stepTally) reset() {
 	if t.n > 0 {
 		for i := range t.slots {
@@ -97,7 +108,7 @@ func (t *stepTally) reset() {
 		}
 		t.n = 0
 	}
-	clear(t.voters)
+	clear(t.equivocators)
 }
 
 // leader returns the value with the largest weight and that weight.
@@ -241,8 +252,8 @@ func (nd *node) observeProposal(p *proposalPayload) {
 func (nd *node) observeVote(v *votePayload) {
 	weight := float64(v.Credential.SubUsers)
 	if v.Final {
-		nd.finalTally.add(v.Voter, v.Value, weight)
+		nd.finalTally.add(v.Voter, v.Value, weight, v.equivocal)
 		return
 	}
-	nd.tally(v.Step).add(v.Voter, v.Value, weight)
+	nd.tally(v.Step).add(v.Voter, v.Value, weight, v.equivocal)
 }

@@ -969,19 +969,21 @@ func (r *Runner) castVote(nd *node, round, step uint64, final bool, value ledger
 			// Equivocation (or, for an empty slice, selective silence): one
 			// vote per value, each under its own message ID but the same
 			// revealed credential.
+			equivocal := len(values) > 1
 			for v, val := range values {
-				r.emitVote(nd, round, step, final, val, v, res)
+				r.emitVote(nd, round, step, final, val, v, equivocal, res)
 			}
 			return
 		}
 	}
-	r.emitVote(nd, round, step, final, value, 0, res)
+	r.emitVote(nd, round, step, final, value, 0, false, res)
 }
 
 // emitVote gossips one committee vote. variant distinguishes equivocating
 // votes from the same (round, step, voter); variant 0 reproduces the
-// historical message ID byte-for-byte.
-func (r *Runner) emitVote(nd *node, round, step uint64, final bool, value ledger.Hash, variant int, res sortition.Result) {
+// historical message ID byte-for-byte. equivocal marks a vote that has
+// siblings, so tallies count only the first of them to arrive.
+func (r *Runner) emitVote(nd *node, round, step uint64, final bool, value ledger.Hash, variant int, equivocal bool, res sortition.Result) {
 	payload := r.votePool.take()
 	*payload = votePayload{
 		Round:      round,
@@ -990,6 +992,7 @@ func (r *Runner) emitVote(nd *node, round, step uint64, final bool, value ledger
 		Value:      value,
 		Voter:      nd.id,
 		Credential: res,
+		equivocal:  equivocal,
 	}
 	if r.sparse != nil {
 		// Pseudo-credentials are unverifiable; emission is the trust anchor

@@ -122,6 +122,9 @@ type Engine struct {
 	stopped bool
 	seed    int64
 	steps   uint64
+	// elided is the latest time of an event the caller elided instead of
+	// scheduling (see Elide); a drain ends with the clock there.
+	elided time.Duration
 }
 
 // NewEngine creates an engine whose random streams derive from seed.
@@ -162,6 +165,7 @@ func (e *Engine) Reset(seed int64) {
 	e.steps = 0
 	e.stopped = false
 	e.seed = seed
+	e.elided = 0
 	clear(e.queue)
 	e.queue = e.queue[:0]
 	if !e.legacy {
@@ -276,6 +280,18 @@ func (e *Engine) pushEvent(ev event) {
 	}
 }
 
+// Elide accounts for an event the caller chose not to schedule because
+// running it delay from now would change nothing. A drain (Run with no
+// deadline) still ends with the clock at that event's time, as if it had
+// been scheduled and popped, so skipping dead events never moves virtual
+// time. Elided events are not pending and count as neither scheduled nor
+// executed.
+func (e *Engine) Elide(delay time.Duration) {
+	if at := e.now + delay; at > e.elided {
+		e.elided = at
+	}
+}
+
 // popEvent removes and returns the earliest pending event.
 func (e *Engine) popEvent() (event, bool) {
 	if e.legacy {
@@ -332,6 +348,9 @@ func (e *Engine) Run(until time.Duration) error {
 		// remain after the stopping event.
 		for {
 			if !e.Step() {
+				if e.now < e.elided {
+					e.now = e.elided
+				}
 				return nil
 			}
 			if e.stopped {

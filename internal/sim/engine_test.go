@@ -101,6 +101,47 @@ func TestRunUntilAdvancesClockOnDrain(t *testing.T) {
 	}
 }
 
+func TestElideMovesDrainClock(t *testing.T) {
+	// An elided event at 3s outlasts the last real one at 1s: a drain
+	// ends at 3s, as if the elided event had been scheduled and popped.
+	e := NewEngine(1)
+	e.Schedule(time.Second, func() { e.Elide(2 * time.Second) })
+	e.Elide(500 * time.Millisecond) // earlier than the last event: no effect
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 3*time.Second {
+		t.Errorf("Now = %v after drain, want 3s", e.Now())
+	}
+	if s := e.SchedStats(); s.Scheduled != 1 || s.Executed != 1 || e.Pending() != 0 {
+		t.Errorf("elided event was counted: %+v, pending %d", s, e.Pending())
+	}
+	// A deadline before the elided time stops the clock at the deadline;
+	// the next drain then reaches the elided time.
+	e.Elide(4 * time.Second) // at 7s
+	if err := e.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 5*time.Second {
+		t.Errorf("Now = %v at deadline, want 5s", e.Now())
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 7*time.Second {
+		t.Errorf("Now = %v after second drain, want 7s", e.Now())
+	}
+	// Reset forgets elided events.
+	e.Elide(time.Second)
+	e.Reset(1)
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 0 {
+		t.Errorf("Now = %v after Reset and drain, want 0", e.Now())
+	}
+}
+
 func TestStop(t *testing.T) {
 	e := NewEngine(1)
 	ran := 0

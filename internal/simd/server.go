@@ -521,13 +521,24 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxJobRequestBytes caps a submitted job request's body. Job specs
+// are a few hundred bytes; the cap keeps a client from making the
+// daemon read an unbounded body.
+const maxJobRequestBytes = 1 << 20
+
 // handleJobs serves POST (submit) and GET (list) on /api/v1/jobs.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad job request: "+err.Error())
+		body := http.MaxBytesReader(w, r.Body, maxJobRequestBytes)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, "bad job request: "+err.Error())
 			return
 		}
 		job, err := s.Submit(req)

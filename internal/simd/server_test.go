@@ -422,6 +422,24 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	daemon, ts, _ := startDaemon(t, "", 2)
+	// A well-formed grid request whose one scenario name pushes the body
+	// past the cap: the daemon must stop reading and answer 413.
+	body := `{"kind":"grid","grid":{"scenarios":["` + strings.Repeat("a", maxJobRequestBytes) + `"]}}`
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if n := len(daemon.Jobs()); n != 0 {
+		t.Fatalf("oversized request created %d jobs", n)
+	}
+}
+
 func TestSSEFraming(t *testing.T) {
 	_, ts, client := startDaemon(t, "", 2)
 	spec := testGridSpec()

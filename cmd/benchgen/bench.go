@@ -196,7 +196,7 @@ func measureBench(pr int) (*BenchFile, error) {
 	// Warm pools, caches, the sortition oracle, and the calendar queue's
 	// adaptive geometry before measuring: the steady-state round is the
 	// workload the trajectory tracks, and the scheduler/dedup structures
-	// finish converging (bucket widths, slab chunks, table sizes) within
+	// finish converging (bucket widths, spare backings, table sizes) within
 	// the first ~10 rounds.
 	runner.RunRounds(12)
 	fmt.Println("measuring protocol_round_100 ...")

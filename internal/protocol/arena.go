@@ -42,9 +42,10 @@ type Arena struct {
 	stakes []float64
 	// engine is the recycled simulation engine: the first run through the
 	// arena stashes its engine here, later runs rewind it with
-	// sim.Engine.Reset instead of re-growing the calendar queue's rings
-	// from scratch. Reset keeps the scheduler geometry but pops in the
-	// same strict (time, seq) order, so recycling is output-invisible.
+	// sim.Engine.Reset instead of re-growing the calendar queue from
+	// scratch. Reset keeps the ring geometry and the pooled event storage
+	// (spare bucket backings, far blocks) but pops in the same strict
+	// (time, seq) order, so recycling is output-invisible.
 	engine *sim.Engine
 	// net recycles the gossip layer's topology slab and node tables; see
 	// network.Arena.

@@ -1,6 +1,11 @@
 package sim
 
-import "time"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+	"time"
+)
 
 // calendarQueue is a two-rung calendar (ladder) queue over the engine's
 // bounded delay horizon:
@@ -8,9 +13,9 @@ import "time"
 //   - a fine-grained NEAR ring of per-bucket FIFO slices covering a short
 //     window just ahead of the clock, sorted lazily bucket-by-bucket as
 //     the drain reaches them;
-//   - a coarse FAR ring of unsorted day-width buckets covering the full
-//     delay horizon, each migrated wholesale into the near ring when the
-//     clock reaches its day;
+//   - a coarse FAR ring of day-width buckets in push order covering the
+//     full delay horizon, each migrated wholesale into the near ring when
+//     the clock reaches its day;
 //   - a conventional binary min-heap for the rare event beyond even the
 //     far span.
 //
@@ -20,26 +25,32 @@ import "time"
 // migrates between rungs at most once: amortised O(1) per event (the
 // calendar-queue result of Brown 1988; the two-rung split is the ladder
 // variant that keeps it O(1) when event times cluster instead of
-// spreading uniformly). The only ordering work left is one insertion
-// sort per near bucket per drain, amortised O(bucket occupancy) per
-// event over sequential memory — where the old binary heap paid
-// O(log population) per operation scattered across a near-megabyte
-// slice.
+// spreading uniformly). The only ordering work left is at most one
+// sort per near bucket per drain, and only for buckets whose appends
+// fell out of order: an insertion sort over sequential memory for
+// ordinary occupancy, O(k log k) for the rare crowded bucket — where
+// the old binary heap paid O(log population) per operation scattered
+// across a near-megabyte slice.
 //
 // Ordering contract: pops follow strict (at, seq) order, identical to
 // the legacy binary heap — the golden figure outputs pin this. Two
 // events in one near bucket may differ in timestamp, hence the lazy
-// sort; within a timestamp, appends arrive in seq order and the stable
-// insertion sort preserves FIFO. Events pushed into the bucket currently
-// being drained insert into its still-sorted tail.
+// sort. Within a timestamp, events reach a bucket in seq order — direct
+// pushes trivially, migrated ones because each far day chain keeps its
+// events in push order — so a same-timestamp burst (every committee
+// member voting at a step's start) arrives presorted and needs no sort
+// at all. Events pushed into the bucket currently being drained insert
+// into its still-sorted tail.
 //
 // Memory bounds: both rings have a fixed bucket count (near buckets
 // double only while halving the width, far buckets double only to cover
-// a grown horizon, both capped), and every bucket's time slot recurs
-// every lap, so per-bucket slice capacities converge to the workload's
-// per-slot peak instead of creeping — the failure mode of a single
-// fine-grained ring spanning the whole horizon, where each round's burst
-// pattern lands on fresh buckets.
+// a grown horizon, both capped), and neither rung keeps storage per
+// slot: a near bucket hands its backing to a spare list, one per
+// capacity class, when it drains and takes one when it refills, and far
+// days chain blocks from a shared freelist. Idle storage is therefore
+// bounded by the peak pending population, not by every slot's lifetime
+// peak — which, with burst instants rotating across slots round by
+// round, would grow every slot to the burst size.
 //
 // Invariants:
 //
@@ -57,7 +68,8 @@ import "time"
 //     one write instead of far block → near bucket (the double write that
 //     dominated round CPU before this scheme);
 //   - far events all lie in [migrated + farWidth, migrated + farSpan -
-//     farWidth), one far lap with a spare day of margin;
+//     farWidth), one far lap with a spare day of margin, so each far
+//     slot holds at most one day, and each day chain is seq-ascending;
 //   - the near cursor points at or before the earliest near event's
 //     absolute bucket; farCursor's day is the last one migrated.
 type calendarQueue struct {
@@ -73,10 +85,14 @@ type calendarQueue struct {
 	// ring counts events currently stored in near buckets.
 	ring int
 
-	// farHead is the coarse ring of unsorted day buckets; len is a power
-	// of two. Each entry heads a chain of fixed-size event blocks in
-	// blocks (-1 = empty day).
-	farHead []int32
+	// farHead is the coarse ring of day buckets; len is a power of two.
+	// Each entry heads a chain of fixed-size event blocks (nil = empty
+	// day) that farTail ends: pushes append at the tail, so a chain holds
+	// its day in push (seq) order and migrates into the near ring in that
+	// order. Every slot holds at most one day (far events span less than
+	// a lap).
+	farHead []*farBlock
+	farTail []*farBlock
 	// farShift sets the day width to 1<<farShift nanoseconds; it is
 	// derived from the near geometry so a whole day always fits the near
 	// ring (farWidth == nearSpan/2).
@@ -92,19 +108,20 @@ type calendarQueue struct {
 	// are in the far ring or overflow.
 	migrated time.Duration
 
-	// blocks is the shared far-event block pool; freeBlk heads its
-	// freelist. Pooling makes far memory proportional to the peak far
-	// population rather than to (day count × per-day burst peak): which
-	// days carry gossip bursts rotates across rounds, so per-day slices
-	// would grow every slot to the burst size eventually.
-	blocks  []farBlock
-	freeBlk int32
+	// freeBlk heads the freelist of far blocks. Blocks are allocated one
+	// at a time and only ever recycled, so far memory tracks the peak far
+	// population and growing it never copies a block.
+	freeBlk *farBlock
 
-	// slab backs near-bucket slices: grow steps carve zero-len chunks off
-	// large blocks instead of allocating per bucket, collapsing the
-	// thousands of small cold-start allocations a fresh engine would
-	// otherwise pay while its buckets grow from nil.
-	slab []event
+	// spare holds idle near-bucket backings, cleared, by capacity class:
+	// spare[k] backings hold calBucketMin<<(2k) events. Drained buckets
+	// file their backing here and filling buckets take one, so near
+	// memory follows the pending population.
+	spare [calBucketClasses][][]event
+
+	// sortKeys and sortTmp are sortBucket's scratch for crowded buckets.
+	sortKeys []sortKey
+	sortTmp  []event
 
 	// overflow holds events beyond the far span, ordered by (at, seq).
 	overflow eventQueue
@@ -121,8 +138,8 @@ type calendarQueue struct {
 }
 
 // calBucket is one near-ring slot: an append-order event slice that gets
-// insertion-sorted by (at, seq) when the drain cursor reaches it, then
-// drained by advancing next.
+// sorted by (at, seq) when the drain cursor reaches it, then drained by
+// advancing next. An empty bucket holds no backing (events == nil).
 //
 // unsorted tracks, append by append, whether the slice has fallen out of
 // (at, seq) order since its last drain; gossip fan-outs schedule mostly
@@ -136,10 +153,19 @@ type calBucket struct {
 	unsorted bool
 }
 
-// farBlock is one fixed-size chunk of a far day's unsorted event chain.
+// sortKey orders one event of a crowded near bucket: its (at, seq) and
+// its index in the bucket.
+type sortKey struct {
+	at  time.Duration
+	seq uint64
+	i   int
+}
+
+// farBlock is one fixed-size chunk of a far day's push-ordered event
+// chain.
 type farBlock struct {
-	next   int32 // next block in the day chain or freelist, -1 = none
-	n      int32 // events used
+	next   *farBlock // next block in the day chain or freelist
+	n      int32     // events used
 	events [calFarBlockLen]event
 }
 
@@ -158,8 +184,8 @@ const (
 	calMaxBucketLen = 32
 	// calMinNearShift (1 µs buckets) stops width halving: a burst of
 	// events on one exact timestamp can never be spread by a finer grid,
-	// it simply lives in one bucket (where its seq-ordered appends make
-	// the lazy sort linear).
+	// it simply lives in one bucket (where its seq-ordered appends leave
+	// nothing to sort).
 	calMinNearShift = 10
 	// calFarBuckets is the initial far ring size: with 134 ms days the
 	// initial far span is ~34 s, covering the default protocol's timers
@@ -175,37 +201,25 @@ const (
 	// enough that sparse days waste little, large enough that burst days
 	// chain few blocks.
 	calFarBlockLen = 64
-	// calSlabLen sizes the near-bucket slab blocks (events per block).
-	calSlabLen = 4096
-	// calSlabMaxChunk caps slab-carved bucket capacities; the rare bucket
-	// growing beyond it falls back to ordinary append doubling.
-	calSlabMaxChunk = 512
+	// calBucketMin is the smallest near-bucket backing; each capacity
+	// class is 4× the one below, so a bucket filling to k events pays
+	// O(log k) grow copies totalling fewer than 4k/3 moves.
+	calBucketMin = 8
+	// calBucketClasses bounds the class ladder: the largest class holds
+	// 8·4^15 events, far beyond any burst memory can hold.
+	calBucketClasses = 16
 )
-
-// bucketGrow is the capacity ladder for near buckets: coarse steps keep
-// the number of grow-copies (and abandoned slab chunks) small.
-func bucketGrow(c int) int {
-	switch {
-	case c == 0:
-		return 8
-	default:
-		return c * 4
-	}
-}
 
 func (c *calendarQueue) init() {
 	c.near = make([]calBucket, calNearBuckets)
 	c.nearShift = calNearShift
 	c.nearMask = calNearBuckets - 1
-	c.farHead = make([]int32, calFarBuckets)
-	for i := range c.farHead {
-		c.farHead[i] = -1
-	}
+	c.farHead = make([]*farBlock, calFarBuckets)
+	c.farTail = make([]*farBlock, calFarBuckets)
 	// farWidth = nearSpan/2: log2(2048) - 1 = 10 extra bits.
 	c.farShift = calNearShift + 10
 	c.farMask = calFarBuckets - 1
 	c.farCursor = -1
-	c.freeBlk = -1
 	c.migrated = 0
 }
 
@@ -213,37 +227,24 @@ func (c *calendarQueue) init() {
 func (c *calendarQueue) len() int { return c.ring + c.farCount + len(c.overflow) }
 
 // reset empties the calendar back to its post-init state while keeping
-// every allocation and the current geometry: near buckets keep their
-// grown capacities (and slab-carved backings), far blocks return to the
-// freelist, and ring sizes/widths stay where resizes left them. Pop
-// order is strict (at, seq) regardless of geometry, so a reset calendar
-// schedules identically to a fresh one — it just skips the warm-up
-// growth. All closure/payload references are dropped.
+// every allocation and the current geometry: near-bucket backings go to
+// the spare lists, far blocks to the freelist, and ring sizes/widths
+// stay where resizes left them. Pop order is strict (at, seq)
+// regardless of geometry, so a reset calendar schedules identically to
+// a fresh one — it just skips the warm-up growth. All closure/payload
+// references are dropped.
 func (c *calendarQueue) reset() {
 	for i := range c.near {
-		b := &c.near[i]
-		clear(b.events)
-		b.events = b.events[:0]
-		b.next = 0
-		b.sorted = false
-		b.unsorted = false
+		c.drop(&c.near[i])
 	}
 	c.cursor = 0
 	c.ring = 0
-	for i := range c.farHead {
-		c.farHead[i] = -1
+	for slot := range c.farHead {
+		c.freeChain(int64(slot))
 	}
 	c.farCursor = -1
 	c.farCount = 0
 	c.migrated = 0
-	c.freeBlk = -1
-	for i := range c.blocks {
-		blk := &c.blocks[i]
-		clear(blk.events[:blk.n])
-		blk.n = 0
-		blk.next = c.freeBlk
-		c.freeBlk = int32(i)
-	}
 	clear(c.overflow)
 	c.overflow = c.overflow[:0]
 	c.statNear = 0
@@ -281,56 +282,66 @@ func (c *calendarQueue) advanceTo(day int64) {
 	}
 }
 
-// migrate moves one far day's events into the near ring and recycles
-// its blocks. The two days advanceTo migrates land within
-// [migrated - farWidth, migrated + farWidth) — exactly the near span,
-// so near indices cannot collide. Direct near inserts may already
-// occupy the target buckets; insertNear's unsorted tracking keeps the
-// eventual bucket drain in (at, seq) order regardless.
+// migrate moves one far day's events into the near ring, head to tail
+// (push order), and recycles its blocks. The two days advanceTo
+// migrates land within [migrated - farWidth, migrated + farWidth) —
+// exactly the near span, so near indices cannot collide. Walking the
+// chain in push order hands each near bucket its same-timestamp events
+// in seq order, so a migrated burst stays presorted; direct near inserts
+// or interleaved timestamps may still unsort a bucket, and insertNear's
+// tracking sends those through sortBucket.
 func (c *calendarQueue) migrate(day int64) {
 	slot := day & c.farMask
-	for h := c.farHead[slot]; h >= 0; {
-		blk := &c.blocks[h]
+	for blk := c.farHead[slot]; blk != nil; blk = blk.next {
 		n := int(blk.n)
-		for i := 0; i < n; i++ {
+		for i := range blk.events[:n] {
 			c.insertNear(blk.events[i])
 		}
 		c.farCount -= n
 		c.statMigrated += uint64(n)
-		clear(blk.events[:n]) // release closure/payload references
+	}
+	c.freeChain(slot)
+}
+
+// freeChain clears far slot's chain — releasing closure/payload
+// references — and splices it onto the block freelist.
+func (c *calendarQueue) freeChain(slot int64) {
+	head, tail := c.farHead[slot], c.farTail[slot]
+	if head == nil {
+		return
+	}
+	for blk := head; blk != nil; blk = blk.next {
+		clear(blk.events[:blk.n])
 		blk.n = 0
-		next := blk.next
-		blk.next = c.freeBlk
-		c.freeBlk = h
-		h = next
 	}
-	c.farHead[slot] = -1
+	tail.next = c.freeBlk
+	c.freeBlk = head
+	c.farHead[slot], c.farTail[slot] = nil, nil
 }
 
-// allocBlock takes a block from the freelist, growing the pool when it
-// is empty.
-func (c *calendarQueue) allocBlock() int32 {
-	if h := c.freeBlk; h >= 0 {
-		c.freeBlk = c.blocks[h].next
-		return h
-	}
-	c.blocks = append(c.blocks, farBlock{next: -1})
-	return int32(len(c.blocks) - 1)
-}
-
-// appendFar chains ev onto its day bucket.
+// appendFar chains ev onto the tail of its day bucket, taking a block
+// from the freelist (or allocating one) when the tail is full.
 func (c *calendarQueue) appendFar(ev event) {
 	slot := (int64(ev.at) >> c.farShift) & c.farMask
-	h := c.farHead[slot]
-	if h < 0 || c.blocks[h].n == calFarBlockLen {
-		nb := c.allocBlock()
-		c.blocks[nb].next = h
-		c.farHead[slot] = nb
-		h = nb
+	t := c.farTail[slot]
+	if t == nil || t.n == calFarBlockLen {
+		nb := c.freeBlk
+		if nb != nil {
+			c.freeBlk = nb.next
+			nb.next = nil
+		} else {
+			nb = new(farBlock)
+		}
+		if t == nil {
+			c.farHead[slot] = nb
+		} else {
+			t.next = nb
+		}
+		c.farTail[slot] = nb
+		t = nb
 	}
-	blk := &c.blocks[h]
-	blk.events[blk.n] = ev
-	blk.n++
+	t.events[t.n] = ev
+	t.n++
 	c.farCount++
 }
 
@@ -346,7 +357,7 @@ func (c *calendarQueue) insertNear(ev event) int {
 	b := &c.near[abs&c.nearMask]
 	e := b.events
 	if len(e) == cap(e) {
-		e = c.growBucket(e)
+		e = c.grow(e)
 	}
 	e = append(e, ev)
 	if b.sorted {
@@ -368,24 +379,47 @@ func (c *calendarQueue) insertNear(ev event) int {
 	return len(e) - int(b.next)
 }
 
-// growBucket returns e rebacked with the next capacity step, carved from
-// the shared slab when small enough. The abandoned backing stays inside
-// its slab block until the block itself is unreferenced; the coarse
-// growth ladder bounds that waste.
-func (c *calendarQueue) growBucket(e []event) []event {
-	want := bucketGrow(cap(e))
-	if want > calSlabMaxChunk {
-		// Ordinary append doubling takes over for the rare huge bucket
-		// (e.g. a same-timestamp burst pinned by calMinNearShift).
-		return e
+// grow returns e copied into a spare backing of the next capacity class
+// (the smallest class when e has none) and files e's old backing as a
+// spare.
+func (c *calendarQueue) grow(e []event) []event {
+	k := 0
+	if cap(e) > 0 {
+		k = bucketClass(e) + 1
 	}
-	if len(c.slab)+want > cap(c.slab) {
-		c.slab = make([]event, 0, calSlabLen)
+	var ne []event
+	if n := len(c.spare[k]); n > 0 {
+		ne = c.spare[k][n-1]
+		c.spare[k] = c.spare[k][:n-1]
+	} else {
+		ne = make([]event, 0, calBucketMin<<(2*k))
 	}
-	off := len(c.slab)
-	c.slab = c.slab[:off+want]
-	ne := c.slab[off : off : off+want]
-	return append(ne, e...)
+	ne = append(ne, e...)
+	c.release(e)
+	return ne
+}
+
+// bucketClass returns the capacity class of a calendar-made backing,
+// whose capacity is exactly calBucketMin<<(2k).
+func bucketClass(e []event) int {
+	return (bits.TrailingZeros(uint(cap(e))) - 3) / 2
+}
+
+// release clears a bucket backing and files it as a spare; a nil
+// backing is ignored.
+func (c *calendarQueue) release(e []event) {
+	if cap(e) == 0 {
+		return
+	}
+	clear(e)
+	k := bucketClass(e)
+	c.spare[k] = append(c.spare[k], e[:0])
+}
+
+// drop empties bucket b, filing its backing as a spare.
+func (c *calendarQueue) drop(b *calBucket) {
+	c.release(b.events)
+	*b = calBucket{}
 }
 
 // push routes ev to the near ring, the far ring, or the overflow heap,
@@ -426,12 +460,37 @@ func (c *calendarQueue) push(ev event, now time.Duration) {
 	}
 }
 
-// sortBucket insertion-sorts a near bucket by (at, seq). Insertion sort
-// fits the workload: buckets hold at most ~calMaxBucketLen events, and
-// the degenerate large case — a same-timestamp burst pinned to one
-// bucket by calMinNearShift — arrives already seq-ordered, which is the
-// algorithm's linear best case.
-func sortBucket(e []event) {
+// sortBucket sorts a near bucket by (at, seq). Buckets up to
+// calMaxBucketLen events — the steady state, since fuller buckets halve
+// the width — take an insertion sort over sequential memory. Fuller ones
+// occur once the width bottoms out under timestamp-clustered bursts: two
+// delays of a step's table that fall in one 4 µs bucket interleave a few
+// hundred events, which insertion sort would pay for in O(k²) moves of
+// 56-byte events. Those sort compact (at, seq) keys in O(k log k)
+// instead and then move each event once, through a scratch copy. (A
+// single-timestamp burst arrives presorted and never gets here.) Seqs
+// are unique, so the three-way compare is strict and the unstable sort
+// yields the one (at, seq) order.
+func (c *calendarQueue) sortBucket(e []event) {
+	if len(e) > calMaxBucketLen {
+		keys := c.sortKeys[:0]
+		for i := range e {
+			keys = append(keys, sortKey{e[i].at, e[i].seq, i})
+		}
+		slices.SortFunc(keys, func(a, b sortKey) int {
+			if a.at != b.at {
+				return cmp.Compare(a.at, b.at)
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		tmp := append(c.sortTmp[:0], e...)
+		for i, k := range keys {
+			e[i] = tmp[k.i]
+		}
+		clear(tmp) // release closure/payload references
+		c.sortKeys, c.sortTmp = keys, tmp[:0]
+		return
+	}
 	for i := 1; i < len(e); i++ {
 		ev := e[i]
 		j := i
@@ -470,7 +529,7 @@ func (c *calendarQueue) peekNear(now time.Duration) *event {
 				// Presorted buckets (the common case, tracked append by
 				// append) skip the verification walk.
 				if b.unsorted {
-					sortBucket(b.events)
+					c.sortBucket(b.events)
 					b.unsorted = false
 				}
 				b.sorted = true
@@ -486,18 +545,18 @@ func (c *calendarQueue) peekNear(now time.Duration) *event {
 // walk to one far lap.
 func (c *calendarQueue) farNextDay() int64 {
 	day := c.farCursor + 1
-	for c.farHead[day&c.farMask] < 0 {
+	for c.farHead[day&c.farMask] == nil {
 		day++
 	}
 	return day
 }
 
 // farMin returns a pointer to the earliest event of far day `day`, by
-// linear scan over its block chain (far days are unsorted).
+// linear scan over its block chain (far days are in push order, not
+// time order).
 func (c *calendarQueue) farMin(day int64) *event {
 	var min *event
-	for h := c.farHead[day&c.farMask]; h >= 0; h = c.blocks[h].next {
-		blk := &c.blocks[h]
+	for blk := c.farHead[day&c.farMask]; blk != nil; blk = blk.next {
 		for i := 0; i < int(blk.n); i++ {
 			if min == nil || blk.events[i].before(min) {
 				min = &blk.events[i]
@@ -560,12 +619,8 @@ func (c *calendarQueue) pop(now time.Duration) (event, bool) {
 	b.next++
 	if int(b.next) == len(b.events) {
 		// Fully drained: release the closure/payload references in one
-		// bulk clear and recycle the slice for the next lap.
-		clear(b.events)
-		b.events = b.events[:0]
-		b.next = 0
-		b.sorted = false
-		b.unsorted = false
+		// bulk clear and hand the backing to whichever bucket fills next.
+		c.drop(b)
 	}
 	c.ring--
 	return ev, true
@@ -594,9 +649,10 @@ func (c *calendarQueue) hintHorizon(horizon time.Duration) {
 }
 
 // resizeNear rebuilds the near ring with a finer bucket width at
-// constant span, redistributing the pending near events. Width only
-// shrinks, geometrically, so total resize work is O(population) per
-// halving and halvings are bounded.
+// constant span, redistributing the pending near events and filing the
+// old buckets' backings as spares. Width only shrinks, geometrically, so
+// total resize work is O(population) per halving and halvings are
+// bounded.
 func (c *calendarQueue) resizeNear(shift uint) {
 	old := c.near
 	c.near = make([]calBucket, len(old)*2)
@@ -614,34 +670,32 @@ func (c *calendarQueue) resizeNear(shift uint) {
 		for _, ev := range b.events[b.next:] {
 			c.insertNear(ev)
 		}
+		c.release(b.events)
 	}
 }
 
 // resizeFar rebuilds the far ring with more day buckets at constant
-// width. Day chains relink wholesale — a chain's day is recoverable from
-// any of its events — and overflow events that the wider span now covers
-// migrate into the ring.
+// width. Each old slot holds one day, so its chain moves whole — head and
+// tail — to the day's new slot; and overflow events that the wider span
+// now covers migrate into the ring, in push order so every chain stays
+// seq-ascending.
 func (c *calendarQueue) resizeFar(nbuckets int) {
-	oldHeads := c.farHead
-	c.farHead = make([]int32, nbuckets)
-	for i := range c.farHead {
-		c.farHead[i] = -1
-	}
+	oldHead, oldTail := c.farHead, c.farTail
+	c.farHead = make([]*farBlock, nbuckets)
+	c.farTail = make([]*farBlock, nbuckets)
 	c.farMask = int64(nbuckets - 1)
-	for _, h := range oldHeads {
-		for h >= 0 {
-			blk := &c.blocks[h]
-			next := blk.next
-			slot := (int64(blk.events[0].at) >> c.farShift) & c.farMask
-			blk.next = c.farHead[slot]
-			c.farHead[slot] = h
-			h = next
+	for i, h := range oldHead {
+		if h != nil {
+			slot := (int64(h.events[0].at) >> c.farShift) & c.farMask
+			c.farHead[slot], c.farTail[slot] = h, oldTail[i]
 		}
 	}
 	oldOverflow := c.overflow
 	c.overflow = nil
+	slices.SortFunc(oldOverflow, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
 	for _, ev := range oldOverflow {
-		switch day := int64(ev.at) >> c.farShift; {
+		day := int64(ev.at) >> c.farShift
+		switch t := c.farTail[day&c.farMask]; {
 		case day <= c.farCursor+1:
 			// Inside the near window (overflow events never precede
 			// migrated - farWidth: the pop loop stops advancing at the
@@ -649,9 +703,12 @@ func (c *calendarQueue) resizeFar(nbuckets int) {
 			// direct-insert day, whose far chain must stay empty — would
 			// strand the event a far lap out of order.
 			c.insertNear(ev)
-		case day-c.farCursor < c.farMask:
+		case day-c.farCursor < c.farMask && (t == nil || t.events[t.n-1].seq < ev.seq):
 			c.appendFar(ev)
 		default:
+			// Beyond the span, or its day entered the span (as the clock
+			// advanced) and took later pushes: the heap keeps it, which
+			// pop merges in order either way.
 			c.overflow.push(ev)
 		}
 	}

@@ -153,3 +153,257 @@ func TestUseLegacyHeapPanicsMidRun(t *testing.T) {
 	}()
 	e.UseLegacyHeap()
 }
+
+// checkFarChains asserts the far ring's layout: each slot's chain holds
+// one day, the day that maps to the slot, in strictly ascending seq
+// (push) order; blocks before the tail are full and farTail ends the
+// chain; the chains hold farCount events in all.
+func checkFarChains(t *testing.T, c *calendarQueue) {
+	t.Helper()
+	total := 0
+	for slot, blk := range c.farHead {
+		if blk == nil {
+			if c.farTail[slot] != nil {
+				t.Fatalf("far slot %d: empty chain with a tail", slot)
+			}
+			continue
+		}
+		day := int64(blk.events[0].at) >> c.farShift
+		if day&c.farMask != int64(slot) {
+			t.Fatalf("far slot %d holds day %d", slot, day)
+		}
+		var last uint64
+		for ; blk != nil; blk = blk.next {
+			if blk.n == 0 || (blk.next != nil && blk.n != calFarBlockLen) {
+				t.Fatalf("far slot %d: %d-event block mid-chain", slot, blk.n)
+			}
+			if blk.next == nil && c.farTail[slot] != blk {
+				t.Fatalf("far slot %d: tail is not the chain's last block", slot)
+			}
+			for _, ev := range blk.events[:blk.n] {
+				if d := int64(ev.at) >> c.farShift; d != day {
+					t.Fatalf("far slot %d mixes days %d and %d", slot, day, d)
+				}
+				if ev.seq <= last {
+					t.Fatalf("far slot %d (day %d): seq %d after %d", slot, day, ev.seq, last)
+				}
+				last = ev.seq
+				total++
+			}
+		}
+	}
+	if total != c.farCount {
+		t.Fatalf("far chains hold %d events, farCount = %d", total, c.farCount)
+	}
+}
+
+// TestFarChainsInPushOrder pins the far-ring layout through pushes
+// interleaved across days and a resizeFar that moves the chains and
+// re-homes the overflow heap — including an overflow event whose day
+// took a later push once the clock brought it into the span, which must
+// stay in the heap rather than land behind that push.
+func TestFarChainsInPushOrder(t *testing.T) {
+	if legacyHeapDefault {
+		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
+	}
+	e := NewEngine(1)
+	rng := NewRNG(1, "calendar.farchains")
+	var got []time.Duration
+	record := func(int, any) { got = append(got, e.Now()) }
+	for i := 0; i < 40*calFarBlockLen; i++ {
+		e.ScheduleFn(time.Second+time.Duration(rng.Int63n(int64(3*time.Second))), record, 0, nil)
+	}
+	for i := 0; i < 50; i++ {
+		e.ScheduleFn(50*time.Second+time.Duration(rng.Int63n(int64(10*time.Second))), record, 0, nil)
+	}
+	c := &e.cal
+	checkFarChains(t, c)
+	if len(c.overflow) != 50 {
+		t.Fatalf("overflow holds %d events, want 50", len(c.overflow))
+	}
+	e.HintHorizon(2 * time.Minute)
+	if len(c.overflow) != 0 {
+		t.Fatalf("post-hint: overflow holds %d events, want 0", len(c.overflow))
+	}
+	checkFarChains(t, c)
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 40*calFarBlockLen+50 {
+		t.Fatalf("ran %d events", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("out of order at %d: %v after %v", i, got[i], got[i-1])
+		}
+	}
+
+	// The day-collision case: an overflow timer, then a later push on its
+	// day once the day is in range, then a span growth.
+	e = NewEngine(1)
+	c = &e.cal
+	var order []int
+	mark := func(arg int, _ any) { order = append(order, arg) }
+	e.ScheduleFn(40*time.Second, mark, 1, nil) // beyond the ~34 s span
+	if err := e.Run(8 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	e.ScheduleFn(32*time.Second, mark, 2, nil) // same instant, now in range
+	if len(c.overflow) != 1 || c.farCount != 1 {
+		t.Fatalf("pre-hint: overflow=%d farCount=%d, want 1/1", len(c.overflow), c.farCount)
+	}
+	e.HintHorizon(2 * time.Minute)
+	if len(c.overflow) != 1 || c.farCount != 1 {
+		t.Fatalf("post-hint: overflow=%d farCount=%d, want the earlier push still in the heap", len(c.overflow), c.farCount)
+	}
+	checkFarChains(t, c)
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("same-instant pops ran %v, want [1 2]", order)
+	}
+}
+
+// TestMigratedBurstArrivesSorted pins what push-ordered far chains buy: a
+// same-timestamp burst spanning many far blocks reaches its near bucket
+// already in seq order, so the drain has nothing to sort.
+func TestMigratedBurstArrivesSorted(t *testing.T) {
+	if legacyHeapDefault {
+		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
+	}
+	e := NewEngine(1)
+	const n = 20 * calFarBlockLen
+	const at = time.Second // beyond the direct-insert window: far ring
+	var got []int
+	record := func(arg int, _ any) { got = append(got, arg) }
+	for i := 0; i < n; i++ {
+		e.ScheduleFn(at, record, i, nil)
+	}
+	c := &e.cal
+	if c.farCount != n {
+		t.Fatalf("farCount = %d, want %d", c.farCount, n)
+	}
+	// What pop does once the near ring runs dry; it pops right after.
+	c.advanceTo(c.farNextDay())
+	b := &c.near[(int64(at)>>c.nearShift)&c.nearMask]
+	if len(b.events) != n || b.unsorted {
+		t.Fatalf("migrated bucket: %d events, unsorted=%v; want %d presorted", len(b.events), b.unsorted, n)
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("burst order[%d] = %d, want %d", i, v, i)
+		}
+	}
+}
+
+// TestBurstCycleAllocFree pins the storage recycling: once one engine
+// has run a mean-field burst-and-drain cycle, running it again — from a
+// later day boundary, so the bursts land on different ring slots — takes
+// every bucket backing from the spare lists and every far block from the
+// freelist.
+func TestBurstCycleAllocFree(t *testing.T) {
+	if legacyHeapDefault {
+		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
+	}
+	e := NewEngine(1)
+	rng := NewRNG(1, "calendar.allocfree")
+	delays := meanFieldDelays(rng)
+	const steps, perStep = 3, 20_000
+	picks := make([]int, steps*perStep)
+	for i := range picks {
+		picks[i] = rng.Intn(len(delays))
+	}
+	fn := func(int, any) {}
+	cycle := func() {
+		day := time.Duration(1) << e.cal.farShift
+		if err := e.Run((e.Now()/day + 1) * day); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < steps; s++ {
+			for _, p := range picks[s*perStep : (s+1)*perStep] {
+				e.ScheduleFn(delays[p], fn, 0, nil)
+			}
+			if err := e.Run(e.Now() + 1300*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // grows the near ring, the spare lists and the block pool
+	if a := testing.AllocsPerRun(3, cycle); a != 0 {
+		t.Fatalf("warm burst-and-drain cycle allocates %v times, want 0", a)
+	}
+}
+
+// backings returns the near-bucket backing arrays the calendar holds in
+// live buckets and in its spare lists.
+func backings(c *calendarQueue) (live, spare map[*event]bool) {
+	live, spare = map[*event]bool{}, map[*event]bool{}
+	for _, b := range c.near {
+		if cap(b.events) > 0 {
+			live[&b.events[:1][0]] = true
+		}
+	}
+	for _, list := range c.spare {
+		for _, e := range list {
+			spare[&e[:1][0]] = true
+		}
+	}
+	return live, spare
+}
+
+// TestResetAndResizeKeepSpares pins that neither a width-halving resize
+// nor Reset drops near-bucket storage: every backing ends up in a live
+// bucket or a spare list, and Reset leaves them all spare.
+func TestResetAndResizeKeepSpares(t *testing.T) {
+	if legacyHeapDefault {
+		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
+	}
+	e := NewEngine(1)
+	fn := func(int, any) {}
+	for i := 0; i < 400; i++ {
+		e.ScheduleFn(time.Duration(i%40)*time.Millisecond, fn, 0, nil)
+	}
+	// Drain half the buckets: their backings turn spare.
+	if err := e.Run(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	c := &e.cal
+	live, spare := backings(c)
+	if len(live) == 0 || len(spare) == 0 {
+		t.Fatalf("setup: %d live and %d spare backings, want both", len(live), len(spare))
+	}
+	c.resizeNear(c.nearShift - 1)
+	live2, spare2 := backings(c)
+	for p := range live {
+		if !live2[p] && !spare2[p] {
+			t.Fatal("resizeNear dropped a live bucket's backing")
+		}
+	}
+	for p := range spare {
+		if !live2[p] && !spare2[p] {
+			t.Fatal("resizeNear dropped a spare backing")
+		}
+	}
+	e.Reset(1)
+	live3, spare3 := backings(c)
+	if len(live3) != 0 {
+		t.Fatalf("Reset left %d buckets holding backings", len(live3))
+	}
+	for p := range live2 {
+		if !spare3[p] {
+			t.Fatal("Reset dropped a live bucket's backing")
+		}
+	}
+	for p := range spare2 {
+		if !spare3[p] {
+			t.Fatal("Reset dropped a spare backing")
+		}
+	}
+}

@@ -98,8 +98,13 @@ func runProgram(t *testing.T, ops []diffOp, legacy bool, until time.Duration) []
 
 func diffCompare(t *testing.T, ops []diffOp, until time.Duration) {
 	t.Helper()
-	cal := runProgram(t, ops, false, until)
-	heap := runProgram(t, ops, true, until)
+	requireSameOrder(t, runProgram(t, ops, false, until), runProgram(t, ops, true, until))
+}
+
+// requireSameOrder fails unless the calendar and the legacy heap ran the
+// same events in the same order.
+func requireSameOrder(t *testing.T, cal, heap []int) {
+	t.Helper()
 	if len(cal) != len(heap) {
 		t.Fatalf("calendar executed %d events, legacy heap %d", len(cal), len(heap))
 	}
@@ -219,16 +224,112 @@ func TestCalendarMatchesHeapFactorSwings(t *testing.T) {
 				}
 				return log
 			}
-			cal := build(false)
-			heap := build(true)
-			if len(cal) != len(heap) {
-				t.Fatalf("calendar executed %d events, legacy heap %d", len(cal), len(heap))
+			requireSameOrder(t, build(false), build(true))
+		})
+	}
+}
+
+// meanFieldDelays builds the sparse path's delay-table shape: 4096
+// pre-sampled multi-hop path delays, each a sum of four 75–750 ms hops
+// (0.3–3 s). Every delivery of a step draws one entry, so a step's
+// deliveries share at most 4096 distinct offsets from its start.
+func meanFieldDelays(rng *rand.Rand) []time.Duration {
+	tab := make([]time.Duration, 4096)
+	for i := range tab {
+		for h := 0; h < 4; h++ {
+			tab[i] += 75*time.Millisecond + time.Duration(rng.Int63n(int64(675*time.Millisecond)))
+		}
+	}
+	return tab
+}
+
+// runMeanField replays the sparse path's burst shape on one scheduler
+// and returns the execution order. Every step instant, each of V
+// sources delivers to R receivers at a table delay — most land on far
+// days, and the table's 4096 offsets make events share timestamps — and
+// sends one short-delay direct insert; every receiver arms two step
+// timers 1 µs apart, a same-instant direct burst that halves the near
+// width down to its cap and leaves crowded buckets of interleaved
+// timestamps to sort. A sixteenth of deliveries react with a
+// short-delay follow-up. Timers pushed up front 40 s out wait in the
+// overflow heap; more timers on their days follow each step, taking the
+// far ring once the clock brings those days into the span, and a
+// HintHorizon growth then re-homes the overflow while far days hold
+// events of the same days. The clock advances in chunked Run(until)
+// calls throughout.
+func runMeanField(t *testing.T, seed int64, legacy bool) []int {
+	t.Helper()
+	const (
+		steps, sources, receivers = 7, 32, 256
+		stepGap                   = 1300 * time.Millisecond
+		chunk                     = 170 * time.Millisecond
+		hintStep                  = 6
+	)
+	e := NewEngine(1)
+	if legacy {
+		e.UseLegacyHeap()
+	}
+	rng := NewRNG(seed, "differential.meanfield")
+	delays := meanFieldDelays(rng)
+	var log []int
+	id := 0
+	var deliver func(arg int, _ any)
+	deliver = func(arg int, _ any) {
+		log = append(log, arg)
+		if arg > 0 && arg%16 == 0 {
+			e.ScheduleFn(time.Duration(rng.Int63n(int64(30*time.Millisecond))), deliver, -arg, nil)
+		}
+	}
+	schedule := func(delay time.Duration) {
+		id++
+		e.ScheduleFn(delay, deliver, id, nil)
+	}
+	timer := func() {
+		schedule(40*time.Second + time.Duration(rng.Int63n(int64(time.Second))) - e.Now())
+	}
+	for i := 0; i < 30; i++ {
+		timer()
+	}
+	for step := 0; step < steps; step++ {
+		if step == hintStep {
+			e.HintHorizon(2 * time.Minute)
+		}
+		for i := 0; i < 5; i++ {
+			timer()
+		}
+		for r := 0; r < receivers; r++ {
+			schedule(20*time.Millisecond + time.Duration(r%2)*time.Microsecond)
+		}
+		for v := 0; v < sources; v++ {
+			for r := 0; r < receivers; r++ {
+				schedule(delays[rng.Intn(len(delays))])
 			}
-			for i := range cal {
-				if cal[i] != heap[i] {
-					t.Fatalf("pop order diverges at step %d: calendar ran event %d, legacy heap ran event %d", i, cal[i], heap[i])
-				}
+			schedule(time.Duration(rng.Int63n(int64(50 * time.Millisecond))))
+		}
+		if !e.legacy {
+			checkFarChains(t, &e.cal)
+		}
+		next := e.Now() + stepGap
+		for e.Now() < next {
+			if err := e.Run(min(e.Now()+chunk, next)); err != nil {
+				t.Fatal(err)
 			}
+		}
+	}
+	for e.Pending() > 0 {
+		if err := e.Run(e.Now() + chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return log
+}
+
+// TestCalendarMatchesHeapMeanField cross-checks the calendar queue
+// against the legacy heap on the sparse path's mean-field burst shape.
+func TestCalendarMatchesHeapMeanField(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			requireSameOrder(t, runMeanField(t, seed, false), runMeanField(t, seed, true))
 		})
 	}
 }

@@ -153,12 +153,12 @@ func (e *Engine) UseLegacyHeap() {
 // Reset rewinds the engine to a fresh post-NewEngine state for seed,
 // keeping the scheduler's allocations and geometry: the calendar's
 // near/far rings stay at whatever widths and spans previous runs grew
-// them to, buckets keep their capacities, and far blocks return to the
-// free pool. Pop order is strict (at, seq) independent of geometry, so a
-// recycled engine is output-identical to NewEngine(seed) while skipping
-// the calendar warm-up — the run-pool arenas lean on that. Any still-
-// queued events are dropped. The scheduler selection (legacy heap vs
-// calendar) carries over.
+// them to, near-bucket backings return to its spare lists, and far
+// blocks to its freelist. Pop order is strict (at, seq) independent of
+// geometry, so a recycled engine is output-identical to NewEngine(seed)
+// while skipping the calendar warm-up — the run-pool arenas lean on
+// that. Any still-queued events are dropped. The scheduler selection
+// (legacy heap vs calendar) carries over.
 func (e *Engine) Reset(seed int64) {
 	e.now = 0
 	e.seq = 0

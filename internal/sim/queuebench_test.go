@@ -33,3 +33,38 @@ func BenchmarkQueueChurnCalendar16k(b *testing.B) { benchQueueChurn(b, false, 16
 func BenchmarkQueueChurnHeap16k(b *testing.B)     { benchQueueChurn(b, true, 16384) }
 func BenchmarkQueueChurnCalendar1k(b *testing.B)  { benchQueueChurn(b, false, 1024) }
 func BenchmarkQueueChurnHeap1k(b *testing.B)      { benchQueueChurn(b, true, 1024) }
+
+// BenchmarkQueueMeanFieldBurst drives the sparse path's scheduling shape
+// through a fresh engine per op: four step instants 1.3 s apart, each
+// scheduling 250 sources × 1000 receivers at delays drawn from a
+// 4096-entry table of 0.3–3 s multi-hop sums (see meanFieldDelays), so
+// most events take the far ring and hundreds share each timestamp, then
+// a drain. It reports ns per event alongside the allocation figures.
+func BenchmarkQueueMeanFieldBurst(b *testing.B) {
+	const steps, perStep = 4, 250 * 1000
+	rng := NewRNG(1, "queuebench.meanfield")
+	delays := meanFieldDelays(rng)
+	picks := make([]time.Duration, steps*perStep)
+	for i := range picks {
+		picks[i] = delays[rng.Intn(len(delays))]
+	}
+	fn := func(int, any) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(1)
+		e.HintHorizon(3 * time.Second)
+		for s := 0; s < steps; s++ {
+			for _, d := range picks[s*perStep : (s+1)*perStep] {
+				e.ScheduleFn(d, fn, 0, nil)
+			}
+			if err := e.Run(e.Now() + 1300*time.Millisecond); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := e.Run(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps*perStep), "ns/event")
+}

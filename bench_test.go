@@ -410,6 +410,39 @@ func BenchmarkProtocolRound(b *testing.B) {
 	}
 }
 
+// BenchmarkProtocolRoundSparse measures one warm round of a 5k-node
+// network on the sparse path (absolute taus 100/150): committee sampling
+// plus mean-field delivery batches, the per-round work of the large-N
+// Fig. 3 sweeps.
+func BenchmarkProtocolRoundSparse(b *testing.B) {
+	const n = 5_000
+	stakes := make([]float64, n)
+	behaviors := make([]protocol.Behavior, n)
+	for i := range stakes {
+		stakes[i] = float64(1 + i%50)
+		behaviors[i] = protocol.Honest
+	}
+	params := protocol.DefaultParams()
+	params.TauStep = 100
+	params.TauFinal = 150
+	runner, err := protocol.NewRunner(protocol.Config{
+		Params:    params,
+		Stakes:    stakes,
+		Behaviors: behaviors,
+		Seed:      1,
+		Sparse:    protocol.SparseOn,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	runner.RunRounds(2) // warm pools, tallies and batch blocks
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runner.RunRounds(1)
+	}
+}
+
 // BenchmarkRewardDistribution measures both disbursement schemes over a
 // 10k-participant round.
 func BenchmarkRewardDistribution(b *testing.B) {

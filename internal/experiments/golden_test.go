@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
 
@@ -27,13 +28,37 @@ var goldenWorkers = []int{1, 8}
 
 // goldenCase produces one experiment's pinned table for a given worker
 // count. Configurations are deliberately small (seconds, not minutes) but
-// exercise the full protocol/sortition hot path at fixed seeds.
+// exercise the full protocol/sortition hot path at fixed seeds. A
+// non-empty skip names why the case cannot run in this build.
 type goldenCase struct {
 	name string
 	run  func(workers int) (*stats.Table, error)
+	skip string
+}
+
+// sparseRunsDense reports whether SparseOn runners fall back to the dense
+// path in this build (the protocol_pernode_draw oracle tag), where a
+// sparse golden has nothing to pin.
+func sparseRunsDense() bool {
+	stakes := make([]float64, 10)
+	behaviors := make([]protocol.Behavior, 10)
+	for i := range stakes {
+		stakes[i] = 10
+		behaviors[i] = protocol.Honest
+	}
+	params := protocol.DefaultParams()
+	params.TauStep, params.TauFinal = 5, 6
+	r, err := protocol.NewRunner(protocol.Config{
+		Params: params, Stakes: stakes, Behaviors: behaviors, Sparse: protocol.SparseOn,
+	})
+	return err == nil && r.CountersCoverage() == protocol.CoverageFull
 }
 
 func goldenCases() []goldenCase {
+	sparseSkip := ""
+	if sparseRunsDense() {
+		sparseSkip = "SparseOn runs dense in this build"
+	}
 	return []goldenCase{
 		{name: "table3", run: func(workers int) (*stats.Table, error) {
 			res, err := RunTable3()
@@ -47,6 +72,24 @@ func goldenCases() []goldenCase {
 			cfg.Runs = 3
 			cfg.Rounds = 4
 			cfg.DefectionRates = []float64{0.05, 0.15}
+			cfg.Workers = workers
+			res, err := RunFig3(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		}},
+		// The sparse path: fig6 and fig7 run 2,000 nodes, below
+		// SparseAutoThreshold, so this is the only golden that pins
+		// committee sampling, mean-field delivery and panel extrapolation.
+		{name: "fig3_sparse", skip: sparseSkip, run: func(workers int) (*stats.Table, error) {
+			cfg := LargeFig3Config(5_000)
+			cfg.Sparse = protocol.SparseOn
+			cfg.Params.TauStep = 100
+			cfg.Params.TauFinal = 150
+			cfg.DefectionRates = []float64{0.10, 0.20}
+			cfg.Runs = 2
+			cfg.Rounds = 2
 			cfg.Workers = workers
 			res, err := RunFig3(cfg)
 			if err != nil {
@@ -140,6 +183,9 @@ func TestGoldenFigures(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
+			if gc.skip != "" {
+				t.Skip(gc.skip)
+			}
 			t.Parallel()
 			var first []byte
 			for _, workers := range goldenWorkers {

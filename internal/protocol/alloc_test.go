@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/dsn2020-algorand/incentives/internal/sim"
@@ -80,5 +81,37 @@ func TestSortitionSelectAllocFree(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("direct Select allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// sparseColdAllocBudget bounds the bytes a fresh 5k-node sparse runner
+// allocates over construction plus its first two rounds. Batched
+// deliveries recycle their blocks, so the cold cost stays near 21 MiB;
+// one scheduler event per delivery cost 72 MiB, and batch storage that
+// is not recycled fails here too.
+const sparseColdAllocBudget = 40 << 20
+
+func TestSparseColdAllocBudget(t *testing.T) {
+	if forcePerNodeDraw {
+		t.Skip("protocol_pernode_draw: sparse path disabled")
+	}
+	const n = 5_000
+	cfg := sparseTestConfig(n, 7, SparseOn)
+	cfg.Params.TauStep = 100
+	cfg.Params.TauFinal = 150
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunRounds(2)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("construction plus two rounds: %.1f MiB", float64(got)/(1<<20))
+	if got > sparseColdAllocBudget {
+		t.Errorf("fresh sparse runner allocated %.1f MiB over construction and two rounds, budget %d MiB",
+			float64(got)/(1<<20), sparseColdAllocBudget>>20)
 	}
 }

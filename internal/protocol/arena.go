@@ -88,7 +88,6 @@ func (a *Arena) takeNodes(n int) []*node {
 		*nd = node{
 			blocks:     nd.blocks,
 			tallies:    nd.tallies,
-			tallyPool:  nd.tallyPool,
 			finalTally: nd.finalTally,
 		}
 	}

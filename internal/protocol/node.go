@@ -166,13 +166,12 @@ type node struct {
 	synced   bool
 
 	// Per-round state. beginRound resets values but retains the maps and
-	// recycled tallies, so steady-state rounds run allocation-lean.
+	// tallies, so steady-state rounds run allocation-lean.
 	round        uint64
 	bestPriority sortition.Priority
 	bestProposal *proposalPayload
 	blocks       map[ledger.Hash]ledger.Block
-	tallies      map[uint64]*stepTally
-	tallyPool    []*stepTally // cleared tallies awaiting reuse
+	tallies      []*stepTally // indexed by step; nil until first used
 	finalTally   *stepTally
 	value        ledger.Hash // current BinaryBA* value
 	emptyH       ledger.Hash // this round's empty-block hash (see emptyHash)
@@ -192,14 +191,10 @@ func (nd *node) beginRound(round uint64) {
 	} else {
 		clear(nd.blocks)
 	}
-	if nd.tallies == nil {
-		nd.tallies = make(map[uint64]*stepTally)
-	} else {
-		for _, t := range nd.tallies {
+	for _, t := range nd.tallies {
+		if t != nil {
 			t.reset()
-			nd.tallyPool = append(nd.tallyPool, t)
 		}
-		clear(nd.tallies)
 	}
 	if nd.finalTally == nil {
 		nd.finalTally = newStepTally()
@@ -222,18 +217,18 @@ func (nd *node) beginRound(round uint64) {
 	nd.outcomeHash = ledger.Hash{}
 }
 
+// tally returns the node's tally for a BA* step, allocating it on first
+// use; later rounds reuse it after beginRound's reset.
 func (nd *node) tally(step uint64) *stepTally {
-	t, ok := nd.tallies[step]
-	if !ok {
-		if n := len(nd.tallyPool); n > 0 {
-			t = nd.tallyPool[n-1]
-			nd.tallyPool[n-1] = nil
-			nd.tallyPool = nd.tallyPool[:n-1]
-		} else {
-			t = newStepTally()
+	if step < uint64(len(nd.tallies)) {
+		if t := nd.tallies[step]; t != nil {
+			return t
 		}
-		nd.tallies[step] = t
+	} else {
+		nd.tallies = append(nd.tallies, make([]*stepTally, step+1-uint64(len(nd.tallies)))...)
 	}
+	t := newStepTally()
+	nd.tallies[step] = t
 	return t
 }
 

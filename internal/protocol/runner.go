@@ -160,13 +160,13 @@ type Runner struct {
 
 	// sparse is non-nil when this runner uses the centralized
 	// sparse-committee path; fanout/lossProb/delay snapshot the gossip
-	// parameters its mean-field model needs, and sparseDeliverCb is the
-	// single pre-bound delivery callback handed to Engine.ScheduleFn.
-	sparse          *sparseState
-	fanout          int
-	lossProb        float64
-	delay           network.DelayModel
-	sparseDeliverCb func(node int, payload any)
+	// parameters its mean-field model needs, and runBatchCb is the
+	// pre-bound delivery-batch callback handed to Engine.ScheduleFn.
+	sparse     *sparseState
+	fanout     int
+	lossProb   float64
+	delay      network.DelayModel
+	runBatchCb func(arg int, head any)
 
 	// cache is the per-runner sortition oracle: every Select/Verify in
 	// the round hot path walks its memoised threshold tables instead of
@@ -328,7 +328,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		} else {
 			r.sparse = newSparseState(engine.RNG("protocol.sparse"))
 		}
-		r.sparseDeliverCb = r.sparseDeliver
+		r.runBatchCb = r.runBatch
 	} else {
 		for i, nd := range r.nodes {
 			acct, err := canonical.Account(i)
@@ -1039,8 +1039,9 @@ func (r *Runner) maliciousValue(nd *node, honest ledger.Hash) ledger.Hash {
 
 func (r *Runner) handleMessage(nodeID int, msg network.Message) {
 	if r.trace != nil && nodeID < r.trace.Panel() {
+		// Named from the payload: mean-field deliveries carry no Kind.
 		name := "vote"
-		if msg.Kind == network.KindProposal {
+		if _, ok := msg.Payload.(*proposalPayload); ok {
 			name = "proposal"
 		}
 		r.trace.Instant("gossip", name, nodeID, r.engine.Now())

@@ -185,10 +185,58 @@ type sparseState struct {
 	// first-arrival times within the step windows.
 	delayTable []time.Duration
 
+	// Delivery batches (see deliverAt). open maps the arrival instants of
+	// the running event's batches to their tail blocks (see openHome); a
+	// slot is live only when its gen equals openGen (openLive slots are),
+	// and openGen belongs to the event with engine step count openStep-1
+	// (0: none yet). msgs holds the payloads that queued batches refer
+	// to, until the last of them runs (queued counts them). freeBlk is the
+	// freelist of batch blocks.
+	open      []openBatch
+	openShift uint8
+	openLive  int
+	openGen   uint32
+	openStep  uint64
+	msgs      []any
+	queued    int
+	freeBlk   *batchBlock
+
 	// scratch buffers reused across rounds.
 	idScratch  []int
 	desScratch []int
 }
+
+// batchBlockLen is the delivery capacity of one batch block, which
+// makes a block 512 bytes.
+const batchBlockLen = 63
+
+// batchBlock is one link of a delivery batch, its deliveries in emission
+// order. A batch is a chain of blocks; its head rides in the batch's
+// engine event. Entries past the last delivery are zero.
+type batchBlock struct {
+	next *batchBlock
+	ent  [batchBlockLen]batchEntry
+}
+
+// batchEntry is one delivery: the receiver's id plus one, so a zero
+// entry ends a partly filled block, and the payload's index in msgs.
+type batchEntry struct {
+	node, msg int32
+}
+
+// openBatch is one slot of the open-batch table: a batch of the running
+// event, with n deliveries in its tail block.
+type openBatch struct {
+	at   time.Duration
+	tail *batchBlock
+	n    int32
+	gen  uint32
+}
+
+// openMinShift sizes the open-batch table at 1<<(64-openMinShift) = 8192
+// slots: twice the delay table, so an event without delay-scaled links
+// never grows it.
+const openMinShift = 64 - 13
 
 func newSparseState(rng *rand.Rand) *sparseState {
 	return &sparseState{
@@ -215,6 +263,13 @@ func (s *sparseState) adopt(rng *rand.Rand) {
 	s.panel = s.panel[:0]
 	s.pinned = s.pinned[:0]
 	clear(s.desynced)
+	// The recycled engine dropped any still-queued batch events, and its
+	// step count restarts, so no open batch may take another delivery.
+	// Blocks held by dropped events are left to the collector.
+	s.openStep = 0
+	clear(s.msgs)
+	s.msgs = s.msgs[:0]
+	s.queued = 0
 }
 
 // takeCommittee returns a cleared committee from the pool.
@@ -345,7 +400,6 @@ func (s *sparseState) takeNode() *node {
 		*nd = node{
 			blocks:     nd.blocks,
 			tallies:    nd.tallies,
-			tallyPool:  nd.tallyPool,
 			finalTally: nd.finalTally,
 		}
 		return nd
@@ -509,10 +563,12 @@ func (r *Runner) participatesID(id int) bool {
 // sparseGossip is the mean-field replacement for Network.Gossip: the
 // origin consumes its own message immediately, then every other
 // materialized node receives it independently with the epidemic coverage
-// probability, after a delay summing hops per-hop samples. The real
-// network still carries topology, online/relay state and the fault
-// overlay — sparseGossip consults all three — but no per-hop push fans
-// out, so gossip work is O(materialized), not O(N·fanout).
+// probability, after a delay drawn from the round's path-delay table.
+// The real network still carries topology, online/relay state and the
+// fault overlay — sparseGossip consults all three — but no per-hop push
+// fans out, so gossip work is O(materialized), not O(N·fanout). Each
+// delivery joins the batch for its arrival instant (see deliverAt), so
+// the scheduler sees one event per batch, not one per delivery.
 //
 // Unmaterialized nodes receive nothing: they hold no tallies to update.
 // Their sortition/seed costs accrue in the flat meter passes and their
@@ -530,6 +586,7 @@ func (r *Runner) sparseGossip(origin int, msg network.Message) {
 	r.meter.of(origin).Gossip++
 	s := r.sparse
 	factor := r.net.DelayFactor()
+	idx := int32(-1) // msg.Payload's index in s.msgs, from its first delivery
 	for _, nd := range s.actors {
 		v := nd.id
 		if v == origin || !r.net.Online(v) {
@@ -554,14 +611,140 @@ func (r *Runner) sparseGossip(origin int, msg network.Message) {
 		if fault.DelayScale > 1 {
 			delay = time.Duration(float64(delay) * fault.DelayScale)
 		}
-		r.engine.ScheduleFn(delay, r.sparseDeliverCb, v, msg.Payload)
+		if idx < 0 {
+			idx = int32(len(s.msgs))
+			s.msgs = append(s.msgs, msg.Payload)
+		}
+		r.deliverAt(delay, v, idx)
+	}
+}
+
+// deliverAt queues one mean-field delivery of payload msgs[msg] to node
+// v, delay from now. Deliveries the running event emits for one arrival
+// instant form a batch: the first schedules the batch's only engine
+// event, the rest join its block chain, and runBatch hands them to
+// sparseDeliver in emission order.
+//
+// This reproduces the one-event-per-delivery schedule exactly. A
+// delivery schedules nothing, and an event that emits deliveries
+// schedules nothing else, so every other event at the batch's instant
+// was scheduled before its first delivery (lower seq: step timers,
+// earlier events' batches) or after its last (higher seq: later events'
+// batches). Running the batch back to back is therefore the (at, seq)
+// order, delivery for delivery. A batch takes deliveries only while the
+// event that opened it runs; the engine's step count tells when that
+// event is over.
+func (r *Runner) deliverAt(delay time.Duration, v int, msg int32) {
+	s := r.sparse
+	if step := r.engine.Steps() + 1; step != s.openStep {
+		s.openStep = step
+		s.openGen++
+		s.openLive = 0
+		if s.openGen == 0 || s.open == nil {
+			s.open = make([]openBatch, 1<<(64-openMinShift))
+			s.openShift = openMinShift
+			s.openGen = 1
+		}
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	at := r.engine.Now() + delay
+	e := batchEntry{node: int32(v) + 1, msg: msg}
+	mask := len(s.open) - 1
+	for i := s.openHome(at); ; i = (i + 1) & mask {
+		slot := &s.open[i]
+		if slot.gen != s.openGen {
+			blk := s.takeBlock()
+			blk.ent[0] = e
+			*slot = openBatch{at: at, tail: blk, n: 1, gen: s.openGen}
+			r.engine.ScheduleFn(delay, r.runBatchCb, 0, blk)
+			s.queued++
+			if s.openLive++; 2*s.openLive > len(s.open) {
+				s.growOpen()
+			}
+			return
+		}
+		if slot.at == at {
+			if slot.n == batchBlockLen {
+				blk := s.takeBlock()
+				slot.tail.next = blk
+				slot.tail, slot.n = blk, 0
+			}
+			slot.tail.ent[slot.n] = e
+			slot.n++
+			return
+		}
+	}
+}
+
+// openHome is the open-batch slot where probing for instant at starts:
+// the top bits of its Fibonacci hash.
+func (s *sparseState) openHome(at time.Duration) int {
+	return int(uint64(at) * 0x9e3779b97f4a7c15 >> s.openShift)
+}
+
+// takeBlock returns a zeroed block from the freelist.
+func (s *sparseState) takeBlock() *batchBlock {
+	blk := s.freeBlk
+	if blk == nil {
+		return &batchBlock{}
+	}
+	s.freeBlk = blk.next
+	blk.next = nil
+	return blk
+}
+
+// growOpen doubles the open-batch table, keeping the running event's
+// batches. Only events whose delay-scaled links multiply the distinct
+// arrival instants past the delay table's length need it.
+func (s *sparseState) growOpen() {
+	old := s.open
+	s.open = make([]openBatch, 2*len(old))
+	s.openShift--
+	mask := len(s.open) - 1
+	for _, slot := range old {
+		if slot.gen != s.openGen {
+			continue
+		}
+		i := s.openHome(slot.at)
+		for s.open[i].gen == s.openGen {
+			i = (i + 1) & mask
+		}
+		s.open[i] = slot
+	}
+}
+
+// runBatch is the engine callback of one delivery batch: it delivers the
+// chain headed by head in emission order, zeroing entries as it goes,
+// and returns the blocks to the freelist. The last queued batch to run
+// releases the payload table.
+func (r *Runner) runBatch(_ int, head any) {
+	s := r.sparse
+	for blk := head.(*batchBlock); blk != nil; {
+		for i := range blk.ent {
+			e := blk.ent[i]
+			if e.node == 0 {
+				break
+			}
+			blk.ent[i] = batchEntry{}
+			r.sparseDeliver(int(e.node-1), s.msgs[e.msg])
+		}
+		next := blk.next
+		blk.next = s.freeBlk
+		s.freeBlk = blk
+		blk = next
+	}
+	if s.queued--; s.queued == 0 {
+		clear(s.msgs)
+		s.msgs = s.msgs[:0]
 	}
 }
 
 // sparseDeliver hands one mean-field delivery to the protocol handler.
 // Kind/ID are irrelevant past this point (no dedup layer: each pair gets
-// at most one delivery per message by construction), so only the payload
-// travels through the scheduler.
+// at most one delivery per message by construction), so batches carry
+// only the receiver and the payload.
 func (r *Runner) sparseDeliver(nodeID int, payload any) {
 	if !r.net.Online(nodeID) {
 		return

@@ -37,10 +37,9 @@ import (
 // events in one near bucket may differ in timestamp, hence the lazy
 // sort. Within a timestamp, events reach a bucket in seq order — direct
 // pushes trivially, migrated ones because each far day chain keeps its
-// events in push order — so a same-timestamp burst (every committee
-// member voting at a step's start) arrives presorted and needs no sort
-// at all. Events pushed into the bucket currently being drained insert
-// into its still-sorted tail.
+// events in push order — so a same-timestamp burst arrives presorted
+// and needs no sort at all. Events pushed into the bucket currently
+// being drained insert into its still-sorted tail.
 //
 // Memory bounds: both rings have a fixed bucket count (near buckets
 // double only while halving the width, far buckets double only to cover

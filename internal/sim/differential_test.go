@@ -243,8 +243,9 @@ func meanFieldDelays(rng *rand.Rand) []time.Duration {
 	return tab
 }
 
-// runMeanField replays the sparse path's burst shape on one scheduler
-// and returns the execution order. Every step instant, each of V
+// runMeanField replays the burst shape the sparse path scheduled before
+// it batched deliveries per arrival instant, on one scheduler, and
+// returns the execution order. Every step instant, each of V
 // sources delivers to R receivers at a table delay — most land on far
 // days, and the table's 4096 offsets make events share timestamps — and
 // sends one short-delay direct insert; every receiver arms two step
@@ -325,7 +326,7 @@ func runMeanField(t *testing.T, seed int64, legacy bool) []int {
 }
 
 // TestCalendarMatchesHeapMeanField cross-checks the calendar queue
-// against the legacy heap on the sparse path's mean-field burst shape.
+// against the legacy heap on the pre-batching mean-field burst shape.
 func TestCalendarMatchesHeapMeanField(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {

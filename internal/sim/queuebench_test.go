@@ -34,12 +34,15 @@ func BenchmarkQueueChurnHeap16k(b *testing.B)     { benchQueueChurn(b, true, 163
 func BenchmarkQueueChurnCalendar1k(b *testing.B)  { benchQueueChurn(b, false, 1024) }
 func BenchmarkQueueChurnHeap1k(b *testing.B)      { benchQueueChurn(b, true, 1024) }
 
-// BenchmarkQueueMeanFieldBurst drives the sparse path's scheduling shape
-// through a fresh engine per op: four step instants 1.3 s apart, each
-// scheduling 250 sources × 1000 receivers at delays drawn from a
-// 4096-entry table of 0.3–3 s multi-hop sums (see meanFieldDelays), so
-// most events take the far ring and hundreds share each timestamp, then
-// a drain. It reports ns per event alongside the allocation figures.
+// BenchmarkQueueMeanFieldBurst replays the scheduling shape the sparse
+// protocol path had before it batched its mean-field deliveries per
+// arrival instant: one event per delivery (a batched 50k round now
+// schedules ~34k events, not 3.3M). It runs a fresh engine per op: four
+// step instants 1.3 s apart, each scheduling 250 sources × 1000
+// receivers at delays drawn from a 4096-entry table of 0.3–3 s
+// multi-hop sums (see meanFieldDelays), so most events take the far
+// ring and hundreds share each timestamp, then a drain. It reports ns
+// per event alongside the allocation figures.
 func BenchmarkQueueMeanFieldBurst(b *testing.B) {
 	const steps, perStep = 4, 250 * 1000
 	rng := NewRNG(1, "queuebench.meanfield")

@@ -376,18 +376,10 @@ func measureBench(pr int) (*BenchFile, error) {
 	}
 	fmt.Println("measuring crash_churn_500 ...")
 	out.Benchmarks["crash_churn_500"] = bestOf(2, churnBench(protocol.NewArena()))
-	// The same workload on the deep-clone oracle path documents the COW
-	// win in the persisted trajectory (it is informational, not gated:
-	// its whole point is being slower).
-	fmt.Println("measuring crash_churn_500_deepclone ...")
-	prevClone := ledger.SetDeepCloneViews(true)
-	out.Benchmarks["crash_churn_500_deepclone"] = toResult(testing.Benchmark(churnBench(protocol.NewArena())))
-	ledger.SetDeepCloneViews(prevClone)
 
 	// Isolated resync micro-op: one CloneView plus a single-account write
 	// on a 4096-account chain — the exact operation a desynchronised node
-	// pays per catch-up, without the surrounding gossip traffic. The
-	// deep-clone companion shows the removed O(accounts) copy directly.
+	// pays per catch-up, without the surrounding gossip traffic.
 	if err := setBenchtime("5s"); err != nil {
 		return nil, err
 	}
@@ -415,10 +407,6 @@ func measureBench(pr int) (*BenchFile, error) {
 	}
 	fmt.Println("measuring ledger_resync_4096 ...")
 	out.Benchmarks["ledger_resync_4096"] = toResult(testing.Benchmark(resyncBench))
-	fmt.Println("measuring ledger_resync_4096_deepclone ...")
-	prevClone = ledger.SetDeepCloneViews(true)
-	out.Benchmarks["ledger_resync_4096_deepclone"] = toResult(testing.Benchmark(resyncBench))
-	ledger.SetDeepCloneViews(prevClone)
 
 	// Per-round weight refresh on a 4096-account ledger: 16 scattered
 	// credits (a busy round's reward mutations) followed by the runner's
@@ -466,12 +454,8 @@ func measureBench(pr int) (*BenchFile, error) {
 	out.Benchmarks["weight_oracle_refresh_direct"] = bestOf(3, refreshBench(weight.BackendLedgerDirect))
 
 	// Streamed -full grid through the memory-bounded summary fold: the
-	// sink stack's end-to-end cost on a reduced 2x2 grid. The
-	// _materialize companion replays the same grid through the legacy
-	// buffer-everything path and is informational only — its allocs grow
-	// O(cells x rows) by design, which is the overhead the streaming
-	// fold removes. Fixed seeded windows, one worker, like the grid
-	// headline.
+	// sink stack's end-to-end cost on a reduced 2x2 grid. Fixed seeded
+	// windows, one worker, like the grid headline.
 	if err := setBenchtime("3x"); err != nil {
 		return nil, err
 	}
@@ -481,24 +465,20 @@ func measureBench(pr int) (*BenchFile, error) {
 	streamCfg.Nodes = 60
 	streamCfg.Rounds = 6
 	streamCfg.Workers = 1
-	streamBench := func(drive func(experiments.ScenarioGridConfig, experiments.Sink, experiments.StreamOptions) error) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink := experiments.NewSummarySink(0)
-				if err := drive(streamCfg, sink, experiments.StreamOptions{}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sink.Table(); err != nil {
-					b.Fatal(err)
-				}
+	streamBench := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink := experiments.NewSummarySink(0)
+			if err := experiments.StreamScenarioGrid(streamCfg, sink, experiments.StreamOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sink.Table(); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
 	fmt.Println("measuring grid_stream_summary ...")
-	out.Benchmarks["grid_stream_summary"] = bestOf(2, streamBench(experiments.StreamScenarioGrid))
-	fmt.Println("measuring grid_stream_summary_materialize ...")
-	out.Benchmarks["grid_stream_summary_materialize"] = toResult(testing.Benchmark(streamBench(experiments.MaterializeScenarioGrid)))
+	out.Benchmarks["grid_stream_summary"] = bestOf(2, streamBench)
 
 	// Headline figure metrics at the pinned seeds (deterministic).
 	fig3.Seed = 1

@@ -76,9 +76,7 @@ var gatedWorkloads = []struct{ key, bench string }{
 	// older than PR 4, where the gate reports it skipped.
 	{"scenario_eclipse_100", "cmd/scenario eclipse_equivocation"},
 	// The resync-heavy -full grid workload on COW ledger views; absent
-	// from baselines older than PR 5. Its _deepclone companion is
-	// informational only (it measures the oracle path, which is slower
-	// by design) and deliberately not gated.
+	// from baselines older than BENCH_5.json.
 	{"crash_churn_500", "cmd/scenario crash_churn -fullNodes 500"},
 	// The isolated per-desync catch-up cost (clone + one write); pinned
 	// so resync never silently regresses to O(accounts) again.
@@ -93,8 +91,7 @@ var gatedWorkloads = []struct{ key, bench string }{
 	// PR 7.
 	{"protocol_round_sparse_50k", "50k-node sparse BA* round"},
 	// The streamed -full grid through the summary-fold sink; absent from
-	// baselines older than PR 8. Its _materialize companion measures the
-	// legacy buffer-everything path and is informational, not gated.
+	// baselines older than BENCH_8.json.
 	{"grid_stream_summary", "StreamScenarioGrid + SummarySink, 2x2 grid"},
 }
 

@@ -269,7 +269,7 @@ func (g gridRun) run(names []string, stdout io.Writer) error {
 
 	var prior []experiments.GridCellRecord
 	if g.resume {
-		if prior, err = experiments.LoadGridCheckpoint(ckptPath, fingerprint, g.shard); err != nil {
+		if prior, err = experiments.LoadGridCheckpoint(ckptPath, cfg, fingerprint, g.shard); err != nil {
 			return err
 		}
 	}
@@ -329,8 +329,7 @@ func (g gridRun) mergeShards(names []string, stdout io.Writer) error {
 		return err
 	}
 	fingerprint := experiments.GridFingerprint(cfg, g.weightsSpec)
-	wantCells := len(cfg.Scenarios) * len(cfg.Seeds)
-	records, err := experiments.MergeGridCheckpoints(g.outDir, fingerprint, wantCells)
+	records, err := experiments.MergeGridCheckpoints(g.outDir, cfg, fingerprint)
 	if err != nil {
 		return err
 	}

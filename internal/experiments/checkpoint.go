@@ -81,11 +81,11 @@ func GridCheckpointName(shard ShardSpec) string {
 }
 
 // LoadGridCheckpoint reads a checkpoint file, validating its header
-// against the expected fingerprint and shard. A missing file is a
-// fresh start (nil records, no error); a torn final line — the
-// signature of a killed process — is dropped. Records are returned in
-// file order.
-func LoadGridCheckpoint(path, fingerprint string, shard ShardSpec) ([]GridCellRecord, error) {
+// against the expected fingerprint and shard and every record against
+// cfg's grid (see checkRecord). A missing file is a fresh start (nil
+// records, no error); a torn final line — the signature of a killed
+// process — is dropped. Records are returned in file order.
+func LoadGridCheckpoint(path string, cfg ScenarioGridConfig, fingerprint string, shard ShardSpec) ([]GridCellRecord, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -113,17 +113,48 @@ func LoadGridCheckpoint(path, fingerprint string, shard ShardSpec) ([]GridCellRe
 		return nil, fmt.Errorf("experiments: checkpoint %s covers shard %s, want %s", path, hdr.Shard, shard)
 	}
 	var records []GridCellRecord
-	for sc.Scan() {
+	next := 0
+	for line := 2; sc.Scan(); line++ {
 		var rec GridCellRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			break // torn final line from an interrupted write
 		}
+		if err := checkRecord(&cfg, shard, &rec, next); err != nil {
+			return nil, fmt.Errorf("experiments: checkpoint %s line %d: %w", path, line, err)
+		}
 		records = append(records, rec)
+		next = rec.Index + 1
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return records, nil
+}
+
+// checkRecord rejects a record the summaries cannot use: a cell outside
+// cfg's grid or naming another cell's scenario or seed, a cell the
+// shard does not own, a cell below next (records ascend strictly), or
+// a summary whose shape the merge cannot fold.
+func checkRecord(cfg *ScenarioGridConfig, shard ShardSpec, rec *GridCellRecord, next int) error {
+	if err := checkGridCell(cfg, rec.Index, rec.Scenario, rec.Seed); err != nil {
+		return err
+	}
+	if !shard.Owns(rec.Index) {
+		return fmt.Errorf("cell %d is not owned by shard %s", rec.Index, shard)
+	}
+	if rec.Index < next {
+		return fmt.Errorf("cell %d follows cell %d", rec.Index, next-1)
+	}
+	if rec.Summary == nil {
+		return nil
+	}
+	if rec.Summary.Cell != rec.Index {
+		return fmt.Errorf("cell %d carries the summary of cell %d", rec.Index, rec.Summary.Cell)
+	}
+	if err := rec.Summary.check(); err != nil {
+		return fmt.Errorf("cell %d: %w", rec.Index, err)
+	}
+	return nil
 }
 
 // CheckpointWriter appends cell records to a checkpoint file, flushing
@@ -252,12 +283,12 @@ func (s *CheckpointSink) CellDone(cell Cell) error {
 }
 
 // MergeGridCheckpoints discovers every shard checkpoint in dir,
-// validates the set is one complete n-way split of this grid
-// (consistent headers, every shard file present, every cell recorded
-// exactly once), and returns the records sorted by cell index — the
-// order every summary derives from, which is what makes the merge
-// shard-split-invariant.
-func MergeGridCheckpoints(dir, fingerprint string, wantCells int) ([]GridCellRecord, error) {
+// validates the set is one complete n-way split of cfg's grid
+// (consistent headers, every shard file present, every record valid,
+// every cell recorded exactly once), and returns the records sorted by
+// cell index — the order every summary derives from, which is what
+// makes the merge shard-split-invariant.
+func MergeGridCheckpoints(dir string, cfg ScenarioGridConfig, fingerprint string) ([]GridCellRecord, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "full_grid_checkpoint_*of*.jsonl"))
 	if err != nil {
 		return nil, err
@@ -283,7 +314,7 @@ func MergeGridCheckpoints(dir, fingerprint string, wantCells int) ([]GridCellRec
 		if err := shard.Validate(); err != nil {
 			return nil, err
 		}
-		recs, err := LoadGridCheckpoint(path, fingerprint, shard)
+		recs, err := LoadGridCheckpoint(path, cfg, fingerprint, shard)
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +333,7 @@ func MergeGridCheckpoints(dir, fingerprint string, wantCells int) ([]GridCellRec
 		}
 		seen[rec.Index] = true
 	}
-	if len(all) != wantCells {
+	if wantCells := len(cfg.Scenarios) * len(cfg.Seeds); len(all) != wantCells {
 		return nil, fmt.Errorf("experiments: shard checkpoints cover %d of %d cells; finish every shard before merging", len(all), wantCells)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Index < all[j].Index })

@@ -28,37 +28,13 @@ var goldenWorkers = []int{1, 8}
 
 // goldenCase produces one experiment's pinned table for a given worker
 // count. Configurations are deliberately small (seconds, not minutes) but
-// exercise the full protocol/sortition hot path at fixed seeds. A
-// non-empty skip names why the case cannot run in this build.
+// exercise the full protocol/sortition hot path at fixed seeds.
 type goldenCase struct {
 	name string
 	run  func(workers int) (*stats.Table, error)
-	skip string
-}
-
-// sparseRunsDense reports whether SparseOn runners fall back to the dense
-// path in this build (the protocol_pernode_draw oracle tag), where a
-// sparse golden has nothing to pin.
-func sparseRunsDense() bool {
-	stakes := make([]float64, 10)
-	behaviors := make([]protocol.Behavior, 10)
-	for i := range stakes {
-		stakes[i] = 10
-		behaviors[i] = protocol.Honest
-	}
-	params := protocol.DefaultParams()
-	params.TauStep, params.TauFinal = 5, 6
-	r, err := protocol.NewRunner(protocol.Config{
-		Params: params, Stakes: stakes, Behaviors: behaviors, Sparse: protocol.SparseOn,
-	})
-	return err == nil && r.CountersCoverage() == protocol.CoverageFull
 }
 
 func goldenCases() []goldenCase {
-	sparseSkip := ""
-	if sparseRunsDense() {
-		sparseSkip = "SparseOn runs dense in this build"
-	}
 	return []goldenCase{
 		{name: "table3", run: func(workers int) (*stats.Table, error) {
 			res, err := RunTable3()
@@ -82,7 +58,7 @@ func goldenCases() []goldenCase {
 		// The sparse path: fig6 and fig7 run 2,000 nodes, below
 		// SparseAutoThreshold, so this is the only golden that pins
 		// committee sampling, mean-field delivery and panel extrapolation.
-		{name: "fig3_sparse", skip: sparseSkip, run: func(workers int) (*stats.Table, error) {
+		{name: "fig3_sparse", run: func(workers int) (*stats.Table, error) {
 			cfg := LargeFig3Config(5_000)
 			cfg.Sparse = protocol.SparseOn
 			cfg.Params.TauStep = 100
@@ -96,6 +72,24 @@ func goldenCases() []goldenCase {
 				return nil, err
 			}
 			return res.Table(), nil
+		}},
+		// A desync-heavy crash-churn sweep: many catch-up clones per round
+		// pin the copy-on-write ledger views. The golden was generated
+		// where these outputs matched a deep-copy run; the audit columns
+		// follow the per-round outcome columns.
+		{name: "crash_churn", run: func(workers int) (*stats.Table, error) {
+			cfg := DefaultScenarioConfig("crash_churn")
+			cfg.Nodes = 50
+			cfg.Rounds = 8
+			cfg.Runs = 3
+			cfg.Workers = workers
+			res, err := RunScenario(cfg)
+			if err != nil {
+				return nil, err
+			}
+			t := res.Table()
+			t.Columns = append(t.Columns, res.AuditTable().Columns...)
+			return t, nil
 		}},
 		{name: "fig5", run: func(workers int) (*stats.Table, error) {
 			cfg := DefaultFig5Config()
@@ -183,9 +177,6 @@ func TestGoldenFigures(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			if gc.skip != "" {
-				t.Skip(gc.skip)
-			}
 			t.Parallel()
 			var first []byte
 			for _, workers := range goldenWorkers {

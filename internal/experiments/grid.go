@@ -101,6 +101,24 @@ func resolveGrid(cfg *ScenarioGridConfig) ([]adversary.Scenario, error) {
 	return scenarios, nil
 }
 
+// checkGridCell rejects a cell identity that cfg's grid does not hold:
+// the index must lie in [0, cells) and the scenario and seed must be the
+// ones that index carries on the scenario-major axis. Sinks that name
+// files after a cell and loaders of checkpointed cells call it on every
+// cell they did not compute themselves.
+func checkGridCell(cfg *ScenarioGridConfig, index int, scenario string, seed int64) error {
+	if cells := len(cfg.Scenarios) * len(cfg.Seeds); index < 0 || index >= cells {
+		return fmt.Errorf("cell %d outside the grid's %d cells", index, cells)
+	}
+	if want := cfg.Scenarios[index/len(cfg.Seeds)]; scenario != want {
+		return fmt.Errorf("cell %d names scenario %q, the grid has %q", index, scenario, want)
+	}
+	if want := cfg.Seeds[index%len(cfg.Seeds)]; seed != want {
+		return fmt.Errorf("cell %d names seed %d, the grid has %d", index, seed, want)
+	}
+	return nil
+}
+
 // simulateGridCell runs one grid cell. rows supplies the three
 // aggregation rows by slot (the materialized path carves them from a
 // slab); a nil rows allocates them.

@@ -146,10 +146,9 @@ func emitGridCell(sink Sink, cell Cell, c *GridCell) error {
 // deterministic run pool and streams each completed cell into the sink
 // in ascending global-index order, retaining only the in-flight cells
 // (bounded by worker completion skew) instead of the whole grid —
-// O(rounds × workers) live rows instead of O(cells × rounds). Under
-// the grid_materialize build tag the legacy collect-then-replay path
-// runs instead and must produce a byte-identical event stream: the
-// differential oracle CI exercises.
+// O(rounds × workers) live rows instead of O(cells × rounds). The
+// differential tests check its event stream against the
+// collect-then-replay execution it replaced.
 func StreamScenarioGrid(cfg ScenarioGridConfig, sink Sink, opt StreamOptions) error {
 	if sink == nil {
 		return errors.New("experiments: streaming grid needs a sink")
@@ -163,9 +162,6 @@ func StreamScenarioGrid(cfg ScenarioGridConfig, sink Sink, opt StreamOptions) er
 		return err
 	}
 	owned := ownedCells(cfg, opt.Shard)
-	if gridMaterialize {
-		return materializeOwnedCells(cfg, scenarios, owned, sink, opt)
-	}
 	return runpool.SweepFold(len(owned), cfg.Workers,
 		func(int) *protocol.Arena { return protocol.NewArena() },
 		func(i int, arena *protocol.Arena) (gridCellOut, error) {
@@ -174,26 +170,6 @@ func StreamScenarioGrid(cfg ScenarioGridConfig, sink Sink, opt StreamOptions) er
 		func(i int, out gridCellOut) error {
 			return emitGridCell(sink, Cell{Index: owned[i], Name: out.cell.Scenario, Seed: out.cell.Seed, Restored: out.restored}, &out.cell)
 		})
-}
-
-// MaterializeScenarioGrid is the legacy collect-everything execution
-// behind the same sink API: every owned cell is computed and retained,
-// then replayed into the sink in ascending order. It is the streaming
-// path's differential oracle (see the grid_materialize build tag) and
-// the benchgen companion workload that prices what streaming saves.
-func MaterializeScenarioGrid(cfg ScenarioGridConfig, sink Sink, opt StreamOptions) error {
-	if sink == nil {
-		return errors.New("experiments: materialized grid needs a sink")
-	}
-	sink = instrumentSink(sink)
-	scenarios, err := resolveGrid(&cfg)
-	if err != nil {
-		return err
-	}
-	if err := opt.Shard.Validate(); err != nil {
-		return err
-	}
-	return materializeOwnedCells(cfg, scenarios, ownedCells(cfg, opt.Shard), sink, opt)
 }
 
 // ownedCells lists the global cell indices this shard runs, ascending.
@@ -228,39 +204,4 @@ func runOwnedCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, cell i
 	}
 	c, err := simulateGridCell(cfg, scenarios, cell, arena, nil)
 	return gridCellOut{cell: c}, err
-}
-
-// materializeOwnedCells is the collect-then-replay execution shared by
-// MaterializeScenarioGrid and the grid_materialize oracle build of
-// StreamScenarioGrid.
-func materializeOwnedCells(cfg ScenarioGridConfig, scenarios []adversary.Scenario, owned []int, sink Sink, opt StreamOptions) error {
-	slab := runpool.NewFloatSlab(3*len(owned), cfg.Rounds)
-	results, err := runpool.SweepWithState(len(owned), cfg.Workers,
-		func(int) *protocol.Arena { return protocol.NewArena() },
-		func(i int, arena *protocol.Arena) (gridCellOut, error) {
-			if _, restored := opt.Restored[owned[i]]; restored {
-				return runOwnedCell(cfg, scenarios, owned[i], arena, opt)
-			}
-			if _, cached := opt.Cached[owned[i]]; cached {
-				return runOwnedCell(cfg, scenarios, owned[i], arena, opt)
-			}
-			if opt.Interrupt != nil && opt.Interrupt() {
-				return gridCellOut{}, ErrInterrupted
-			}
-			c, err := simulateGridCell(cfg, scenarios, owned[i], arena, func(slot int) []float64 {
-				return slab.Row(3*i + slot%3)
-			})
-			return gridCellOut{cell: c}, err
-		})
-	if err != nil {
-		return err
-	}
-	for i := range results {
-		out := &results[i]
-		cell := Cell{Index: owned[i], Name: out.cell.Scenario, Seed: out.cell.Seed, Restored: out.restored}
-		if err := emitGridCell(sink, cell, &out.cell); err != nil {
-			return err
-		}
-	}
-	return nil
 }

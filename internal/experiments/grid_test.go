@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
-	"github.com/dsn2020-algorand/incentives/internal/ledger"
 )
 
 func smallGridConfig() ScenarioGridConfig {
@@ -100,45 +99,6 @@ func TestScenarioGridUnknownScenario(t *testing.T) {
 	cfg.Scenarios = []string{"no_such_scenario"}
 	if _, err := RunScenarioGrid(cfg); err == nil {
 		t.Fatal("unknown scenario did not error")
-	}
-}
-
-// TestCrashChurnCOWMatchesDeepCloneOracle is the system-level
-// differential oracle for the copy-on-write ledger: a desync-heavy
-// crash-churn sweep (many catch-up clones per round) must be
-// bit-identical whether views are COW overlays or the legacy deep
-// copies. It flips the process-wide clone switch, so it must not run in
-// parallel with other tests.
-func TestCrashChurnCOWMatchesDeepCloneOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("protocol simulation")
-	}
-	run := func() string {
-		cfg := DefaultScenarioConfig("crash_churn")
-		cfg.Nodes = 50
-		cfg.Rounds = 8
-		cfg.Runs = 3
-		cfg.Workers = 2
-		res, err := RunScenario(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		table, err := marshalTable(res.Table())
-		if err != nil {
-			t.Fatal(err)
-		}
-		audit, err := marshalTable(res.AuditTable())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(table) + string(audit)
-	}
-	cow := run()
-	prev := ledger.SetDeepCloneViews(true)
-	deep := run()
-	ledger.SetDeepCloneViews(prev)
-	if cow != deep {
-		t.Fatal("crash_churn output diverges between COW views and the deep-clone oracle")
 	}
 }
 

@@ -18,13 +18,18 @@ import (
 // a time, so the sink's live row count is O(rounds), not
 // O(cells × rounds); PeakBufferedRows pins that in the budget test.
 // Restored cells skip the file writes (their files were produced by
-// the interrupted run) but still contribute to the summary.
+// the interrupted run) but still contribute to the summary. File names
+// come from the cell identity, so CellStart refuses any cell that is
+// not the config's next grid cell: a replayed stream cannot steer a
+// write outside dir.
 type GridCSVSink struct {
 	dir         string
 	cfg         ScenarioGridConfig
 	summaryName string
 	logf        func(format string, args ...any)
 
+	// next is the lowest cell index CellStart still accepts.
+	next     int
 	cur      GridCell
 	cells    []int
 	reports  []adversary.Report
@@ -52,6 +57,13 @@ func (s *GridCSVSink) CellStart(cell Cell, columns []string) error {
 	if len(columns) != 3 {
 		return fmt.Errorf("experiments: grid CSV sink expects 3 outcome columns, got %d", len(columns))
 	}
+	if cell.Index < s.next {
+		return fmt.Errorf("experiments: grid CSV sink: cell %d arrived after cell %d", cell.Index, s.next-1)
+	}
+	if err := checkGridCell(&s.cfg, cell.Index, cell.Name, cell.Seed); err != nil {
+		return fmt.Errorf("experiments: grid CSV sink: %w", err)
+	}
+	s.next = cell.Index + 1
 	s.cur.Scenario = cell.Name
 	s.cur.Seed = cell.Seed
 	s.cur.Final = s.cur.Final[:0]

@@ -24,6 +24,21 @@ type CellSummary struct {
 	Sketches []*stats.QuantileSketch `json:"sketches"`
 }
 
+// check rejects a decoded summary whose shape the merge cannot fold:
+// no columns, per-column state that does not line up with the columns,
+// or a missing sketch.
+func (cs *CellSummary) check() error {
+	if len(cs.Columns) == 0 || len(cs.Moments) != len(cs.Columns) || len(cs.Sketches) != len(cs.Columns) {
+		return fmt.Errorf("summary has %d columns, %d moments and %d sketches", len(cs.Columns), len(cs.Moments), len(cs.Sketches))
+	}
+	for i, sk := range cs.Sketches {
+		if sk == nil {
+			return fmt.Errorf("summary column %d has no sketch", i)
+		}
+	}
+	return nil
+}
+
 // newCellSummary starts a summary for one cell.
 func newCellSummary(cell int, columns []string, sketchK int) *CellSummary {
 	cs := &CellSummary{

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
+	"github.com/dsn2020-algorand/incentives/internal/protocol"
+	"github.com/dsn2020-algorand/incentives/internal/runpool"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
 
@@ -92,16 +94,43 @@ func csvBytes(t *testing.T, table *stats.Table) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamMatchesMaterialize is the tentpole's differential oracle in
-// unit form: the streaming fold and the legacy materialize-then-replay
-// execution must produce identical event streams at every worker count.
+// materializeGrid is the reference model for StreamScenarioGrid, the
+// collect-then-replay execution streaming replaced: every cell is
+// computed into one slab and retained, then replayed into the sink in
+// ascending order.
+func materializeGrid(cfg ScenarioGridConfig, sink Sink) error {
+	scenarios, err := resolveGrid(&cfg)
+	if err != nil {
+		return err
+	}
+	cells := len(cfg.Scenarios) * len(cfg.Seeds)
+	slab := runpool.NewFloatSlab(3*cells, cfg.Rounds)
+	results, err := runpool.SweepWithState(cells, cfg.Workers,
+		func(int) *protocol.Arena { return protocol.NewArena() },
+		func(cell int, arena *protocol.Arena) (GridCell, error) {
+			return simulateGridCell(cfg, scenarios, cell, arena, slab.Row)
+		})
+	if err != nil {
+		return err
+	}
+	for i := range results {
+		if err := emitGridCell(sink, Cell{Index: i, Name: results[i].Scenario, Seed: results[i].Seed}, &results[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestStreamMatchesMaterialize is the streaming fold's differential
+// oracle: it and the materialize-then-replay reference must produce
+// identical event streams at every worker count.
 func TestStreamMatchesMaterialize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("protocol simulation")
 	}
 	cfg := smallGridConfig()
 	oracle := newRecordingSink()
-	if err := MaterializeScenarioGrid(cfg, oracle, StreamOptions{}); err != nil {
+	if err := materializeGrid(cfg, oracle); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
@@ -352,7 +381,7 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prior, err := LoadGridCheckpoint(resumeCkpt, fp, ShardSpec{})
+	prior, err := LoadGridCheckpoint(resumeCkpt, cfg, fp, ShardSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +409,7 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 // fingerprint, a wrong shard, and the silent fresh start on a missing
 // file.
 func TestCheckpointHeaderValidation(t *testing.T) {
+	cfg := ScenarioGridConfig{Scenarios: []string{"x"}, Seeds: []int64{1}}
 	dir := t.TempDir()
 	path := filepath.Join(dir, GridCheckpointName(ShardSpec{}))
 	cw, err := CreateGridCheckpoint(path, "fp-a", ShardSpec{}, nil)
@@ -392,16 +422,16 @@ func TestCheckpointHeaderValidation(t *testing.T) {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err := LoadGridCheckpoint(path, "fp-a", ShardSpec{}); err != nil || len(recs) != 1 {
+	if recs, err := LoadGridCheckpoint(path, cfg, "fp-a", ShardSpec{}); err != nil || len(recs) != 1 {
 		t.Fatalf("round trip: %v, %d records", err, len(recs))
 	}
-	if _, err := LoadGridCheckpoint(path, "fp-b", ShardSpec{}); err == nil {
+	if _, err := LoadGridCheckpoint(path, cfg, "fp-b", ShardSpec{}); err == nil {
 		t.Fatal("foreign fingerprint accepted")
 	}
-	if _, err := LoadGridCheckpoint(path, "fp-a", ShardSpec{Index: 1, Count: 2}); err == nil {
+	if _, err := LoadGridCheckpoint(path, cfg, "fp-a", ShardSpec{Index: 1, Count: 2}); err == nil {
 		t.Fatal("wrong shard accepted")
 	}
-	recs, err := LoadGridCheckpoint(filepath.Join(dir, "absent.jsonl"), "fp-a", ShardSpec{})
+	recs, err := LoadGridCheckpoint(filepath.Join(dir, "absent.jsonl"), cfg, "fp-a", ShardSpec{})
 	if err != nil || recs != nil {
 		t.Fatalf("missing file: %v, %v (want nil, nil)", recs, err)
 	}
@@ -417,7 +447,6 @@ func TestMergeGridCheckpoints(t *testing.T) {
 	}
 	cfg := smallGridConfig()
 	fp := GridFingerprint(cfg, "")
-	wantCells := len(cfg.Scenarios) * len(cfg.Seeds)
 
 	cleanDir := t.TempDir()
 	streamWithCheckpoint(t, cfg, cleanDir, nil)
@@ -441,7 +470,7 @@ func TestMergeGridCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	records, err := MergeGridCheckpoints(dir, fp, wantCells)
+	records, err := MergeGridCheckpoints(dir, cfg, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +496,22 @@ func TestMergeGridCheckpoints(t *testing.T) {
 		t.Fatal("checkpoint-merged stream summary differs from unsharded run's")
 	}
 
-	if _, err := MergeGridCheckpoints(dir, fp, wantCells+1); err == nil {
+	// An unfinished shard: its checkpoint holds the header only.
+	last := ShardSpec{Index: n - 1, Count: n}
+	cw, err := CreateGridCheckpoint(filepath.Join(dir, GridCheckpointName(last)), fp, last, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeGridCheckpoints(dir, cfg, fp); err == nil {
 		t.Fatal("incomplete cell coverage accepted")
 	}
 	if err := os.Remove(filepath.Join(dir, GridCheckpointName(ShardSpec{Index: 1, Count: n}))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeGridCheckpoints(dir, fp, wantCells); err == nil {
+	if _, err := MergeGridCheckpoints(dir, cfg, fp); err == nil {
 		t.Fatal("missing shard checkpoint accepted")
 	}
 }

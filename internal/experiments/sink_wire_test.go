@@ -156,9 +156,6 @@ func TestStreamInterruptSparesCachedCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation in -short mode")
 	}
-	if gridMaterialize {
-		t.Skip("the materialize oracle collects the whole grid before emitting, so an interrupt error masks the cached replay")
-	}
 	cfg := smallGridConfig()
 	res, err := RunScenarioGrid(cfg)
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -29,6 +30,7 @@ func ZipfProfile(exponent, meanStake float64, churn ...weight.ChurnStep) WeightP
 // baseline mean stake, and "zipf:<exponent>:<meanStake>" overrides the
 // scale. An optional ";churn@<round>:<frac>:<scale>[,...]" suffix
 // appends a churn schedule, e.g. "zipf:1.1;churn@10:0.2:0,20:0.1:3".
+// The exponent must be finite and the mean stake finite and positive.
 func ParseWeightProfile(spec string) (WeightProfile, error) {
 	if spec == "" {
 		return nil, nil
@@ -60,10 +62,18 @@ func ParseWeightProfile(spec string) (WeightProfile, error) {
 			return nil, fmt.Errorf("experiments: weight profile %q: bad mean stake: %w", spec, err)
 		}
 	}
+	if math.IsNaN(exponent) || math.IsInf(exponent, 0) {
+		return nil, fmt.Errorf("experiments: weight profile %q: exponent %v is not finite", spec, exponent)
+	}
+	if !(meanStake > 0) || math.IsInf(meanStake, 1) {
+		return nil, fmt.Errorf("experiments: weight profile %q: mean stake %v is not finite and positive", spec, meanStake)
+	}
 	return ZipfProfile(exponent, meanStake, churn...), nil
 }
 
 // parseChurn decodes "churn@<round>:<frac>:<scale>[,<round>:<frac>:<scale>...]".
+// Each fraction must lie in [0, 1] and each scale be finite and
+// non-negative.
 func parseChurn(spec string) ([]weight.ChurnStep, error) {
 	body, ok := strings.CutPrefix(spec, "churn@")
 	if !ok {
@@ -86,6 +96,12 @@ func parseChurn(spec string) ([]weight.ChurnStep, error) {
 		scale, err := strconv.ParseFloat(f[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: churn step %q: bad scale: %w", item, err)
+		}
+		if !(frac >= 0 && frac <= 1) {
+			return nil, fmt.Errorf("experiments: churn step %q: fraction %v outside [0,1]", item, frac)
+		}
+		if !(scale >= 0) || math.IsInf(scale, 1) {
+			return nil, fmt.Errorf("experiments: churn step %q: scale %v is not finite and non-negative", item, scale)
 		}
 		steps = append(steps, weight.ChurnStep{Round: round, Frac: frac, Scale: scale})
 	}

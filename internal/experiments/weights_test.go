@@ -113,7 +113,12 @@ func TestParseWeightProfile(t *testing.T) {
 	if got, want := o.TotalWeight(1), 40*100.0; got < want*0.999 || got > want*1.001 {
 		t.Fatalf("TotalWeight = %v, want ~%v", got, want)
 	}
-	for _, bad := range []string{"pareto", "zipf:x", "zipf:1:2:3", "zipf:1;churn@5:0.1", "zipf:1;decay@5:0.1:0"} {
+	for _, bad := range []string{
+		"pareto", "zipf:x", "zipf:1:2:3", "zipf:1;churn@5:0.1", "zipf:1;decay@5:0.1:0",
+		"zipf:NaN", "zipf:Inf", "zipf:1.1:0", "zipf:1.1:-5", "zipf:1.1:NaN", "zipf:1.1:+Inf",
+		"zipf:1.1;churn@1:5:-3", "zipf:1.1;churn@1:-0.1:1", "zipf:1.1;churn@1:NaN:1",
+		"zipf:1.1;churn@1:0.5:-3", "zipf:1.1;churn@1:0.5:NaN", "zipf:1.1;churn@1:0.5:Inf",
+	} {
 		if _, err := ParseWeightProfile(bad); err == nil {
 			t.Fatalf("spec %q: want error", bad)
 		}

@@ -120,38 +120,39 @@ func TestCOWCloneOfClone(t *testing.T) {
 	}
 }
 
-// TestCOWDeepCloneSwitch pins the oracle toggle: with the switch on,
-// CloneView must behave exactly like the historical full copy, and the
-// switch must restore cleanly.
-func TestCOWDeepCloneSwitch(t *testing.T) {
-	prev := SetDeepCloneViews(true)
-	defer SetDeepCloneViews(prev)
-	l := chainLedger(t, 100, 2)
-	v := l.CloneView()
-	if err := l.Credit(0, 9); err != nil {
-		t.Fatal(err)
+// deepClone is the reference model for CloneView, the pre-COW clone:
+// full private copies of the account table and the block list, sharing
+// nothing.
+func deepClone(l *Ledger) *Ledger {
+	v := &Ledger{
+		nAccounts: l.nAccounts,
+		pages:     newPagedAccounts(l.nAccounts),
+		seed:      l.seed,
+		tip:       l.tip,
+		fees:      l.fees,
 	}
-	if v.Stake(0) != 50 {
-		t.Fatal("deep clone shares account state")
+	for i := 0; i < l.nAccounts; i++ {
+		*v.acctAt(i) = *l.acctAt(i)
 	}
-	if v.Round() != l.Round() || v.Len() != 2 {
-		t.Fatalf("deep clone chain mismatch: round %d len %d", v.Round(), v.Len())
+	total := len(l.blockPrefix) + len(l.blocks)
+	if total > 0 {
+		v.blocks = make([]Block, 0, total)
+		v.blocks = append(v.blocks, l.blockPrefix...)
+		v.blocks = append(v.blocks, l.blocks...)
 	}
-	if err := v.VerifyChain(); err != nil {
-		t.Fatal(err)
-	}
+	return v
 }
 
 // measureCloneBytes reports the average heap bytes allocated by one
-// CloneView plus a single-account write — the per-resync cost a
+// clone plus a single-account write — the per-resync cost a
 // desynchronised node pays in the simulator.
-func measureCloneBytes(l *Ledger, iters int) float64 {
+func measureCloneBytes(l *Ledger, clone func(*Ledger) *Ledger, iters int) float64 {
 	runtime.GC()
 	var before, after runtime.MemStats
 	clones := make([]*Ledger, iters) // keep clones live so GC cannot recycle mid-measure
 	runtime.ReadMemStats(&before)
 	for i := 0; i < iters; i++ {
-		v := l.CloneView()
+		v := clone(l)
 		_ = v.Credit(i%l.NumAccounts(), 1)
 		clones[i] = v
 	}
@@ -168,15 +169,9 @@ func measureCloneBytes(l *Ledger, iters int) float64 {
 func TestCOWResyncAllocBudget(t *testing.T) {
 	l := chainLedger(t, 4096, 4)
 
-	// Pin each measurement's clone mode explicitly so the test means the
-	// same thing under the ledger_deepclone oracle build tag.
 	const iters = 200
-	prev := SetDeepCloneViews(false)
-	defer SetDeepCloneViews(prev)
-	cowBytes := measureCloneBytes(l, iters)
-	SetDeepCloneViews(true)
-	deepBytes := measureCloneBytes(l, iters)
-	SetDeepCloneViews(false)
+	cowBytes := measureCloneBytes(l, (*Ledger).CloneView, iters)
+	deepBytes := measureCloneBytes(l, deepClone, iters)
 
 	// 4096 accounts ≈ 64 page pointers (512 B) + ledger header + one
 	// 64-account page copy; 32 KiB leaves ample noise headroom while a
@@ -256,8 +251,9 @@ func digest(t *testing.T, canonical *Ledger, views []*Ledger) string {
 	return out
 }
 
-// runSchedule replays one schedule and returns the digest trace.
-func runSchedule(t *testing.T, sched []cowOp, views int) []string {
+// runSchedule replays one schedule, cloning views with clone, and
+// returns the digest trace.
+func runSchedule(t *testing.T, sched []cowOp, views int, clone func(*Ledger) *Ledger) []string {
 	t.Helper()
 	stakes := make([]float64, 256)
 	for i := range stakes {
@@ -266,7 +262,7 @@ func runSchedule(t *testing.T, sched []cowOp, views int) []string {
 	canonical := Genesis(stakes, rand.New(rand.NewSource(99)))
 	replicas := make([]*Ledger, views)
 	for i := range replicas {
-		replicas[i] = canonical.CloneView()
+		replicas[i] = clone(canonical)
 	}
 	var trace []string
 	nonce := uint64(0)
@@ -292,7 +288,7 @@ func runSchedule(t *testing.T, sched []cowOp, views int) []string {
 				t.Fatal(err)
 			}
 		case 3:
-			replicas[op.view] = canonical.CloneView()
+			replicas[op.view] = clone(canonical)
 		case 4:
 			// A healthy node commits the canonical block for its round, if
 			// it is not already ahead or desynced past it.
@@ -318,10 +314,8 @@ func TestCloneDifferentialOracle(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			sched := genSchedule(rand.New(rand.NewSource(seed)), views, 400)
-			cow := runSchedule(t, sched, views)
-			prev := SetDeepCloneViews(true)
-			deep := runSchedule(t, sched, views)
-			SetDeepCloneViews(prev)
+			cow := runSchedule(t, sched, views, (*Ledger).CloneView)
+			deep := runSchedule(t, sched, views, deepClone)
 			if len(cow) != len(deep) {
 				t.Fatalf("trace lengths differ: %d vs %d", len(cow), len(deep))
 			}

@@ -192,8 +192,8 @@ type Ledger struct {
 	tip         Hash // memoised hash of the last block; zero at genesis
 	fees        float64
 	// observer, when set, is notified of every account-stake mutation on
-	// THIS ledger (views never inherit it — CloneView and deepClone build
-	// fresh structs). The incremental weight index (internal/weight)
+	// THIS ledger (views never inherit it — CloneView builds a fresh
+	// struct). The incremental weight index (internal/weight)
 	// registers here to keep its mirror current in O(1) per mutation.
 	observer StakeObserver
 	// observerTok identifies the current observer installation so a
@@ -285,35 +285,15 @@ func Genesis(stakes []float64, rng *rand.Rand) *Ledger {
 	return l
 }
 
-// deepCloneViews routes CloneView to the historical full-copy
-// implementation, the differential oracle for the copy-on-write overlay.
-// Build with -tags ledger_deepclone to force it process-wide, or flip it
-// from a test with SetDeepCloneViews.
-var deepCloneViews = false
-
-// SetDeepCloneViews toggles the deep-clone oracle path for every
-// subsequent CloneView and returns the previous setting. It exists for
-// differential tests; it must not be flipped while simulations run
-// concurrently.
-func SetDeepCloneViews(on bool) (previous bool) {
-	previous = deepCloneViews
-	deepCloneViews = on
-	return previous
-}
-
 // CloneView returns an independent replica of this view. The replica is
 // observably a snapshot — later writes on either side are invisible to
 // the other — but shares storage copy-on-write: account pages are frozen
 // and materialized privately on first write (Credit or a block's
 // transaction apply), and the committed chain is inherited as an
 // immutable shared prefix. Cloning is therefore O(pages), not
-// O(accounts + blocks); the historical deep copy survives behind the
-// ledger_deepclone build tag / SetDeepCloneViews as a differential
-// oracle.
+// O(accounts + blocks); the differential tests check it against a full
+// deep copy.
 func (l *Ledger) CloneView() *Ledger {
-	if deepCloneViews {
-		return l.deepClone()
-	}
 	pages := make([]*accountPage, len(l.pages))
 	copy(pages, l.pages)
 	for _, p := range l.pages {
@@ -342,28 +322,6 @@ func (l *Ledger) CloneView() *Ledger {
 		flat = append(flat, l.blockPrefix...)
 		flat = append(flat, l.blocks...)
 		v.blockPrefix = flat
-	}
-	return v
-}
-
-// deepClone is the pre-COW CloneView: full private copies of the account
-// table and the block list, sharing nothing.
-func (l *Ledger) deepClone() *Ledger {
-	v := &Ledger{
-		nAccounts: l.nAccounts,
-		pages:     newPagedAccounts(l.nAccounts),
-		seed:      l.seed,
-		tip:       l.tip,
-		fees:      l.fees,
-	}
-	for i := 0; i < l.nAccounts; i++ {
-		*v.acctAt(i) = *l.acctAt(i)
-	}
-	total := len(l.blockPrefix) + len(l.blocks)
-	if total > 0 {
-		v.blocks = make([]Block, 0, total)
-		v.blocks = append(v.blocks, l.blockPrefix...)
-		v.blocks = append(v.blocks, l.blocks...)
 	}
 	return v
 }

@@ -4,20 +4,19 @@ import "encoding/binary"
 
 // deliveredSet is the inverted gossip de-duplication layout: one
 // open-addressed table keyed by message ID whose payload is a bitset of
-// the nodes the message has reached. The per-node layout it replaces
-// (dedupSet, kept as the differential oracle behind the
-// network_pernode_dedup build tag) probed a distinct ~open-addressed
-// table per node, so the duplicate-heavy relay path took a random cache
-// miss across ~N tables for every delivery. Here a message's delivery
-// state is contiguous — one cache line for N≤512 — and the common
-// duplicate case is a single bit test next to the slot the probe already
-// touched.
+// the nodes the message has reached. A per-node layout would probe a
+// distinct table per node, so the duplicate-heavy relay path would take
+// a random cache miss across ~N tables for every delivery. Here a
+// message's delivery state is contiguous — one cache line for N≤512 —
+// and the common duplicate case is a single bit test next to the slot
+// the probe already touched. The differential tests check every verdict
+// against per-node sets.
 //
-// Probing follows dedupSet's scheme: the ID's first 8 bytes (SHA-256
-// output, already uniform) serve as probe key and hash, a prefix hit
-// pays the full-ID confirm, and epoch-stamped slots make the per-round
-// reset a counter bump. Bit words are zeroed lazily when a slot is
-// claimed for the current epoch.
+// Message IDs are SHA-256 outputs, so the ID's first 8 bytes are already
+// uniform and serve as probe key and hash; only a prefix hit (almost
+// always a true duplicate) pays the full-ID confirm. Epoch-stamped slots
+// make the per-round reset a counter bump. Bit words are zeroed lazily
+// when a slot is claimed for the current epoch.
 //
 // Beyond 512 nodes the per-slot bitmap no longer rides along inline:
 // pre-allocating slots×(N/64) words would grow as messages×N/8 bits and

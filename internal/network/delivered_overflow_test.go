@@ -118,7 +118,7 @@ func TestDeliveredGrowthKeepsOverflow(t *testing.T) {
 
 // TestDeliveredMatchesPerNodeSetsLarge is the differential oracle at
 // node counts past the inline cap: compact lists, promotions, and the
-// inline window must agree with the old per-node tables on every
+// inline window must agree with per-node sets on every
 // (message, node) verdict. Node choice is biased towards the overflow
 // range so promotions actually happen.
 func TestDeliveredMatchesPerNodeSetsLarge(t *testing.T) {
@@ -128,7 +128,7 @@ func TestDeliveredMatchesPerNodeSetsLarge(t *testing.T) {
 			for seed := 0; seed < 3; seed++ {
 				var s deliveredSet
 				s.init(nodes)
-				ref := make([]dedupSet, nodes)
+				ref := newPerNodeSets(nodes)
 				state := uint64(seed)*0x9e3779b97f4a7c15 + uint64(nodes) + 1
 				next := func() uint64 {
 					state ^= state << 13
@@ -141,9 +141,7 @@ func TestDeliveredMatchesPerNodeSetsLarge(t *testing.T) {
 					switch next() % 200 {
 					case 0: // occasional epoch reset
 						s.reset()
-						for i := range ref {
-							ref[i].reset()
-						}
+						ref.reset()
 					case 1, 2, 3, 4, 5, 6, 7, 8, 9, 10: // membership query across the inline/overflow split
 						id := id32(next() % 300)
 						slot := s.find(&id)
@@ -152,7 +150,7 @@ func TestDeliveredMatchesPerNodeSetsLarge(t *testing.T) {
 							if k == 0 {
 								node = int(next() % uint64(base))
 							}
-							if got, want := s.has(slot, node), ref[node].contains(&id); got != want {
+							if got, want := s.has(slot, node), ref.contains(&id, node); got != want {
 								t.Fatalf("seed %d op %d: has(msg, node %d) = %v, per-node oracle says %v", seed, op, node, got, want)
 							}
 						}
@@ -165,7 +163,7 @@ func TestDeliveredMatchesPerNodeSetsLarge(t *testing.T) {
 						if next()%4 != 0 { // bias into the overflow range
 							node = base + int(next()%uint64(nodes-base))
 						}
-						want := ref[node].insert(&id)
+						want := ref.insert(&id, node)
 						if got := s.mark(&id, node); got != want {
 							t.Fatalf("seed %d op %d: mark(msg, node %d) = %v, per-node oracle says %v", seed, op, node, got, want)
 						}

@@ -165,7 +165,7 @@ type Arena struct {
 	// (epoch-retired, never re-allocated) by every subsequent Network the
 	// arena backs. Dedup state holds no randomness, so recycling it is
 	// output-invisible like the rest of the arena.
-	seen seenSet
+	seen deliveredSet
 }
 
 // takeBools returns a length-n buffer from store, growing it as needed.
@@ -202,7 +202,7 @@ type Network struct {
 	handler  Handler
 	relay    []bool
 	online   []bool
-	seen     *seenSet
+	seen     *deliveredSet
 	factor   float64
 	stats    Stats
 	observer func(node int)
@@ -263,7 +263,7 @@ func New(cfg Config, engine *sim.Engine, handler Handler) (*Network, error) {
 		ar.seen.adopt(cfg.N)
 		n.seen = &ar.seen
 	} else {
-		n.seen = &seenSet{}
+		n.seen = &deliveredSet{}
 		n.seen.init(cfg.N)
 	}
 	for i := 0; i < cfg.N; i++ {
@@ -449,7 +449,7 @@ func (n *Network) push(from int, msg *Message) {
 	if n.observer != nil {
 		n.observer(from)
 	}
-	held := n.seen.lookup(&msg.ID)
+	held := n.seen.find(&msg.ID)
 	for _, peer := range n.peers[from] {
 		var fault LinkFault
 		if n.overlay != nil {
@@ -472,7 +472,7 @@ func (n *Network) push(from int, msg *Message) {
 			delay = time.Duration(float64(delay) * fault.DelayScale)
 		}
 		n.stats.Sent++
-		if n.seen.holds(held, peer) {
+		if n.seen.has(held, peer) {
 			if n.online[peer] {
 				n.stats.Duplicate++
 			} else {

@@ -92,9 +92,6 @@ func TestSortitionSelectAllocFree(t *testing.T) {
 const sparseColdAllocBudget = 40 << 20
 
 func TestSparseColdAllocBudget(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	const n = 5_000
 	cfg := sparseTestConfig(n, 7, SparseOn)
 	cfg.Params.TauStep = 100

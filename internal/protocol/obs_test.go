@@ -29,12 +29,8 @@ func TestCountersCoveragePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CoverageMaterializedOnly
-	if forcePerNodeDraw {
-		want = CoverageFull // protocol_pernode_draw oracle build runs dense
-	}
-	if got := sparse.CountersCoverage(); got != want {
-		t.Fatalf("SparseOn runner coverage = %v, want %v", got, want)
+	if got := sparse.CountersCoverage(); got != CoverageMaterializedOnly {
+		t.Fatalf("SparseOn runner coverage = %v, want materialized-only", got)
 	}
 }
 
@@ -58,12 +54,8 @@ func TestCoverageGaugeTracksRunner(t *testing.T) {
 	if _, err := NewRunner(sparseTestConfig(100, 1, SparseOn)); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(1)
-	if forcePerNodeDraw {
-		want = 0
-	}
-	if got := gauge.Value(); got != want {
-		t.Fatalf("gauge after SparseOn construction = %d, want %d", got, want)
+	if got := gauge.Value(); got != 1 {
+		t.Fatalf("gauge after SparseOn construction = %d, want 1", got)
 	}
 }
 

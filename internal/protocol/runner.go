@@ -270,10 +270,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 		if !sparseEligible(&cfg) {
 			return nil, errSparseTau
 		}
-		useSparse = !forcePerNodeDraw
+		useSparse = true
 	case SparseAuto:
-		useSparse = !forcePerNodeDraw &&
-			len(cfg.Stakes) >= SparseAutoThreshold && sparseEligible(&cfg)
+		useSparse = len(cfg.Stakes) >= SparseAutoThreshold && sparseEligible(&cfg)
 	}
 
 	n := len(cfg.Stakes)

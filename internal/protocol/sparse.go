@@ -49,8 +49,7 @@ const (
 	// SparseOff forces the dense per-node sweep.
 	SparseOff
 	// SparseOn forces the sparse path and makes NewRunner reject
-	// configurations it cannot serve (fractional taus). Under the
-	// protocol_pernode_draw oracle build tag, SparseOn still runs dense.
+	// configurations it cannot serve (fractional taus).
 	SparseOn
 )
 

@@ -155,9 +155,6 @@ func sparseOrderDigest(t *testing.T, n int, hooked bool, maxBinary int) string {
 // after the round's drain, outside any event; their deliveries run in
 // the next round.
 func TestSparseDeliveryOrderPinned(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	cases := []struct {
 		n         int
 		hooked    bool
@@ -185,9 +182,6 @@ func TestSparseDeliveryOrderPinned(t *testing.T) {
 // payload; naming it from the kind once traced every sparse proposal
 // delivery as a "vote".
 func TestSparseTraceLabelsProposals(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	const n = 300
 	params := DefaultParams()
 	params.TauStep = 25
@@ -263,9 +257,6 @@ func traceEvents(t *testing.T, trace *obs.Trace) []tracedEvent {
 // schedule's times lie before the drained clock, so its events all run
 // at the instant the post-drain deliveries were emitted.
 func TestBatchedDeliveriesMatchPerDeliveryOrder(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	const n = 40
 	delays := []time.Duration{0, 100 * time.Millisecond, 250 * time.Millisecond,
 		time.Second, 1250 * time.Millisecond, 2 * time.Second}

@@ -124,9 +124,6 @@ func TestSparseCommitteeLaw(t *testing.T) {
 // paths and requires the aggregate round statistics to agree: the sparse
 // rewrite is a performance restructuring, not a behaviour change.
 func TestSparseDenseEquivalence(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: no sparse path to compare against")
-	}
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -165,9 +162,6 @@ func TestSparseDenseEquivalence(t *testing.T) {
 }
 
 func TestSparseAutoLargePopulation(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	n := SparseAutoThreshold + 1000
 	r, err := NewRunner(sparseTestConfig(n, 3, SparseAuto))
 	if err != nil {
@@ -197,9 +191,6 @@ func TestSparseAutoLargePopulation(t *testing.T) {
 // TestSparseDeterminism: identical configurations replay identically, and
 // an arena-recycled second run is bit-for-bit the same as a fresh one.
 func TestSparseDeterminism(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	const n, rounds = 5000, 4
 	run := func(ar *Arena) []RoundReport {
 		cfg := sparseTestConfig(n, 21, SparseOn)
@@ -234,9 +225,6 @@ func TestSparseDeterminism(t *testing.T) {
 // whole population went desynced at once, and with no synced peers left
 // the catch-up path could never recover a single node.
 func TestSparseEmptyRoundKeepsSync(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	const n = 3000
 	cfg := sparseTestConfig(n, 17, SparseOn)
 	cfg.Params.AsyncProb = 1 // every round degraded: empty decisions dominate
@@ -265,9 +253,6 @@ func TestSparseEmptyRoundKeepsSync(t *testing.T) {
 // assertions rely on — and that the pin set survives rounds, drops
 // out-of-range ids, and collapses duplicates.
 func TestSparsePinMaterialized(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	const n = 5000
 	pinned := []int{7, 999, 2500, 4999}
 	r, err := NewRunner(sparseTestConfig(n, 13, SparseOn))
@@ -294,9 +279,6 @@ func TestSparsePinMaterialized(t *testing.T) {
 // behaviour flips (the adaptive-corruption seam) and a selfish cohort,
 // checking the bookkeeping invariants hold every round.
 func TestSparseAdversarySmoke(t *testing.T) {
-	if forcePerNodeDraw {
-		t.Skip("protocol_pernode_draw: sparse path disabled")
-	}
 	const n = 5000
 	cfg := sparseTestConfig(n, 31, SparseOn)
 	for i := 0; i < n/10; i++ {

@@ -32,14 +32,14 @@ import (
 // the old binary heap paid O(log population) per operation scattered
 // across a near-megabyte slice.
 //
-// Ordering contract: pops follow strict (at, seq) order, identical to
-// the legacy binary heap — the golden figure outputs pin this. Two
-// events in one near bucket may differ in timestamp, hence the lazy
-// sort. Within a timestamp, events reach a bucket in seq order — direct
-// pushes trivially, migrated ones because each far day chain keeps its
-// events in push order — so a same-timestamp burst arrives presorted
-// and needs no sort at all. Events pushed into the bucket currently
-// being drained insert into its still-sorted tail.
+// Ordering contract: pops follow strict (at, seq) order — the golden
+// figure outputs pin this. Two events in one near bucket may differ in
+// timestamp, hence the lazy sort. Within a timestamp, events reach a
+// bucket in seq order — direct pushes trivially, migrated ones because
+// each far day chain keeps its events in push order — so a
+// same-timestamp burst arrives presorted and needs no sort at all.
+// Events pushed into the bucket currently being drained insert into its
+// still-sorted tail.
 //
 // Memory bounds: both rings have a fixed bucket count (near buckets
 // double only while halving the width, far buckets double only to cover

@@ -56,9 +56,6 @@ func TestSameTimestampBurstFIFO(t *testing.T) {
 // TestHintHorizonGrowsFarSpan verifies that a horizon hint moves far
 // timers from the overflow heap onto the far ring's O(1) route.
 func TestHintHorizonGrowsFarSpan(t *testing.T) {
-	if legacyHeapDefault {
-		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
-	}
 	e := NewEngine(1)
 	long := 2 * time.Minute // beyond the default ~34 s far span
 	e.Schedule(long, func() {})
@@ -112,9 +109,6 @@ func TestRunUntilAcrossRungBoundaries(t *testing.T) {
 // timestamps and checks the width-halving resize keeps order and loses
 // nothing.
 func TestCrowdedBucketRefinesWidth(t *testing.T) {
-	if legacyHeapDefault {
-		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
-	}
 	e := NewEngine(1)
 	shift0 := e.cal.nearShift
 	const n = 5000
@@ -139,19 +133,6 @@ func TestCrowdedBucketRefinesWidth(t *testing.T) {
 	if e.cal.nearShift >= shift0 {
 		t.Fatalf("crowded bucket did not refine width: shift %d -> %d", shift0, e.cal.nearShift)
 	}
-}
-
-// TestUseLegacyHeapPanicsMidRun pins the oracle-switch contract: it is a
-// construction-time choice.
-func TestUseLegacyHeapPanicsMidRun(t *testing.T) {
-	e := NewEngine(1)
-	e.Schedule(time.Second, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UseLegacyHeap on a non-empty engine did not panic")
-		}
-	}()
-	e.UseLegacyHeap()
 }
 
 // checkFarChains asserts the far ring's layout: each slot's chain holds
@@ -203,9 +184,6 @@ func checkFarChains(t *testing.T, c *calendarQueue) {
 // took a later push once the clock brought it into the span, which must
 // stay in the heap rather than land behind that push.
 func TestFarChainsInPushOrder(t *testing.T) {
-	if legacyHeapDefault {
-		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
-	}
 	e := NewEngine(1)
 	rng := NewRNG(1, "calendar.farchains")
 	var got []time.Duration
@@ -269,9 +247,6 @@ func TestFarChainsInPushOrder(t *testing.T) {
 // same-timestamp burst spanning many far blocks reaches its near bucket
 // already in seq order, so the drain has nothing to sort.
 func TestMigratedBurstArrivesSorted(t *testing.T) {
-	if legacyHeapDefault {
-		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
-	}
 	e := NewEngine(1)
 	const n = 20 * calFarBlockLen
 	const at = time.Second // beyond the direct-insert window: far ring
@@ -306,9 +281,6 @@ func TestMigratedBurstArrivesSorted(t *testing.T) {
 // every bucket backing from the spare lists and every far block from the
 // freelist.
 func TestBurstCycleAllocFree(t *testing.T) {
-	if legacyHeapDefault {
-		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
-	}
 	e := NewEngine(1)
 	rng := NewRNG(1, "calendar.allocfree")
 	delays := meanFieldDelays(rng)
@@ -362,9 +334,6 @@ func backings(c *calendarQueue) (live, spare map[*event]bool) {
 // nor Reset drops near-bucket storage: every backing ends up in a live
 // bucket or a spare list, and Reset leaves them all spare.
 func TestResetAndResizeKeepSpares(t *testing.T) {
-	if legacyHeapDefault {
-		t.Skip("white-box calendar test; engine runs the legacy heap in this build")
-	}
 	e := NewEngine(1)
 	fn := func(int, any) {}
 	for i := 0; i < 400; i++ {

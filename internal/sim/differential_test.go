@@ -1,21 +1,139 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// The differential tests drive the calendar queue and the legacy binary
-// heap through identical randomized schedules and assert bit-identical
-// pop order — the scheduler contract the golden figures rely on. Event
-// mixes cover the regimes the protocol produces: dense near-future
-// bursts, same-timestamp ties, far-future timers, horizon hints
-// mid-run, and long idle jumps.
+// The differential tests drive the calendar queue through randomized
+// schedules while a reference model mirrors every push, and assert that
+// each executed event is the model's (at, seq) minimum — the scheduler
+// contract the golden figures rely on. Event mixes cover the regimes the
+// protocol produces: dense near-future bursts, same-timestamp ties,
+// far-future timers, horizon hints mid-run, and long idle jumps.
+
+// refEvent is the model's copy of one pending event.
+type refEvent struct {
+	at  time.Duration
+	seq uint64
+}
+
+// refHeap is a container/heap min-heap over (at, seq), deliberately
+// independent of the engine's own eventQueue.
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+// refEngine wraps an Engine with the reference model. Its Schedule,
+// ScheduleAt and ScheduleFn apply the engine's clamping to the model's
+// copy, number pushes as the engine does, and wrap the event so that on
+// execution it checks it is the model's minimum at the engine's clock.
+// order logs executed events by push number.
+type refEngine struct {
+	*Engine
+	t     *testing.T
+	ref   refHeap
+	seq   uint64
+	order []uint64
+}
+
+func newRefEngine(t *testing.T, e *Engine) *refEngine {
+	return &refEngine{Engine: e, t: t}
+}
+
+func (r *refEngine) push(at time.Duration) uint64 {
+	r.seq++
+	heap.Push(&r.ref, refEvent{at: max(at, r.Now()), seq: r.seq})
+	return r.seq
+}
+
+// ran checks the event numbered seq is the model's next event.
+func (r *refEngine) ran(seq uint64) {
+	r.t.Helper()
+	if r.ref.Len() == 0 {
+		r.t.Fatalf("step %d: engine ran event %d, model is empty", len(r.order), seq)
+	}
+	want := heap.Pop(&r.ref).(refEvent)
+	if want.seq != seq || want.at != r.Now() {
+		r.t.Fatalf("step %d: engine ran event %d at %v, model's minimum is event %d at %v",
+			len(r.order), seq, r.Now(), want.seq, want.at)
+	}
+	r.order = append(r.order, seq)
+}
+
+func (r *refEngine) Schedule(delay time.Duration, action Action) {
+	seq := r.push(r.Now() + max(delay, 0))
+	r.Engine.Schedule(delay, func() { r.ran(seq); action() })
+}
+
+func (r *refEngine) ScheduleAt(at time.Duration, action Action) {
+	seq := r.push(at)
+	r.Engine.ScheduleAt(at, func() { r.ran(seq); action() })
+}
+
+// refCall carries a ScheduleFn event's model number and real target
+// through the engine's payload, keeping fn and arg on the pre-bound path.
+type refCall struct {
+	seq     uint64
+	fn      func(int, any)
+	payload any
+}
+
+func (r *refEngine) callFn(arg int, p any) {
+	c := p.(refCall)
+	r.ran(c.seq)
+	c.fn(arg, c.payload)
+}
+
+func (r *refEngine) ScheduleFn(delay time.Duration, fn func(int, any), arg int, payload any) {
+	seq := r.push(r.Now() + max(delay, 0))
+	r.Engine.ScheduleFn(delay, r.callFn, arg, refCall{seq: seq, fn: fn, payload: payload})
+}
+
+// Run runs the engine and checks where it stopped: with a deadline, the
+// clock sits at until and nothing earlier is left; without one, both the
+// engine and the model are empty.
+func (r *refEngine) Run(until time.Duration) {
+	r.t.Helper()
+	if err := r.Engine.Run(until); err != nil {
+		r.t.Fatal(err)
+	}
+	if r.Pending() != r.ref.Len() {
+		r.t.Fatalf("engine holds %d events, model %d", r.Pending(), r.ref.Len())
+	}
+	if until <= 0 {
+		if r.ref.Len() != 0 {
+			r.t.Fatalf("drain left %d events in the model", r.ref.Len())
+		}
+		return
+	}
+	if r.Now() != until {
+		r.t.Fatalf("Run(%v) left the clock at %v", until, r.Now())
+	}
+	if r.ref.Len() > 0 && r.ref[0].at < until {
+		r.t.Fatalf("Run(%v) returned with event %d due at %v", until, r.ref[0].seq, r.ref[0].at)
+	}
+}
 
 // diffOp replays a pre-generated schedule program: the randomness is
-// drawn once and shared, so both engines see identical operations.
+// drawn once, before the engine runs.
 type diffOp struct {
 	delay    time.Duration
 	absolute bool
@@ -45,18 +163,15 @@ func genOps(rng *rand.Rand, n, depth int, delays func() time.Duration) []diffOp 
 	return ops
 }
 
-// schedule installs op on the engine, appending its unique id to log at
-// execution time and scheduling its children from within the event.
-func schedule(e *Engine, op *diffOp, id *int, log *[]int) {
-	myID := *id
-	*id++
+// schedule installs op on the engine, scheduling its children from
+// within the event.
+func schedule(e *refEngine, op *diffOp) {
 	body := func() {
-		*log = append(*log, myID)
 		if op.hint > 0 {
 			e.HintHorizon(op.hint)
 		}
 		for i := range op.children {
-			schedule(e, &op.children[i], id, log)
+			schedule(e, &op.children[i])
 		}
 	}
 	switch {
@@ -69,54 +184,27 @@ func schedule(e *Engine, op *diffOp, id *int, log *[]int) {
 	}
 }
 
-// runProgram executes the same op program on a fresh engine and returns
-// the execution order. ids are assigned in schedule order, which is
-// identical across engines.
-func runProgram(t *testing.T, ops []diffOp, legacy bool, until time.Duration) []int {
+// runProgram executes an op program on a fresh engine under the
+// reference model and returns the execution order.
+func runProgram(t *testing.T, ops []diffOp, until time.Duration) []uint64 {
 	t.Helper()
-	e := NewEngine(1)
-	if legacy {
-		e.UseLegacyHeap()
-	}
-	var log []int
-	id := 0
+	e := newRefEngine(t, NewEngine(1))
 	for i := range ops {
-		schedule(e, &ops[i], &id, &log)
+		schedule(e, &ops[i])
 	}
 	if until > 0 {
 		// Chunked runs exercise the peek path and clock jumps to `until`.
 		for e.Pending() > 0 {
-			if err := e.Run(e.Now() + until); err != nil {
-				t.Fatal(err)
-			}
-		}
-	} else if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	return log
-}
-
-func diffCompare(t *testing.T, ops []diffOp, until time.Duration) {
-	t.Helper()
-	requireSameOrder(t, runProgram(t, ops, false, until), runProgram(t, ops, true, until))
-}
-
-// requireSameOrder fails unless the calendar and the legacy heap ran the
-// same events in the same order.
-func requireSameOrder(t *testing.T, cal, heap []int) {
-	t.Helper()
-	if len(cal) != len(heap) {
-		t.Fatalf("calendar executed %d events, legacy heap %d", len(cal), len(heap))
-	}
-	for i := range cal {
-		if cal[i] != heap[i] {
-			t.Fatalf("pop order diverges at step %d: calendar ran event %d, legacy heap ran event %d", i, cal[i], heap[i])
+			e.Run(e.Now() + until)
 		}
 	}
+	e.Run(0)
+	return e.order
 }
 
 // TestCalendarMatchesHeap cross-checks the calendar queue against the
-// legacy heap over many randomized schedule programs and delay regimes.
+// reference heap over many randomized schedule programs and delay
+// regimes.
 func TestCalendarMatchesHeap(t *testing.T) {
 	regimes := []struct {
 		name   string
@@ -168,7 +256,7 @@ func TestCalendarMatchesHeap(t *testing.T) {
 					if seed%2 == 1 {
 						until = 700 * time.Millisecond // chunked Run exercises peeks
 					}
-					diffCompare(t, ops, until)
+					runProgram(t, ops, until)
 				})
 			}
 		})
@@ -181,50 +269,36 @@ func TestCalendarMatchesHeap(t *testing.T) {
 func TestCalendarMatchesHeapFactorSwings(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			build := func(legacy bool) []int {
-				e := NewEngine(1)
-				if legacy {
-					e.UseLegacyHeap()
-				}
-				rng := NewRNG(seed, "differential.swings")
-				var log []int
-				id := 0
-				factor := time.Duration(1)
-				var spawn func(depth int)
-				spawn = func(depth int) {
-					myID := id
-					id++
-					delay := factor * time.Duration(20+rng.Int63n(200)) * time.Millisecond / 4
-					e.ScheduleFn(delay, func(int, any) {
-						log = append(log, myID)
-						if depth > 0 {
-							for i := 0; i < 3; i++ {
-								spawn(depth - 1)
-							}
+			e := newRefEngine(t, NewEngine(1))
+			rng := NewRNG(seed, "differential.swings")
+			factor := time.Duration(1)
+			var spawn func(depth int)
+			spawn = func(depth int) {
+				delay := factor * time.Duration(20+rng.Int63n(200)) * time.Millisecond / 4
+				e.ScheduleFn(delay, func(int, any) {
+					if depth > 0 {
+						for i := 0; i < 3; i++ {
+							spawn(depth - 1)
 						}
-					}, 0, nil)
-				}
-				for round := 0; round < 6; round++ {
-					if round == 2 {
-						factor = 8
-						e.HintHorizon(8 * 1600 * time.Millisecond)
 					}
-					if round == 4 {
-						factor = 1
-						e.HintHorizon(1600 * time.Millisecond)
-					}
-					// A round: a deadline timer far ahead plus gossip cascades.
-					e.Schedule(13*time.Second, func() { log = append(log, -1) })
-					for i := 0; i < 40; i++ {
-						spawn(3)
-					}
-					if err := e.Run(0); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return log
+				}, 0, nil)
 			}
-			requireSameOrder(t, build(false), build(true))
+			for round := 0; round < 6; round++ {
+				if round == 2 {
+					factor = 8
+					e.HintHorizon(8 * 1600 * time.Millisecond)
+				}
+				if round == 4 {
+					factor = 1
+					e.HintHorizon(1600 * time.Millisecond)
+				}
+				// A round: a deadline timer far ahead plus gossip cascades.
+				e.Schedule(13*time.Second, func() {})
+				for i := 0; i < 40; i++ {
+					spawn(3)
+				}
+				e.Run(0)
+			}
 		})
 	}
 }
@@ -244,8 +318,8 @@ func meanFieldDelays(rng *rand.Rand) []time.Duration {
 }
 
 // runMeanField replays the burst shape the sparse path scheduled before
-// it batched deliveries per arrival instant, on one scheduler, and
-// returns the execution order. Every step instant, each of V
+// it batched deliveries per arrival instant under the reference model,
+// and checks each delivery receives its own arg. Every step instant, each of V
 // sources delivers to R receivers at a table delay — most land on far
 // days, and the table's 4096 offsets make events share timestamps — and
 // sends one short-delay direct insert; every receiver arms two step
@@ -258,7 +332,7 @@ func meanFieldDelays(rng *rand.Rand) []time.Duration {
 // HintHorizon growth then re-homes the overflow while far days hold
 // events of the same days. The clock advances in chunked Run(until)
 // calls throughout.
-func runMeanField(t *testing.T, seed int64, legacy bool) []int {
+func runMeanField(t *testing.T, seed int64) {
 	t.Helper()
 	const (
 		steps, sources, receivers = 7, 32, 256
@@ -266,24 +340,22 @@ func runMeanField(t *testing.T, seed int64, legacy bool) []int {
 		chunk                     = 170 * time.Millisecond
 		hintStep                  = 6
 	)
-	e := NewEngine(1)
-	if legacy {
-		e.UseLegacyHeap()
-	}
+	e := newRefEngine(t, NewEngine(1))
 	rng := NewRNG(seed, "differential.meanfield")
 	delays := meanFieldDelays(rng)
-	var log []int
 	id := 0
-	var deliver func(arg int, _ any)
-	deliver = func(arg int, _ any) {
-		log = append(log, arg)
+	var deliver func(arg int, payload any)
+	deliver = func(arg int, payload any) {
+		if payload.(int) != arg {
+			t.Fatalf("delivery %d received arg %d", payload.(int), arg)
+		}
 		if arg > 0 && arg%16 == 0 {
-			e.ScheduleFn(time.Duration(rng.Int63n(int64(30*time.Millisecond))), deliver, -arg, nil)
+			e.ScheduleFn(time.Duration(rng.Int63n(int64(30*time.Millisecond))), deliver, -arg, -arg)
 		}
 	}
 	schedule := func(delay time.Duration) {
 		id++
-		e.ScheduleFn(delay, deliver, id, nil)
+		e.ScheduleFn(delay, deliver, id, id)
 	}
 	timer := func() {
 		schedule(40*time.Second + time.Duration(rng.Int63n(int64(time.Second))) - e.Now())
@@ -307,30 +379,24 @@ func runMeanField(t *testing.T, seed int64, legacy bool) []int {
 			}
 			schedule(time.Duration(rng.Int63n(int64(50 * time.Millisecond))))
 		}
-		if !e.legacy {
-			checkFarChains(t, &e.cal)
-		}
+		checkFarChains(t, &e.cal)
 		next := e.Now() + stepGap
 		for e.Now() < next {
-			if err := e.Run(min(e.Now()+chunk, next)); err != nil {
-				t.Fatal(err)
-			}
+			e.Run(min(e.Now()+chunk, next))
 		}
 	}
 	for e.Pending() > 0 {
-		if err := e.Run(e.Now() + chunk); err != nil {
-			t.Fatal(err)
-		}
+		e.Run(e.Now() + chunk)
 	}
-	return log
+	e.Run(0)
 }
 
 // TestCalendarMatchesHeapMeanField cross-checks the calendar queue
-// against the legacy heap on the pre-batching mean-field burst shape.
+// against the reference heap on the pre-batching mean-field burst shape.
 func TestCalendarMatchesHeapMeanField(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			requireSameOrder(t, runMeanField(t, seed, false), runMeanField(t, seed, true))
+			runMeanField(t, seed)
 		})
 	}
 }

@@ -35,8 +35,8 @@ type event struct {
 
 // before reports whether e precedes other in the engine's total event
 // order: earlier time first, then lower sequence number (FIFO among
-// same-time events). Every scheduler implementation must pop in exactly
-// this order — the golden figure outputs pin it.
+// same-time events). The scheduler must pop in exactly this order — the
+// golden figure outputs pin it.
 func (e *event) before(other *event) bool {
 	if e.at != other.at {
 		return e.at < other.at
@@ -48,8 +48,7 @@ func (e *event) before(other *event) bool {
 // FIFO so scheduling order is deterministic. The heap is hand-rolled over
 // a value slice: container/heap would force a per-event allocation and
 // dispatch every comparison through an interface. It serves as the
-// legacy whole-queue scheduler (the differential-testing oracle, see
-// UseLegacyHeap) and as the calendar queue's far-future overflow heap.
+// calendar queue's far-future overflow heap.
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
@@ -109,15 +108,12 @@ func (q *eventQueue) pop() event {
 // ordering, not goroutines, which keeps runs bit-for-bit reproducible.
 //
 // Events are scheduled through a calendar queue (see calendarQueue) whose
-// ring span tracks the gossip delay horizon; the pre-optimization binary
-// heap survives as a differential-testing oracle behind UseLegacyHeap and
-// the sim_legacy_heap build tag. Both schedulers pop in identical
-// (time, seq) order.
+// ring span tracks the gossip delay horizon. It pops in strict
+// (time, seq) order; the differential tests check that against a
+// reference heap.
 type Engine struct {
 	now     time.Duration
 	seq     uint64
-	legacy  bool
-	queue   eventQueue // legacy whole-queue heap (oracle scheduler)
 	cal     calendarQueue
 	stopped bool
 	seed    int64
@@ -129,25 +125,9 @@ type Engine struct {
 
 // NewEngine creates an engine whose random streams derive from seed.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{seed: seed, legacy: legacyHeapDefault}
-	if !e.legacy {
-		e.cal.init()
-	}
+	e := &Engine{seed: seed}
+	e.cal.init()
 	return e
-}
-
-// UseLegacyHeap switches the engine to the pre-calendar binary-heap
-// scheduler. It exists for differential testing — driving the same
-// schedule through both schedulers and asserting identical pop order —
-// and must be called before anything is scheduled. Building with
-// -tags sim_legacy_heap makes the heap the default for every engine,
-// turning the whole test suite into an oracle run.
-func (e *Engine) UseLegacyHeap() {
-	if e.Pending() > 0 || e.steps > 0 {
-		panic("sim: UseLegacyHeap called on a running engine")
-	}
-	e.legacy = true
-	e.cal = calendarQueue{} // release the unused calendar rings
 }
 
 // Reset rewinds the engine to a fresh post-NewEngine state for seed,
@@ -157,8 +137,7 @@ func (e *Engine) UseLegacyHeap() {
 // blocks to its freelist. Pop order is strict (at, seq) independent of
 // geometry, so a recycled engine is output-identical to NewEngine(seed)
 // while skipping the calendar warm-up — the run-pool arenas lean on
-// that. Any still-queued events are dropped. The scheduler selection
-// (legacy heap vs calendar) carries over.
+// that. Any still-queued events are dropped.
 func (e *Engine) Reset(seed int64) {
 	e.now = 0
 	e.seq = 0
@@ -166,11 +145,7 @@ func (e *Engine) Reset(seed int64) {
 	e.stopped = false
 	e.seed = seed
 	e.elided = 0
-	clear(e.queue)
-	e.queue = e.queue[:0]
-	if !e.legacy {
-		e.cal.reset()
-	}
+	e.cal.reset()
 }
 
 // HintHorizon tells the scheduler that hot-path events arrive at most
@@ -181,9 +156,7 @@ func (e *Engine) Reset(seed int64) {
 // hints its maximum hop delay (times the current delay factor) on
 // construction and on every SetDelayFactor call.
 func (e *Engine) HintHorizon(horizon time.Duration) {
-	if !e.legacy {
-		e.cal.hintHorizon(horizon)
-	}
+	e.cal.hintHorizon(horizon)
 }
 
 // SchedStats is a snapshot of the engine's scheduling counters, for
@@ -194,12 +167,11 @@ func (e *Engine) HintHorizon(horizon time.Duration) {
 // theirs at construction, which follows the arena's Reset).
 type SchedStats struct {
 	// Scheduled counts events pushed; Executed counts events popped and
-	// run. Both cover either scheduler.
+	// run.
 	Scheduled uint64
 	Executed  uint64
 	// Near/Far/Overflow split pushes by calendar route; Migrated counts
-	// far-ring events rehomed into the near ring. All zero under the
-	// legacy heap.
+	// far-ring events rehomed into the near ring.
 	Near     uint64
 	Far      uint64
 	Overflow uint64
@@ -227,9 +199,6 @@ func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of events still queued.
 func (e *Engine) Pending() int {
-	if e.legacy {
-		return len(e.queue)
-	}
 	return e.cal.len()
 }
 
@@ -273,11 +242,7 @@ func (e *Engine) pushEvent(ev event) {
 	}
 	e.seq++
 	ev.seq = e.seq
-	if e.legacy {
-		e.queue.push(ev)
-	} else {
-		e.cal.push(ev, e.now)
-	}
+	e.cal.push(ev, e.now)
 }
 
 // Elide accounts for an event the caller chose not to schedule because
@@ -292,25 +257,8 @@ func (e *Engine) Elide(delay time.Duration) {
 	}
 }
 
-// popEvent removes and returns the earliest pending event.
-func (e *Engine) popEvent() (event, bool) {
-	if e.legacy {
-		if len(e.queue) == 0 {
-			return event{}, false
-		}
-		return e.queue.pop(), true
-	}
-	return e.cal.pop(e.now)
-}
-
 // peekAt returns the timestamp of the earliest pending event.
 func (e *Engine) peekAt() (time.Duration, bool) {
-	if e.legacy {
-		if len(e.queue) == 0 {
-			return 0, false
-		}
-		return e.queue[0].at, true
-	}
 	ev := e.cal.peek(e.now)
 	if ev == nil {
 		return 0, false
@@ -321,7 +269,7 @@ func (e *Engine) peekAt() (time.Duration, bool) {
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	ev, ok := e.popEvent()
+	ev, ok := e.cal.pop(e.now)
 	if !ok {
 		return false
 	}

@@ -7,11 +7,8 @@ import (
 
 // benchQueueChurn drives a steady-state churn (pop one, push one) at a
 // given pending population with protocol-like uniform delays.
-func benchQueueChurn(b *testing.B, legacy bool, pending int) {
+func benchQueueChurn(b *testing.B, pending int) {
 	e := NewEngine(1)
-	if legacy {
-		e.UseLegacyHeap()
-	}
 	e.HintHorizon(1600 * time.Millisecond)
 	rng := NewRNG(1, "queuebench")
 	delays := make([]time.Duration, 8192)
@@ -29,10 +26,8 @@ func benchQueueChurn(b *testing.B, legacy bool, pending int) {
 	}
 }
 
-func BenchmarkQueueChurnCalendar16k(b *testing.B) { benchQueueChurn(b, false, 16384) }
-func BenchmarkQueueChurnHeap16k(b *testing.B)     { benchQueueChurn(b, true, 16384) }
-func BenchmarkQueueChurnCalendar1k(b *testing.B)  { benchQueueChurn(b, false, 1024) }
-func BenchmarkQueueChurnHeap1k(b *testing.B)      { benchQueueChurn(b, true, 1024) }
+func BenchmarkQueueChurnCalendar16k(b *testing.B) { benchQueueChurn(b, 16384) }
+func BenchmarkQueueChurnCalendar1k(b *testing.B)  { benchQueueChurn(b, 1024) }
 
 // BenchmarkQueueMeanFieldBurst replays the scheduling shape the sparse
 // protocol path had before it batched its mean-field deliveries per

@@ -25,21 +25,18 @@ func TestResetMatchesFresh(t *testing.T) {
 			warm := genOps(rng, 200, 2, delays)
 			ops := genOps(rng, 300, 3, delays)
 
-			fresh := runProgram(t, ops, false, 0)
+			fresh := runProgram(t, ops, 0)
 
 			recycled := NewEngine(99)
-			var warmLog []int
-			warmID := 0
+			warmRun := newRefEngine(t, recycled)
 			for i := range warm {
-				schedule(recycled, &warm[i], &warmID, &warmLog)
+				schedule(warmRun, &warm[i])
 			}
 			if seed%2 == 0 {
 				// Abandon mid-run: Reset must drop the queued remainder.
-				if err := recycled.Run(recycled.Now() + 300*time.Millisecond); err != nil {
-					t.Fatal(err)
-				}
-			} else if err := recycled.Run(0); err != nil {
-				t.Fatal(err)
+				warmRun.Run(recycled.Now() + 300*time.Millisecond)
+			} else {
+				warmRun.Run(0)
 			}
 
 			recycled.Reset(1) // runProgram's engines use seed 1
@@ -47,14 +44,12 @@ func TestResetMatchesFresh(t *testing.T) {
 				t.Fatalf("Reset left state: now=%v steps=%d pending=%d",
 					recycled.Now(), recycled.Steps(), recycled.Pending())
 			}
-			var log []int
-			id := 0
+			run := newRefEngine(t, recycled)
 			for i := range ops {
-				schedule(recycled, &ops[i], &id, &log)
+				schedule(run, &ops[i])
 			}
-			if err := recycled.Run(0); err != nil {
-				t.Fatal(err)
-			}
+			run.Run(0)
+			log := run.order
 
 			if len(log) != len(fresh) {
 				t.Fatalf("recycled executed %d events, fresh %d", len(log), len(fresh))

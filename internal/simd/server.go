@@ -362,7 +362,7 @@ func (s *Server) executeGrid(job *Job, workers int) error {
 	var prior []experiments.GridCellRecord
 	persist := s.cfg.DataDir != ""
 	if persist {
-		prior, err = experiments.LoadGridCheckpoint(s.ckptPath(fingerprint), fingerprint, experiments.ShardSpec{})
+		prior, err = experiments.LoadGridCheckpoint(s.ckptPath(fingerprint), cfg, fingerprint, experiments.ShardSpec{})
 		if err != nil {
 			return err
 		}

@@ -410,6 +410,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{Kind: KindGrid, Grid: &GridJobSpec{Scenarios: []string{"not_a_scenario"}}},
 		{Kind: KindGrid, Grid: &GridJobSpec{Seeds: -1}},
 		{Kind: KindGrid, Grid: &GridJobSpec{CommonSpec: CommonSpec{Sparse: "sideways"}}},
+		{Kind: KindGrid, Grid: &GridJobSpec{CommonSpec: CommonSpec{Weights: "zipf:1.1:0"}}},
 		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Scenario: "not_a_scenario"}},
 		{Kind: KindGrid, Scenario: &ScenarioJobSpec{}},
 	} {

@@ -81,15 +81,8 @@ func (b Backend) String() string {
 // ErrBadBackend flags an unknown Backend value.
 var ErrBadBackend = errors.New("weight: unknown backend")
 
-// ForLedger builds the selected ledger-backed oracle over l. Building
-// with -tags weight_ledgerdirect (or SetForceLedgerDirect) forces the
-// ledger-direct backend regardless of the selection — the differential-
-// oracle run that CI drives over the goldens, mirroring the legacy-heap
-// and deep-clone tags.
+// ForLedger builds the selected ledger-backed oracle over l.
 func ForLedger(l *ledger.Ledger, b Backend) (Oracle, error) {
-	if forceLedgerDirect {
-		b = BackendLedgerDirect
-	}
 	switch b {
 	case BackendLedgerDirect:
 		return NewLedgerDirect(l), nil

@@ -160,15 +160,12 @@ func TestRunnerIndexedDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx, ok := runner.Weights().(*weight.Index)
-	if ok == weight.ForcedLedgerDirect() {
-		t.Fatalf("backend selection: got %T with forced=%v", runner.Weights(), weight.ForcedLedgerDirect())
+	if !ok {
+		t.Fatalf("backend selection: got %T, want *weight.Index", runner.Weights())
 	}
 	direct := weight.NewLedgerDirect(runner.Canonical())
 	for r := 0; r < rounds; r++ {
 		runner.RunRounds(1)
-		if idx == nil {
-			continue // forced ledger-direct build: nothing to differentiate
-		}
 		round := runner.Canonical().Round()
 		for i := 0; i < nodes; i++ {
 			if got, want := idx.Weight(round, i), direct.Weight(round, i); got != want {
@@ -179,32 +176,13 @@ func TestRunnerIndexedDifferential(t *testing.T) {
 			t.Fatalf("round %d: TotalWeight drift %g", round, d)
 		}
 	}
-	if idx != nil && !mutated {
+	if !mutated {
 		t.Fatal("differential run never mutated the ledger; rewards did not fire")
-	}
-}
-
-// TestForLedgerForced pins the weight_ledgerdirect escape hatch: with the
-// force on, an indexed selection still builds the ledger-direct backend.
-func TestForLedgerForced(t *testing.T) {
-	stakes := genStakes(64, 5)
-	l := ledger.Genesis(stakes, sim.NewRNG(5, "weight.test.genesis"))
-	prev := weight.SetForceLedgerDirect(true)
-	defer weight.SetForceLedgerDirect(prev)
-	o, err := weight.ForLedger(l, weight.BackendIndexed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := o.(*weight.LedgerDirect); !ok {
-		t.Fatalf("forced build returned %T, want *weight.LedgerDirect", o)
 	}
 }
 
 // TestForLedgerBadBackend pins the error path.
 func TestForLedgerBadBackend(t *testing.T) {
-	if weight.ForcedLedgerDirect() {
-		t.Skip("forced ledger-direct build folds every selection to the default")
-	}
 	stakes := genStakes(16, 6)
 	l := ledger.Genesis(stakes, sim.NewRNG(6, "weight.test.genesis"))
 	if _, err := weight.ForLedger(l, weight.Backend(99)); err == nil {

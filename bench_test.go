@@ -443,8 +443,8 @@ func BenchmarkProtocolRoundSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkRewardDistribution measures both disbursement schemes over a
-// 10k-participant round.
+// BenchmarkRewardDistribution measures the disbursement under both reward
+// rules over a 10k-participant round.
 func BenchmarkRewardDistribution(b *testing.B) {
 	roles := protocol.RoundRoles{Round: 1}
 	for i := 0; i < 5; i++ {
@@ -456,20 +456,15 @@ func BenchmarkRewardDistribution(b *testing.B) {
 	for i := 100; i < 10_000; i++ {
 		roles.Others = append(roles.Others, protocol.RoleStake{ID: i, Stake: float64(i%200 + 1)})
 	}
-	b.Run("foundation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := (rewards.Foundation{}).Distribute(20, roles); err != nil {
-				b.Fatal(err)
+	for _, rule := range []game.RewardRule{game.FoundationRule{}, game.RoleBasedRule{Alpha: 0.02, Beta: 0.03}} {
+		b.Run(rule.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rewards.Distribute(rule, 20, roles); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("role-based", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := (rewards.RoleBased{Alpha: 0.02, Beta: 0.03}).Distribute(20, roles); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 func benchName(prefix string, v float64) string {

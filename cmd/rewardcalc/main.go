@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -103,6 +104,9 @@ func loadPopulation(file, dist string, nodes int, seed int64) (*stake.Population
 			if exponent, err = strconv.ParseFloat(e, 64); err != nil {
 				return nil, fmt.Errorf("bad zipf exponent %q: %w", e, err)
 			}
+			if math.IsNaN(exponent) || math.IsInf(exponent, 0) {
+				return nil, fmt.Errorf("bad zipf exponent %q: not finite", e)
+			}
 		} else if body != "" {
 			return nil, fmt.Errorf("unknown distribution %q", dist)
 		}
@@ -135,14 +139,18 @@ func readStakes(path string) (*stake.Population, error) {
 	defer f.Close()
 	var stakes []float64
 	sc := bufio.NewScanner(f)
-	for sc.Scan() {
+	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		v, err := strconv.ParseFloat(line, 64)
 		if err != nil {
-			return nil, fmt.Errorf("parse stake %q: %w", line, err)
+			return nil, fmt.Errorf("%s:%d: parse stake %q: %w", path, n, line, err)
+		}
+		// Zero is a legal (non-participating) balance; Algorithm 1 skips it.
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, fmt.Errorf("%s:%d: stake %q is not a finite non-negative number", path, n, line)
 		}
 		stakes = append(stakes, v)
 	}

@@ -37,16 +37,17 @@ func run() error {
 		return err
 	}
 
-	// 2. Run the BA* protocol for a few rounds, paying each round with the
-	//    role-based scheme at the Algorithm 1 reward.
+	// 2. Run the BA* protocol for a few rounds, paying each decided round's
+	//    20 Algos to its realised roles with the role-based split.
 	costs := game.DefaultRoleCosts()
-	scheme := rewards.RoleBased{Alpha: 0.02, Beta: 0.03}
+	rule := game.RoleBasedRule{Alpha: 0.02, Beta: 0.03}
 	behaviors := make([]protocol.Behavior, nodes)
 	for i := range behaviors {
 		behaviors[i] = protocol.Honest
 	}
 
 	var disbursed float64
+	var payErr error
 	runner, err := protocol.NewRunner(protocol.Config{
 		Params:    protocol.DefaultParams(),
 		Stakes:    pop.Stakes,
@@ -57,8 +58,9 @@ func run() error {
 			if !report.Decided {
 				return // no block, no reward
 			}
-			shares, err := scheme.Distribute(20, roles)
+			shares, err := rewards.Distribute(rule, 20, roles)
 			if err != nil {
+				payErr = err
 				return
 			}
 			disbursed += rewards.TotalOf(shares)
@@ -72,6 +74,9 @@ func run() error {
 	for _, rep := range runner.RunRounds(rounds) {
 		fmt.Printf("round %d: final %5.1f%%  tentative %5.1f%%  none %5.1f%%  (decided=%v)\n",
 			rep.Round, 100*rep.FinalFrac(), 100*rep.TentativeFrac(), 100*rep.NoneFrac(), rep.Decided)
+	}
+	if payErr != nil {
+		return fmt.Errorf("disbursement: %w", payErr)
 	}
 	fmt.Printf("disbursed %.2f Algos over %d rounds\n\n", disbursed, rounds)
 

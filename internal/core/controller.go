@@ -94,30 +94,21 @@ func InputsFromPopulation(pop *stake.Population, costs game.RoleCosts, opts Opti
 	}, nil
 }
 
-// InputsFromRoles derives Algorithm 1's inputs from an explicitly
-// realised role assignment (used when the protocol simulator reports who
-// actually led and voted).
-func InputsFromRoles(leaders, committee, others []float64, costs game.RoleCosts) (Inputs, error) {
-	sum := func(xs []float64) (total, minimum float64) {
-		for _, x := range xs {
-			total += x
-			if minimum == 0 || x < minimum {
-				minimum = x
-			}
-		}
-		return total, minimum
+// InputsFromGame derives Algorithm 1's inputs from a round game: the
+// role stake totals, the minimum leader and committee stakes, and the
+// minimum stake in the strong synchrony set as s*_k. It inverts
+// BuildGame.
+func InputsFromGame(g *game.Game) (Inputs, error) {
+	t := g.Totals()
+	in := Inputs{
+		SL: t.SL, SM: t.SM, SK: t.SK,
+		MinLeader: t.MinL, MinCommittee: t.MinM, MinOther: t.MinKSync,
+		Costs: g.Costs,
 	}
-	sl, minL := sum(leaders)
-	sm, minM := sum(committee)
-	sk, minK := sum(others)
-	if sl <= 0 || sm <= 0 || sk <= 0 {
-		return Inputs{}, errors.New("core: every role group needs positive stake")
+	if err := in.Validate(); err != nil {
+		return Inputs{}, err
 	}
-	return Inputs{
-		SL: sl, SM: sm, SK: sk,
-		MinLeader: minL, MinCommittee: minM, MinOther: minK,
-		Costs: costs,
-	}, nil
+	return in, nil
 }
 
 // ComputeParameters is Algorithm 1 end to end: derive the inputs from the

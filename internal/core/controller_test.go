@@ -73,13 +73,17 @@ func TestInputsFromPopulationErrors(t *testing.T) {
 	}
 }
 
-func TestInputsFromRoles(t *testing.T) {
-	in, err := InputsFromRoles(
-		[]float64{5, 10},
-		[]float64{3, 7, 2},
-		[]float64{100, 50},
-		game.DefaultRoleCosts(),
-	)
+func TestInputsFromGame(t *testing.T) {
+	var players []game.Player
+	add := func(role game.Role, stakes ...float64) {
+		for _, st := range stakes {
+			players = append(players, game.Player{ID: len(players), Role: role, Stake: st, InSyncSet: role == game.RoleOther})
+		}
+	}
+	add(game.RoleLeader, 5, 10)
+	add(game.RoleCommittee, 3, 7, 2)
+	add(game.RoleOther, 100, 50)
+	in, err := InputsFromGame(&game.Game{Players: players, Costs: game.DefaultRoleCosts(), B: 1, QuorumFrac: 0.685})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,8 @@ func TestInputsFromRoles(t *testing.T) {
 	if in.MinLeader != 5 || in.MinCommittee != 2 || in.MinOther != 50 {
 		t.Errorf("minimums = %+v", in)
 	}
-	if _, err := InputsFromRoles(nil, []float64{1}, []float64{1}, game.DefaultRoleCosts()); err == nil {
+	noLeader := &game.Game{Players: players[2:], Costs: game.DefaultRoleCosts(), B: 1, QuorumFrac: 0.685}
+	if _, err := InputsFromGame(noLeader); err == nil {
 		t.Error("empty leader group accepted")
 	}
 }
@@ -175,6 +180,13 @@ func TestBuildGameStakesMatchInputs(t *testing.T) {
 	}
 	if tt.MinL != in.MinLeader || tt.MinM != in.MinCommittee || tt.MinKSync != in.MinOther {
 		t.Errorf("game minimums %+v do not match inputs", tt)
+	}
+	back, err := InputsFromGame(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.SL != tt.SL || back.SM != tt.SM || back.SK != tt.SK || back.MinOther != in.MinOther || back.Costs != in.Costs {
+		t.Errorf("InputsFromGame(BuildGame(in)) = %+v, want %+v", back, in)
 	}
 }
 

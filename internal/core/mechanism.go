@@ -171,15 +171,7 @@ func finishParams(in Inputs, gamma, minB, aL, aM, kL, kM float64) (Params, error
 		MinB:  minB,
 		B:     minB * (1 + defaultMargin),
 	}
-	l, m, k := Bounds(in, p.Alpha, p.Beta)
-	switch {
-	case k >= l && k >= m:
-		p.Binding = "others"
-	case l >= m:
-		p.Binding = "leader"
-	default:
-		p.Binding = "committee"
-	}
+	p.Binding = binding(Bounds(in, p.Alpha, p.Beta))
 	if math.IsInf(BoundB(in, p.Alpha, p.Beta), 1) {
 		return Params{}, ErrInfeasible
 	}
@@ -217,14 +209,19 @@ func GridMinimize(in Inputs, steps int) (Params, error) {
 	if math.IsInf(best.MinB, 1) {
 		return Params{}, ErrInfeasible
 	}
-	l, m, k := Bounds(in, best.Alpha, best.Beta)
-	switch {
-	case k >= l && k >= m:
-		best.Binding = "others"
-	case l >= m:
-		best.Binding = "leader"
-	default:
-		best.Binding = "committee"
-	}
+	best.Binding = binding(Bounds(in, best.Alpha, best.Beta))
 	return best, nil
+}
+
+// binding names the largest of the three Theorem 3 bounds, the one that
+// sets B; ties go to "others", then "leader".
+func binding(leader, committee, others float64) string {
+	switch {
+	case others >= leader && others >= committee:
+		return "others"
+	case leader >= committee:
+		return "leader"
+	default:
+		return "committee"
+	}
 }

@@ -263,6 +263,12 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The population never changes, so one prefix sampler serves every
+	// round's role draws.
+	sampler := stake.NewWeightedSampler(pop)
+	if sampler == nil {
+		return nil, errors.New("evolution: population holds no stake")
+	}
 
 	// strat[i][r] is whether node i cooperates when holding role r.
 	strat := make([][3]bool, cfg.Nodes)
@@ -281,7 +287,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Config: cfg, Stats: make([]RoundStats, 0, cfg.Rounds)}
 	for round := 0; round < cfg.Rounds; round++ {
-		stats := playRound(cfg, pop, strat, inSync, rng)
+		stats := playRound(cfg, pop, sampler, strat, inSync, rng)
 		stats.Round = round + 1
 		var sl, sm, sk int
 		for i := range strat {
@@ -311,59 +317,53 @@ type roundState struct {
 	role   []game.Role
 	inSync []bool
 	coop   []bool
+	tally
 
 	sl, sm, sk       float64 // role stake totals (fixed)
-	online           float64
-	slCoopCount      int
-	smCoop           float64
 	syncTotal        int
-	syncCoop         int
-	effSL, effSM     float64 // cooperating pool stakes
-	effSK            float64 // everyone else (others + defecting L/M)
-	b, alpha, beta   float64
+	b                float64
+	rule             game.RewardRule
 	minL, minM, minK float64
 }
 
-func (st *roundState) produced() bool {
-	return st.slCoopCount > 0 &&
-		st.smCoop >= st.cfg.QuorumFrac*st.sm &&
-		(st.syncTotal == 0 || float64(st.syncCoop) >= st.cfg.SyncThreshold*float64(st.syncTotal))
+// tally is the part of a round's state that one strategy change moves.
+type tally struct {
+	leadersC, syncC int // cooperating leaders and sync-set members
+	// Pool stakes: cooperating leaders, cooperating committee members
+	// (the quorum's stake) and everyone else (others plus defecting L/M).
+	effSL, effSM, effSK float64
 }
 
-// producedIf evaluates the block predicate with node i's strategy flipped
-// to c.
-func (st *roundState) producedIf(i int, c bool) bool {
+// flip returns the tally with node i's strategy set to c.
+func (st *roundState) flip(i int, c bool) tally {
+	t := st.tally
 	if c == st.coop[i] {
-		return st.produced()
+		return t
 	}
-	lc, smC, syC := st.slCoopCount, st.smCoop, st.syncCoop
-	s := st.pop.Stakes[i]
+	one, s := 1, st.pop.Stakes[i]
+	if !c {
+		one, s = -1, -s
+	}
 	switch st.role[i] {
 	case game.RoleLeader:
-		if c {
-			lc++
-		} else {
-			lc--
-		}
+		t.leadersC += one
+		t.effSL, t.effSK = t.effSL+s, t.effSK-s
 	case game.RoleCommittee:
-		if c {
-			smC += s
-		} else {
-			smC -= s
-		}
+		t.effSM, t.effSK = t.effSM+s, t.effSK-s
 	}
 	// Synchrony-set membership is orthogonal to the round's role: every
 	// member relays, so its cooperation counts towards strong synchrony
 	// whatever role it drew.
 	if st.inSync[i] {
-		if c {
-			syC++
-		} else {
-			syC--
-		}
+		t.syncC += one
 	}
-	return lc > 0 && smC >= st.cfg.QuorumFrac*st.sm &&
-		(st.syncTotal == 0 || float64(syC) >= st.cfg.SyncThreshold*float64(st.syncTotal))
+	return t
+}
+
+// produced evaluates the block predicate on a tally.
+func (st *roundState) produced(t tally) bool {
+	return t.leadersC > 0 && t.effSM >= st.cfg.QuorumFrac*st.sm &&
+		(st.syncTotal == 0 || float64(t.syncC) >= st.cfg.SyncThreshold*float64(st.syncTotal))
 }
 
 // payoffIf evaluates node i's utility for strategy c against the current
@@ -373,88 +373,31 @@ func (st *roundState) payoffIf(i int, c bool) float64 {
 	if c {
 		cost = st.cfg.Costs.ForRole(st.role[i])
 	}
-	if st.b <= 0 || !st.producedIf(i, c) {
+	t := st.flip(i, c)
+	if st.b <= 0 || !st.produced(t) {
 		return -cost
 	}
-	s := st.pop.Stakes[i]
-	reward := 0.0
-	switch st.cfg.Scheme {
-	case SchemeFoundation:
-		reward = st.b * s / st.online
-	case SchemeRoleBased:
-		sl2, sm2, sk2 := st.effSL, st.effSM, st.effSK
-		if c != st.coop[i] {
-			switch st.role[i] {
-			case game.RoleLeader:
-				if c {
-					sl2, sk2 = sl2+s, sk2-s
-				} else {
-					sl2, sk2 = sl2-s, sk2+s
-				}
-			case game.RoleCommittee:
-				if c {
-					sm2, sk2 = sm2+s, sk2-s
-				} else {
-					sm2, sk2 = sm2-s, sk2+s
-				}
-			}
-		}
-		switch {
-		case st.role[i] == game.RoleLeader && c:
-			reward = st.alpha * st.b * s / sl2
-		case st.role[i] == game.RoleCommittee && c:
-			reward = st.beta * st.b * s / sm2
-		default:
-			if sk2 > 0 {
-				reward = (1 - st.alpha - st.beta) * st.b * s / sk2
-			}
-		}
+	rl, rm, rk := st.rule.Rates(st.b, t.effSL, t.effSM, t.effSK)
+	rate := rk
+	switch {
+	case c && st.role[i] == game.RoleLeader:
+		rate = rl
+	case c && st.role[i] == game.RoleCommittee:
+		rate = rm
 	}
-	return reward - cost
+	return rate*st.pop.Stakes[i] - cost
 }
 
-// apply flips node i's strategy to c, updating all aggregates.
+// apply sets node i's strategy to c.
 func (st *roundState) apply(i int, c bool) {
-	if c == st.coop[i] {
-		return
-	}
-	s := st.pop.Stakes[i]
-	switch st.role[i] {
-	case game.RoleLeader:
-		if c {
-			st.slCoopCount++
-			st.effSL += s
-			st.effSK -= s
-		} else {
-			st.slCoopCount--
-			st.effSL -= s
-			st.effSK += s
-		}
-	case game.RoleCommittee:
-		if c {
-			st.smCoop += s
-			st.effSM += s
-			st.effSK -= s
-		} else {
-			st.smCoop -= s
-			st.effSM -= s
-			st.effSK += s
-		}
-	}
-	if st.inSync[i] {
-		if c {
-			st.syncCoop++
-		} else {
-			st.syncCoop--
-		}
-	}
+	st.tally = st.flip(i, c)
 	st.coop[i] = c
 }
 
 // playRound samples roles, evaluates the round, records stats and applies
 // asynchronous best-response revisions to the role-conditional strategy
 // table.
-func playRound(cfg Config, pop *stake.Population, strat [][3]bool, inSync []bool, rng *rand.Rand) RoundStats {
+func playRound(cfg Config, pop *stake.Population, sampler *stake.WeightedSampler, strat [][3]bool, inSync []bool, rng *rand.Rand) RoundStats {
 	n := cfg.Nodes
 	st := &roundState{
 		cfg:    cfg,
@@ -469,7 +412,7 @@ func playRound(cfg Config, pop *stake.Population, strat [][3]bool, inSync []bool
 	drawn := make(map[int]struct{}, cfg.LeadersPerRound+cfg.CommitteePerRound)
 	draw := func(count int, r game.Role) {
 		for picked := 0; picked < count; {
-			i := pop.WeightedIndex(rng)
+			i := sampler.Sample(rng)
 			if _, dup := drawn[i]; dup {
 				continue
 			}
@@ -487,16 +430,15 @@ func playRound(cfg Config, pop *stake.Population, strat [][3]bool, inSync []bool
 		}
 		return cur
 	}
-	var nL, nLCoop, nM, nMCoop int
+	var nL, nM, nMCoop int
 	for i := 0; i < n; i++ {
 		s := pop.Stakes[i]
-		st.online += s
 		st.coop[i] = strat[i][roleIdx(st.role[i])]
 		if inSync[i] {
 			st.inSync[i] = true
 			st.syncTotal++
 			if st.coop[i] {
-				st.syncCoop++
+				st.syncC++
 			}
 		}
 		switch st.role[i] {
@@ -505,9 +447,8 @@ func playRound(cfg Config, pop *stake.Population, strat [][3]bool, inSync []bool
 			st.minL = minStake(st.minL, s)
 			nL++
 			if st.coop[i] {
-				st.slCoopCount++
+				st.leadersC++
 				st.effSL += s
-				nLCoop++
 			} else {
 				st.effSK += s
 			}
@@ -516,7 +457,6 @@ func playRound(cfg Config, pop *stake.Population, strat [][3]bool, inSync []bool
 			st.minM = minStake(st.minM, s)
 			nM++
 			if st.coop[i] {
-				st.smCoop += s
 				st.effSM += s
 				nMCoop++
 			} else {
@@ -535,6 +475,7 @@ func playRound(cfg Config, pop *stake.Population, strat [][3]bool, inSync []bool
 	switch cfg.Scheme {
 	case SchemeFoundation:
 		st.b = cfg.FoundationReward
+		st.rule = game.FoundationRule{}
 	case SchemeRoleBased:
 		in := core.Inputs{
 			SL: st.sl, SM: st.sm, SK: st.sk,
@@ -549,11 +490,11 @@ func playRound(cfg Config, pop *stake.Population, strat [][3]bool, inSync []bool
 		}
 		if params, err := core.Minimize(in); err == nil {
 			st.b = params.B * (1 + cfg.SafetyMargin)
-			st.alpha, st.beta = params.Alpha, params.Beta
+			st.rule = game.RoleBasedRule{Alpha: params.Alpha, Beta: params.Beta}
 		}
 	}
 
-	produced := st.produced()
+	produced := st.produced(st.tally)
 	var coopSum, defSum float64
 	var coopN, defN int
 	for i := 0; i < n; i++ {
@@ -575,13 +516,13 @@ func playRound(cfg Config, pop *stake.Population, strat [][3]bool, inSync []bool
 		stats.RewardB = st.b
 	}
 	if nL > 0 {
-		stats.CoopLeaders = float64(nLCoop) / float64(nL)
+		stats.CoopLeaders = float64(st.leadersC) / float64(nL)
 	}
 	if nM > 0 {
 		stats.CoopCommittee = float64(nMCoop) / float64(nM)
 	}
 	if st.syncTotal > 0 {
-		stats.CoopSyncSet = float64(st.syncCoop) / float64(st.syncTotal)
+		stats.CoopSyncSet = float64(st.syncC) / float64(st.syncTotal)
 	}
 	if coopN > 0 {
 		stats.MeanPayoffCoop = coopSum / float64(coopN)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 
 	"github.com/dsn2020-algorand/incentives/internal/core"
 	"github.com/dsn2020-algorand/incentives/internal/game"
@@ -75,7 +76,10 @@ func RunEquilibrium(cfg EquilibriumConfig) (*EquilibriumResult, error) {
 	}
 	audits, err := runpool.Sweep(cfg.Samples, cfg.Workers, func(s int) (sampleAudit, error) {
 		rng := sim.NewRNG(cfg.Seed+int64(s)*7919, "equilibrium")
-		g, in := sampleGame(cfg, rng)
+		g, in, err := sampleGame(cfg, rng)
+		if err != nil {
+			return sampleAudit{}, fmt.Errorf("sample %d: %w", s, err)
+		}
 		foundation := game.FoundationRule{}
 		var a sampleAudit
 
@@ -145,42 +149,21 @@ func RunEquilibrium(cfg EquilibriumConfig) (*EquilibriumResult, error) {
 // sampleGame builds a random role assignment and the matching Algorithm 1
 // inputs. Every "other" node is placed in the strong synchrony set so the
 // Theorem 3 bound must protect all of them.
-func sampleGame(cfg EquilibriumConfig, rng interface {
-	Float64() float64
-	Intn(int) int
-}) (*game.Game, core.Inputs) {
+func sampleGame(cfg EquilibriumConfig, rng *rand.Rand) (*game.Game, core.Inputs, error) {
 	players := make([]game.Player, 0, cfg.Leaders+cfg.Committee+cfg.Others)
-	id := 0
-	draw := func() float64 {
-		switch d := cfg.StakeDist.(type) {
-		case stake.Uniform:
-			return d.A + rng.Float64()*(d.B-d.A)
-		default:
-			return 1 + rng.Float64()*199
+	add := func(n int, role game.Role) {
+		for i := 0; i < n; i++ {
+			players = append(players, game.Player{
+				ID: len(players), Role: role, Stake: cfg.StakeDist.Sample(rng), InSyncSet: role == game.RoleOther,
+			})
 		}
 	}
-	var leaders, committee, others []float64
-	for i := 0; i < cfg.Leaders; i++ {
-		s := draw()
-		leaders = append(leaders, s)
-		players = append(players, game.Player{ID: id, Role: game.RoleLeader, Stake: s})
-		id++
-	}
-	for i := 0; i < cfg.Committee; i++ {
-		s := draw()
-		committee = append(committee, s)
-		players = append(players, game.Player{ID: id, Role: game.RoleCommittee, Stake: s})
-		id++
-	}
-	for i := 0; i < cfg.Others; i++ {
-		s := draw()
-		others = append(others, s)
-		players = append(players, game.Player{ID: id, Role: game.RoleOther, Stake: s, InSyncSet: true})
-		id++
-	}
+	add(cfg.Leaders, game.RoleLeader)
+	add(cfg.Committee, game.RoleCommittee)
+	add(cfg.Others, game.RoleOther)
 	g := &game.Game{Players: players, Costs: cfg.Costs, B: 1, QuorumFrac: 0.685}
-	in, _ := core.InputsFromRoles(leaders, committee, others, cfg.Costs)
-	return g, in
+	in, err := core.InputsFromGame(g)
+	return g, in, err
 }
 
 // AllHold reports whether every claim held on every sample.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 )
 
@@ -169,6 +170,29 @@ func TestEquilibriumValidation(t *testing.T) {
 	cfg.Leaders = 1
 	if _, err := RunEquilibrium(cfg); err == nil {
 		t.Error("single leader accepted (theorems need nL > 1)")
+	}
+}
+
+// TestEquilibriumSamplesConfiguredDistribution checks the audit draws
+// every player's stake from cfg.StakeDist and derives the inputs from the
+// same game.
+func TestEquilibriumSamplesConfiguredDistribution(t *testing.T) {
+	cfg := DefaultEquilibriumConfig()
+	cfg.StakeDist = stake.Constant{Value: 7}
+	g, in, err := sampleGame(cfg, sim.NewRNG(cfg.Seed, "equilibrium"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Players) != cfg.Leaders+cfg.Committee+cfg.Others {
+		t.Fatalf("%d players, want %d", len(g.Players), cfg.Leaders+cfg.Committee+cfg.Others)
+	}
+	for _, p := range g.Players {
+		if p.Stake != 7 {
+			t.Fatalf("player %d (%s) stake %v, want 7", p.ID, p.Role, p.Stake)
+		}
+	}
+	if in.SL != 7*float64(cfg.Leaders) || in.MinOther != 7 {
+		t.Errorf("inputs %+v do not match the sampled game", in)
 	}
 }
 

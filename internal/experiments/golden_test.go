@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/dsn2020-algorand/incentives/internal/evolution"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -140,6 +141,9 @@ func goldenCases() []goldenCase {
 			t.AddColumn("tightness", []float64{float64(res.Tightness) / n})
 			return t, nil
 		}},
+		{name: "evolution", run: func(workers int) (*stats.Table, error) {
+			return evolutionTable()
+		}},
 		{name: "weaksync", run: func(workers int) (*stats.Table, error) {
 			cfg := DefaultWeakSyncConfig()
 			cfg.Runs = 3
@@ -153,6 +157,40 @@ func goldenCases() []goldenCase {
 			return res.Table(), nil
 		}},
 	}
+}
+
+// evolutionTable pins the best-response dynamics at DefaultConfig under
+// both schemes, one column set per scheme. The mean-payoff diagnostics
+// are left out: no figure reads them.
+func evolutionTable() (*stats.Table, error) {
+	names := []string{"coop_all", "coop_leaders", "coop_committee", "coop_sync",
+		"produced", "reward_B", "strat_leaders", "strat_committee", "strat_others"}
+	t := &stats.Table{}
+	for _, scheme := range []evolution.SchemeKind{evolution.SchemeFoundation, evolution.SchemeRoleBased} {
+		res, err := evolution.Run(evolution.DefaultConfig(scheme))
+		if err != nil {
+			return nil, err
+		}
+		cols := make([][]float64, len(names))
+		for c := range cols {
+			cols[c] = make([]float64, len(res.Stats))
+		}
+		for i, s := range res.Stats {
+			produced := 0.0
+			if s.BlockProduced {
+				produced = 1
+			}
+			row := []float64{s.CoopAll, s.CoopLeaders, s.CoopCommittee, s.CoopSyncSet,
+				produced, s.RewardB, s.StratLeaders, s.StratCommittee, s.StratOthers}
+			for c, v := range row {
+				cols[c][i] = v
+			}
+		}
+		for c, name := range names {
+			t.AddColumn(scheme.String()+"_"+name, cols[c])
+		}
+	}
+	return t, nil
 }
 
 func goldenPath(name string) string {

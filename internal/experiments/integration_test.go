@@ -16,8 +16,9 @@ import (
 // would: the BA* simulator produces blocks and fees; the funding source
 // drips the Table III schedule into the Foundation pool and pays each
 // round's B_i; Algorithm 1 recomputes B_i from the live ledger stakes;
-// the role-based scheme disburses to the realised roles; and the credits
-// land back on the ledger.
+// the role-based rule disburses to the realised roles; and the credits
+// land back on the ledger. Each decided round's disbursement must also
+// equal the payoff game's payout on the same roles, under both rules.
 func TestFullPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("protocol simulation")
@@ -64,8 +65,11 @@ func TestFullPipeline(t *testing.T) {
 			if pool != "foundation" {
 				t.Errorf("round %d funded from %q", report.Round, pool)
 			}
-			scheme := rewards.RoleBased{Alpha: params.Alpha, Beta: params.Beta}
-			shares, err := scheme.Distribute(params.B, roles)
+			rule := game.RoleBasedRule{Alpha: params.Alpha, Beta: params.Beta}
+			for _, r := range []game.RewardRule{game.FoundationRule{}, rule} {
+				checkDistributeMatchesGame(t, r, params.B, roles)
+			}
+			shares, err := rewards.Distribute(rule, params.B, roles)
 			if err != nil {
 				t.Errorf("round %d: distribute: %v", report.Round, err)
 				return
@@ -115,5 +119,39 @@ func TestFullPipeline(t *testing.T) {
 	// Chain integrity end to end.
 	if err := runner.Canonical().VerifyChain(); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkDistributeMatchesGame builds the round game of a simulated round's
+// roles — leaders, committee and others, all cooperating — and checks that
+// rewards.Distribute pays every node what Game.Payout does.
+func checkDistributeMatchesGame(t *testing.T, rule game.RewardRule, b float64, roles protocol.RoundRoles) {
+	t.Helper()
+	g := &game.Game{B: b, Costs: game.DefaultRoleCosts(), QuorumFrac: 0.685}
+	for _, group := range []struct {
+		role    game.Role
+		members []protocol.RoleStake
+	}{{game.RoleLeader, roles.Leaders}, {game.RoleCommittee, roles.Committee}, {game.RoleOther, roles.Others}} {
+		for _, rs := range group.members {
+			g.Players = append(g.Players, game.Player{ID: rs.ID, Role: group.role, Stake: rs.Stake})
+		}
+	}
+	shares, err := rewards.Distribute(rule, b, roles)
+	if err != nil {
+		t.Errorf("round %d: %s: distribute: %v", roles.Round, rule.Name(), err)
+		return
+	}
+	paid := make(map[int]float64, len(shares))
+	for _, s := range shares {
+		paid[s.ID] += s.Amount
+	}
+	payout := g.Payout(rule, g.AllC(), true)
+	if len(paid) != len(g.Players) {
+		t.Errorf("round %d: %s: %d shares for %d players", roles.Round, rule.Name(), len(paid), len(g.Players))
+	}
+	for i, p := range g.Players {
+		if math.Abs(paid[p.ID]-payout[i]) > 1e-12 {
+			t.Errorf("round %d: %s: node %d distributed %v, game pays %v", roles.Round, rule.Name(), p.ID, paid[p.ID], payout[i])
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestFoundationPayoutProportional(t *testing.T) {
 	g := tinyGame(200) // B = S_N so the rate is exactly 1 Algo per stake
-	out := FoundationRule{}.Payout(g, g.AllC(), true)
+	out := g.Payout(FoundationRule{}, g.AllC(), true)
 	for i, p := range g.Players {
 		if math.Abs(out[i]-p.Stake) > 1e-9 {
 			t.Errorf("player %d payout %v, want %v", i, out[i], p.Stake)
@@ -18,7 +18,7 @@ func TestFoundationPayoutProportional(t *testing.T) {
 
 func TestFoundationPayoutNoBlock(t *testing.T) {
 	g := tinyGame(200)
-	out := FoundationRule{}.Payout(g, g.AllC(), false)
+	out := g.Payout(FoundationRule{}, g.AllC(), false)
 	for i, v := range out {
 		if v != 0 {
 			t.Errorf("player %d paid %v without a block", i, v)
@@ -31,7 +31,7 @@ func TestFoundationPaysDefectorsButNotOffline(t *testing.T) {
 	profile := g.AllC()
 	profile[5] = Defect
 	profile[4] = Offline
-	out := FoundationRule{}.Payout(g, profile, true)
+	out := g.Payout(FoundationRule{}, profile, true)
 	if out[4] != 0 {
 		t.Error("offline player received a reward")
 	}
@@ -48,7 +48,7 @@ func TestFoundationPaysDefectorsButNotOffline(t *testing.T) {
 func TestRoleBasedPayoutSplits(t *testing.T) {
 	g := tinyGame(100)
 	rule := RoleBasedRule{Alpha: 0.2, Beta: 0.3}
-	out := rule.Payout(g, g.AllC(), true)
+	out := g.Payout(rule, g.AllC(), true)
 	// Leaders share 20: stakes 10,20 of SL=30.
 	if math.Abs(out[0]-20.0/3) > 1e-9 || math.Abs(out[1]-40.0/3) > 1e-9 {
 		t.Errorf("leader payouts %v, %v", out[0], out[1])
@@ -70,7 +70,7 @@ func TestRoleBasedDefectingLeaderJoinsOthersPool(t *testing.T) {
 	rule := RoleBasedRule{Alpha: 0.2, Beta: 0.3}
 	profile := g.AllC()
 	profile[0] = Defect
-	out := rule.Payout(g, profile, g.BlockProduced(profile))
+	out := g.Payout(rule, profile, g.BlockProduced(profile))
 	gamma := 0.5
 	want := gamma * 100 * 10 / (120 + 10)
 	if math.Abs(out[0]-want) > 1e-9 {
@@ -128,29 +128,26 @@ func TestPayoffOfMatchesPayoffs(t *testing.T) {
 	}
 }
 
-// Property: both reward rules conserve value — payouts sum to B whenever a
-// block is produced and at least one player is eligible.
-func TestPayoutConservationProperty(t *testing.T) {
-	f := func(stakesRaw []uint16, aRaw, bRaw uint8) bool {
-		if len(stakesRaw) < 6 {
-			return true
+// Property: both rules conserve value — r^L·S_L + r^M·S_M + r^K·S_K = b
+// whenever anyone holds stake, empty groups included.
+func TestRatesConservationProperty(t *testing.T) {
+	f := func(raw [3]uint16, aRaw, bRaw uint8, reward uint16) bool {
+		var s [3]float64
+		for i, x := range raw {
+			if x%4 != 0 { // a quarter of the groups are empty
+				s[i] = float64(x%1000) + 1
+			}
 		}
-		g := tinyGame(0)
-		for i := range g.Players {
-			g.Players[i].Stake = float64(stakesRaw[i]%1000) + 1
-		}
-		g.B = 37.5
+		b := float64(reward) / 7
 		alpha := 0.01 + float64(aRaw%40)/100
 		beta := 0.01 + float64(bRaw%40)/100
-		rules := []RewardRule{FoundationRule{}, RoleBasedRule{Alpha: alpha, Beta: beta}}
-		profile := g.Theorem3Profile()
-		for _, rule := range rules {
-			out := rule.Payout(g, profile, true)
-			sum := 0.0
-			for _, v := range out {
-				sum += v
+		for _, rule := range []RewardRule{FoundationRule{}, RoleBasedRule{Alpha: alpha, Beta: beta}} {
+			rl, rm, rk := rule.Rates(b, s[0], s[1], s[2])
+			if rl < 0 || rm < 0 || rk < 0 {
+				return false
 			}
-			if math.Abs(sum-g.B) > 1e-6 {
+			paid := rl*s[0] + rm*s[1] + rk*s[2]
+			if s[0]+s[1]+s[2] > 0 && math.Abs(paid-b) > 1e-9*(1+b) {
 				return false
 			}
 		}
@@ -161,13 +158,57 @@ func TestPayoutConservationProperty(t *testing.T) {
 	}
 }
 
+// TestRoleBasedRatesFolding pins where an empty group's pool goes: α and
+// β to γ; γ to β, or to α when β is empty too.
+func TestRoleBasedRatesFolding(t *testing.T) {
+	rule := RoleBasedRule{Alpha: 0.2, Beta: 0.3}
+	for _, c := range []struct {
+		name                string
+		sl, sm, sk          float64
+		poolL, poolM, poolK float64 // expected rate × group stake
+	}{
+		{"all groups", 10, 20, 40, 20, 30, 50},
+		{"no leaders", 0, 20, 40, 0, 30, 70},
+		{"no committee", 10, 0, 40, 20, 0, 80},
+		{"no others", 10, 20, 0, 20, 80, 0},
+		{"leaders only", 10, 0, 0, 100, 0, 0},
+		{"committee only", 0, 20, 0, 0, 100, 0},
+		{"others only", 0, 0, 40, 0, 0, 100},
+		{"nobody", 0, 0, 0, 0, 0, 0},
+	} {
+		rl, rm, rk := rule.Rates(100, c.sl, c.sm, c.sk)
+		got := [3]float64{rl * c.sl, rm * c.sm, rk * c.sk}
+		want := [3]float64{c.poolL, c.poolM, c.poolK}
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				t.Errorf("%s: pools %v, want %v", c.name, got, want)
+				break
+			}
+		}
+	}
+}
+
+func TestRuleValidate(t *testing.T) {
+	if err := (FoundationRule{}).Validate(); err != nil {
+		t.Errorf("foundation rule invalid: %v", err)
+	}
+	if err := (RoleBasedRule{Alpha: 0.2, Beta: 0.3}).Validate(); err != nil {
+		t.Errorf("valid shares rejected: %v", err)
+	}
+	for _, r := range []RoleBasedRule{{Alpha: 0, Beta: 0.3}, {Alpha: 0.2, Beta: 0}, {Alpha: 0.7, Beta: 0.4}, {Alpha: 0.5, Beta: 0.5}} {
+		if r.Validate() == nil {
+			t.Errorf("shares α=%g β=%g accepted", r.Alpha, r.Beta)
+		}
+	}
+}
+
 // Property: foundation payouts are monotone in stake.
 func TestFoundationMonotoneProperty(t *testing.T) {
 	f := func(s1, s2 uint16) bool {
 		g := tinyGame(100)
 		g.Players[4].Stake = float64(s1%1000) + 1
 		g.Players[5].Stake = float64(s2%1000) + 1
-		out := FoundationRule{}.Payout(g, g.AllC(), true)
+		out := g.Payout(FoundationRule{}, g.AllC(), true)
 		if g.Players[4].Stake <= g.Players[5].Stake {
 			return out[4] <= out[5]+1e-12
 		}

@@ -76,9 +76,11 @@ func NewRegistry() *Registry {
 }
 
 // register returns the existing metric for (name, labels) or creates
-// one. Re-registration with a different kind panics: the catalog is
-// static and a kind clash is a programming error.
-func (r *Registry) register(name, labels, help string, kind Kind, wall bool) *metric {
+// one; bounds are a new histogram's bucket bounds. A metric is complete
+// before it is published, so a concurrent scrape never sees a histogram
+// without buckets. Re-registration with a different kind panics: the
+// catalog is static and a kind clash is a programming error.
+func (r *Registry) register(name, labels, help string, kind Kind, wall bool, bounds []float64) *metric {
 	key := name + "\x00" + labels
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -95,7 +97,10 @@ func (r *Registry) register(name, labels, help string, kind Kind, wall bool) *me
 	case KindGauge:
 		m.gauge = &Gauge{}
 	case KindHistogram:
-		m.hist = &Histogram{}
+		m.hist = &Histogram{
+			bounds:  append([]float64(nil), bounds...),
+			buckets: make([]atomic.Uint64, len(bounds)+1),
+		}
 	}
 	r.metrics = append(r.metrics, m)
 	r.byKey[key] = m
@@ -107,7 +112,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, "", help, KindCounter, false).ctr
+	return r.register(name, "", help, KindCounter, false, nil).ctr
 }
 
 // WallCounter registers a counter of wall-clock quantities (elapsed
@@ -116,7 +121,7 @@ func (r *Registry) WallCounter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, "", help, KindCounter, true).ctr
+	return r.register(name, "", help, KindCounter, true, nil).ctr
 }
 
 // WallCounterVec registers a wall counter carrying one fixed label pair,
@@ -125,7 +130,7 @@ func (r *Registry) WallCounterVec(name, label, value, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, label+`="`+escapeLabel(value)+`"`, help, KindCounter, true).ctr
+	return r.register(name, label+`="`+escapeLabel(value)+`"`, help, KindCounter, true, nil).ctr
 }
 
 // CounterVec registers a deterministic counter carrying one fixed label
@@ -134,7 +139,7 @@ func (r *Registry) CounterVec(name, label, value, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, label+`="`+escapeLabel(value)+`"`, help, KindCounter, false).ctr
+	return r.register(name, label+`="`+escapeLabel(value)+`"`, help, KindCounter, false, nil).ctr
 }
 
 // Gauge registers an instantaneous gauge. Gauges are always excluded
@@ -143,7 +148,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, "", help, KindGauge, true).gauge
+	return r.register(name, "", help, KindGauge, true, nil).gauge
 }
 
 // Histogram registers a deterministic fixed-bucket histogram. bounds are
@@ -153,9 +158,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m := r.register(name, "", help, KindHistogram, false)
-	m.hist.init(bounds)
-	return m.hist
+	return r.register(name, "", help, KindHistogram, false, bounds).hist
 }
 
 // snapshot returns the registered metrics sorted by (name, labels) for
@@ -267,14 +270,6 @@ type Histogram struct {
 	buckets []atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
-}
-
-func (h *Histogram) init(bounds []float64) {
-	if h == nil || h.bounds != nil {
-		return
-	}
-	h.bounds = append([]float64(nil), bounds...)
-	h.buckets = make([]atomic.Uint64, len(bounds)+1)
 }
 
 // Observe records one observation.

@@ -308,3 +308,32 @@ func TestHistogramObserveBoundaries(t *testing.T) {
 		t.Fatal("+Inf observation missed the overflow bucket")
 	}
 }
+
+// A scrape racing a histogram's first registration must see it complete:
+// the exporter once indexed a published histogram before its buckets
+// were allocated. Run under -race to catch the unordered access.
+func TestScrapeDuringHistogramRegistration(t *testing.T) {
+	r := NewRegistry()
+	stop, done := make(chan struct{}), make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+				if err := r.WritePrometheus(io.Discard); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		r.Histogram(fmt.Sprintf("sim_h%d", i), "", []float64{1, 2, 4}).Observe(3)
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

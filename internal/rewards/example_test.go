@@ -3,6 +3,7 @@ package rewards_test
 import (
 	"fmt"
 
+	"github.com/dsn2020-algorand/incentives/internal/game"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/rewards"
 )
@@ -25,16 +26,16 @@ func ExampleSchedule_RoundReward() {
 	// round 5500001: 76 Algos
 }
 
-// ExampleRoleBased_Distribute splits a 100-Algo round reward with
+// ExampleDistribute splits a 100-Algo round reward with
 // (α, β) = (0.2, 0.3): 20 to the leaders, 30 to the committee, 50 to the
 // other online nodes, each pool by stake.
-func ExampleRoleBased_Distribute() {
+func ExampleDistribute() {
 	roles := protocol.RoundRoles{
 		Leaders:   []protocol.RoleStake{{ID: 0, Stake: 30}},
 		Committee: []protocol.RoleStake{{ID: 1, Stake: 10}, {ID: 2, Stake: 40}},
 		Others:    []protocol.RoleStake{{ID: 3, Stake: 100}},
 	}
-	shares, err := rewards.RoleBased{Alpha: 0.2, Beta: 0.3}.Distribute(100, roles)
+	shares, err := rewards.Distribute(game.RoleBasedRule{Alpha: 0.2, Beta: 0.3}, 100, roles)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

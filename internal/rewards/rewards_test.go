@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/dsn2020-algorand/incentives/internal/game"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 )
 
@@ -143,7 +144,7 @@ func testRoles() protocol.RoundRoles {
 }
 
 func TestFoundationDistribute(t *testing.T) {
-	shares, err := Foundation{}.Distribute(200, testRoles())
+	shares, err := Distribute(game.FoundationRule{}, 200, testRoles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestFoundationDistribute(t *testing.T) {
 }
 
 func TestRoleBasedDistribute(t *testing.T) {
-	shares, err := RoleBased{Alpha: 0.2, Beta: 0.3}.Distribute(100, testRoles())
+	shares, err := Distribute(game.RoleBasedRule{Alpha: 0.2, Beta: 0.3}, 100, testRoles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestRoleBasedDistribute(t *testing.T) {
 func TestRoleBasedEmptyGroupFolding(t *testing.T) {
 	roles := testRoles()
 	roles.Leaders = nil // no leader this round: α pool folds into γ
-	shares, err := RoleBased{Alpha: 0.2, Beta: 0.3}.Distribute(100, roles)
+	shares, err := Distribute(game.RoleBasedRule{Alpha: 0.2, Beta: 0.3}, 100, roles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestRoleBasedEmptyGroupFolding(t *testing.T) {
 func TestRoleBasedNoOthers(t *testing.T) {
 	roles := testRoles()
 	roles.Others = nil // γ pool folds into the committee
-	shares, err := RoleBased{Alpha: 0.2, Beta: 0.3}.Distribute(100, roles)
+	shares, err := Distribute(game.RoleBasedRule{Alpha: 0.2, Beta: 0.3}, 100, roles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,26 +205,20 @@ func TestRoleBasedNoOthers(t *testing.T) {
 }
 
 func TestDistributeErrors(t *testing.T) {
-	if _, err := (Foundation{}).Distribute(-1, testRoles()); err == nil {
+	if _, err := Distribute(game.FoundationRule{}, -1, testRoles()); err == nil {
 		t.Error("negative reward accepted")
 	}
-	if _, err := (Foundation{}).Distribute(10, protocol.RoundRoles{}); !errors.Is(err, ErrNoParticipants) {
+	if _, err := Distribute(game.FoundationRule{}, 10, protocol.RoundRoles{}); !errors.Is(err, ErrNoParticipants) {
 		t.Errorf("empty roles err = %v", err)
 	}
-	if _, err := (RoleBased{Alpha: 0, Beta: 0.3}).Distribute(10, testRoles()); err == nil {
+	if _, err := Distribute(game.RoleBasedRule{Alpha: 0, Beta: 0.3}, 10, testRoles()); err == nil {
 		t.Error("alpha=0 accepted")
 	}
-	if _, err := (RoleBased{Alpha: 0.7, Beta: 0.4}).Distribute(10, testRoles()); err == nil {
+	if _, err := Distribute(game.RoleBasedRule{Alpha: 0.7, Beta: 0.4}, 10, testRoles()); err == nil {
 		t.Error("alpha+beta>1 accepted")
 	}
-	if _, err := (RoleBased{Alpha: 0.2, Beta: 0.3}).Distribute(-5, testRoles()); err == nil {
+	if _, err := Distribute(game.RoleBasedRule{Alpha: 0.2, Beta: 0.3}, -5, testRoles()); err == nil {
 		t.Error("negative reward accepted by role-based")
-	}
-}
-
-func TestSchemeNames(t *testing.T) {
-	if (Foundation{}).Name() != "foundation" || (RoleBased{}).Name() != "role-based" {
-		t.Error("scheme names")
 	}
 }
 
@@ -235,7 +230,7 @@ func sharesByID(shares []Share) map[int]float64 {
 	return m
 }
 
-// Property: both schemes conserve value for arbitrary stake assignments.
+// Property: both rules conserve value for arbitrary stake assignments.
 func TestDistributeConservationProperty(t *testing.T) {
 	f := func(stakes [6]uint16, b uint16) bool {
 		roles := testRoles()
@@ -246,8 +241,8 @@ func TestDistributeConservationProperty(t *testing.T) {
 		roles.Others[0].Stake = float64(stakes[4]%500) + 1
 		roles.Others[1].Stake = float64(stakes[5]%500) + 1
 		reward := float64(b) / 7
-		for _, scheme := range []Scheme{Foundation{}, RoleBased{Alpha: 0.1, Beta: 0.25}} {
-			shares, err := scheme.Distribute(reward, roles)
+		for _, rule := range []game.RewardRule{game.FoundationRule{}, game.RoleBasedRule{Alpha: 0.1, Beta: 0.25}} {
+			shares, err := Distribute(rule, reward, roles)
 			if err != nil {
 				return false
 			}

@@ -1,8 +1,9 @@
 // Package rewards implements Algorand's reward machinery: the Foundation
 // reward pool with its 1.75-billion-Algo ceiling, the transaction-fee
-// pool, the 12-period reward schedule of Table III, and the two
-// disbursement schemes the paper compares — the Foundation's
-// stake-proportional split and the proposed role-based split.
+// pool, the 12-period reward schedule of Table III, and the per-round
+// disbursement of a reward over a simulated round's roles under either
+// of the splits the paper compares (game.FoundationRule and
+// game.RoleBasedRule).
 package rewards
 
 import (

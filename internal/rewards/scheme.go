@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/dsn2020-algorand/incentives/internal/game"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 )
 
@@ -13,129 +14,44 @@ type Share struct {
 	Amount float64
 }
 
-// Scheme turns a per-round reward B_i and the realised round roles into
-// per-node payouts. Implementations must conserve value: payouts sum to
-// B_i (up to rounding) whenever at least one node is eligible.
-type Scheme interface {
-	// Name identifies the scheme in experiment output.
-	Name() string
-	// Distribute splits b Algos over the round participants.
-	Distribute(b float64, roles protocol.RoundRoles) ([]Share, error)
-}
-
 // ErrNoParticipants is returned when a round has nobody to pay.
 var ErrNoParticipants = errors.New("rewards: no participants to reward")
 
-// Foundation is the Algorand Foundation proposal (Eq. 3): everyone online
-// is paid b · s_j / S_N regardless of role.
-type Foundation struct{}
-
-var _ Scheme = Foundation{}
-
-// Name implements Scheme.
-func (Foundation) Name() string { return "foundation" }
-
-// Distribute implements Scheme.
-func (Foundation) Distribute(b float64, roles protocol.RoundRoles) ([]Share, error) {
-	if b < 0 {
-		return nil, fmt.Errorf("rewards: negative reward %g", b)
-	}
-	all := make([]protocol.RoleStake, 0,
-		len(roles.Leaders)+len(roles.Committee)+len(roles.Others))
-	all = append(all, roles.Leaders...)
-	all = append(all, roles.Committee...)
-	all = append(all, roles.Others...)
-	total := 0.0
-	for _, rs := range all {
-		total += rs.Stake
-	}
-	if total <= 0 {
-		return nil, ErrNoParticipants
-	}
-	shares := make([]Share, 0, len(all))
-	for _, rs := range all {
-		shares = append(shares, Share{ID: rs.ID, Amount: b * rs.Stake / total})
-	}
-	return shares, nil
-}
-
-// RoleBased is the paper's mechanism (Eq. 5): αb to leaders, βb to
-// committee members, (1−α−β)b to the remaining online nodes, each pool
-// split by stake within the group. When a group is empty its pool is
-// redistributed to the "others" pool so value is conserved.
-type RoleBased struct {
-	Alpha, Beta float64
-}
-
-var _ Scheme = RoleBased{}
-
-// Name implements Scheme.
-func (r RoleBased) Name() string { return "role-based" }
-
-// Gamma returns 1 − α − β.
-func (r RoleBased) Gamma() float64 { return 1 - r.Alpha - r.Beta }
-
-// Validate checks 0 < α, β and α + β < 1.
-func (r RoleBased) Validate() error {
-	if r.Alpha <= 0 || r.Beta <= 0 || r.Alpha+r.Beta >= 1 {
-		return fmt.Errorf("rewards: invalid shares α=%g β=%g", r.Alpha, r.Beta)
-	}
-	return nil
-}
-
-// Distribute implements Scheme.
-func (r RoleBased) Distribute(b float64, roles protocol.RoundRoles) ([]Share, error) {
-	if err := r.Validate(); err != nil {
+// Distribute splits the round reward b over the realised round roles
+// under rule: leaders are paid r^L, committee members r^M and the other
+// online nodes r^K per unit of stake (see game.RewardRule). It returns
+// one share per participant, leaders first, then committee, then others.
+// The payouts sum to b (up to rounding).
+func Distribute(rule game.RewardRule, b float64, roles protocol.RoundRoles) ([]Share, error) {
+	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
 	if b < 0 {
 		return nil, fmt.Errorf("rewards: negative reward %g", b)
 	}
-	stakeOf := func(rs []protocol.RoleStake) float64 {
-		t := 0.0
-		for _, x := range rs {
-			t += x.Stake
-		}
-		return t
-	}
 	sl, sm, sk := stakeOf(roles.Leaders), stakeOf(roles.Committee), stakeOf(roles.Others)
 	if sl+sm+sk <= 0 {
 		return nil, ErrNoParticipants
 	}
-
-	alphaPool, betaPool, gammaPool := r.Alpha*b, r.Beta*b, r.Gamma()*b
-	if sl <= 0 {
-		gammaPool += alphaPool
-		alphaPool = 0
-	}
-	if sm <= 0 {
-		gammaPool += betaPool
-		betaPool = 0
-	}
-	if sk <= 0 {
-		// No plain online nodes: fold γ into the committee (or leaders).
-		switch {
-		case sm > 0:
-			betaPool += gammaPool
-		default:
-			alphaPool += gammaPool
-		}
-		gammaPool = 0
-	}
-
-	var shares []Share
-	appendPool := func(pool float64, group []protocol.RoleStake, total float64) {
-		if pool <= 0 || total <= 0 {
-			return
-		}
+	rl, rm, rk := rule.Rates(b, sl, sm, sk)
+	shares := make([]Share, 0, len(roles.Leaders)+len(roles.Committee)+len(roles.Others))
+	pay := func(rate float64, group []protocol.RoleStake) {
 		for _, rs := range group {
-			shares = append(shares, Share{ID: rs.ID, Amount: pool * rs.Stake / total})
+			shares = append(shares, Share{ID: rs.ID, Amount: rate * rs.Stake})
 		}
 	}
-	appendPool(alphaPool, roles.Leaders, sl)
-	appendPool(betaPool, roles.Committee, sm)
-	appendPool(gammaPool, roles.Others, sk)
+	pay(rl, roles.Leaders)
+	pay(rm, roles.Committee)
+	pay(rk, roles.Others)
 	return shares, nil
+}
+
+func stakeOf(group []protocol.RoleStake) float64 {
+	t := 0.0
+	for _, rs := range group {
+		t += rs.Stake
+	}
+	return t
 }
 
 // TotalOf sums the amounts of a share list.

@@ -50,8 +50,7 @@ func TestWeightedSamplerSkipsZeroStake(t *testing.T) {
 	}
 }
 
-// Property: the sampler agrees with the linear-scan WeightedIndex in
-// distribution — both always return valid indices with positive stake.
+// Property: the sampler always returns a valid index with positive stake.
 func TestWeightedSamplerValidIndexProperty(t *testing.T) {
 	f := func(raw []uint16, seed int64) bool {
 		if len(raw) == 0 {

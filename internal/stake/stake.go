@@ -266,30 +266,12 @@ func (p *Population) Transfer(i, j int, amount float64) float64 {
 	return amount
 }
 
-// WeightedIndex samples an account index with probability proportional to
-// its stake, mirroring how the paper picks transacting nodes ("nodes with
-// higher stakes would be selected more often"). It scans linearly; for
-// repeated draws build a WeightedSampler instead.
-func (p *Population) WeightedIndex(rng *rand.Rand) int {
-	total := p.Total()
-	if total <= 0 || len(p.Stakes) == 0 {
-		return 0
-	}
-	target := rng.Float64() * total
-	acc := 0.0
-	for i, s := range p.Stakes {
-		acc += s
-		if target < acc {
-			return i
-		}
-	}
-	return len(p.Stakes) - 1
-}
-
 // WeightedSampler draws stake-proportional account indices in O(log n)
-// per draw after an O(n) build, using prefix sums and binary search. It
-// snapshots the stakes at construction time; rebuild it after transfers
-// if exact proportionality to the updated balances matters.
+// per draw after an O(n) build, using prefix sums and binary search, the
+// way the paper picks transacting nodes ("nodes with higher stakes would
+// be selected more often"). It snapshots the stakes at construction
+// time; rebuild it after transfers if exact proportionality to the
+// updated balances matters.
 type WeightedSampler struct {
 	prefix []float64
 }

@@ -202,20 +202,6 @@ func TestTransferConservesTotal(t *testing.T) {
 	}
 }
 
-func TestWeightedIndexBias(t *testing.T) {
-	p := &Population{Stakes: []float64{1, 99}}
-	rng := testRNG()
-	hits := 0
-	for i := 0; i < 10_000; i++ {
-		if p.WeightedIndex(rng) == 1 {
-			hits++
-		}
-	}
-	if hits < 9700 || hits > 9990 {
-		t.Errorf("heavy account drawn %d/10000, want ~9900", hits)
-	}
-}
-
 func TestClone(t *testing.T) {
 	p := &Population{Stakes: []float64{1, 2}}
 	q := p.Clone()

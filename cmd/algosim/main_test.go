@@ -14,6 +14,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"fractions over 1": {"-defect", "0.6", "-malicious", "0.6"},
 		"zero runs":        {"-runs", "0"},
 		"sparse frac taus": {"-sparse", "on", "-tauStep", "0.5"},
+		"NaN tauStep":      {"-nodes", "40", "-rounds", "2", "-runs", "1", "-tauStep", "NaN"},
+		"infinite tauStep": {"-nodes", "40", "-rounds", "2", "-runs", "1", "-tauStep", "+Inf"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	benchgen [-out DIR] [-full] [-workers N] [-pr N] [-benchout FILE] [table3|fig3|fig5|fig6|fig7|equilibrium|bench|all]
+//	benchgen [-out DIR] [-full] [-workers N] [table3|fig3|fig5|fig6|fig7|equilibrium|all]
 //	benchgen [-largeNodes N] [-largeRounds N] [-largeRuns N] fig3large
-//	benchgen [-baseline FILE] -candidate FILE compare
 //	benchgen -promfile FILE [-requireFamilies a,b,c] promlint
 //
 // With -full, the paper-scale configurations are used (500k nodes, 100-200
@@ -20,25 +19,6 @@
 // CI smokes (0 keeps the LargeFig3Config defaults). It writes
 // fig3large_<nodes>.csv; the paper's fig3 target is untouched.
 //
-// The bench target measures the hot-path workloads (one BA* round, one
-// sortition selection, a Fig. 3-class simulation, a 50k-node sparse
-// round) plus the deterministic headline figure metrics and writes them
-// as JSON to -benchout (default BENCH_<pr>.json, with <pr> from -pr),
-// the persisted perf trajectory future PRs compare against; see README
-// "Benchmark pipeline".
-//
-// The compare target is the CI benchmark-regression gate: it diffs the
-// -candidate BENCH file against -baseline (default: the newest
-// checked-in BENCH_<n>.json) and exits non-zero on a >20% ns/op or an
-// over-slack allocs/op regression in the gated workloads, or on any
-// headline figure metric diff. The ns/op gate and the tight allocs
-// slack only apply when both files provably ran on the same hardware
-// (matching CPU model); against unknown hardware the allocs slack
-// widens and ns/op is advisory. With -selfcheck the target instead
-// measures the current build twice in-process and fails when the gate
-// rules cannot tell the two runs apart — that failure indicts the gate
-// configuration (tolerances too tight for the runner), not the build.
-//
 // The promlint target validates a captured /metrics scrape (-promfile)
 // as well-formed Prometheus text exposition and checks the families
 // named by -requireFamilies are present — the CI metrics-smoke job's
@@ -47,8 +27,8 @@
 // -metricsAddr serves the live telemetry registry (/metrics,
 // /debug/vars, /debug/pprof) while targets run; -trace records a
 // Chrome-trace timeline of the first simulated run of the fig3 or
-// fig3large target. Both are observation-only: every CSV and BENCH
-// file stays byte-identical with them on or off.
+// fig3large target. Both are observation-only: every CSV stays
+// byte-identical with them on or off.
 package main
 
 import (
@@ -83,11 +63,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		outDir      = fs.String("out", "results", "output directory for CSV files")
 		full        = fs.Bool("full", false, "use paper-scale configurations")
 		workers     = cliutil.Workers(fs)
-		benchPR     = fs.Int("pr", 0, "PR number recorded in the bench target's JSON (also names the default -benchout file); required by the bench target")
-		benchOut    = fs.String("benchout", "", "output path for the bench target's JSON (default BENCH_<pr>.json)")
-		baseline    = fs.String("baseline", "", "compare target: baseline BENCH file (default: highest-numbered BENCH_<n>.json in the working directory)")
-		candidate   = fs.String("candidate", "", "compare target: candidate BENCH file (default: the -benchout/-pr path)")
-		selfCheck   = fs.Bool("selfcheck", false, "compare target: instead of diffing files, measure the current build twice and fail if the gate rules cannot tell the two runs apart — a gate-configuration check, not a build check")
 		largeNodes  = fs.Int("largeNodes", 500_000, "fig3large: population size")
 		largeRounds = fs.Int("largeRounds", 0, "fig3large: rounds per run (0 = LargeFig3Config default)")
 		largeRuns   = fs.Int("largeRuns", 0, "fig3large: runs per defection rate (0 = LargeFig3Config default)")
@@ -107,12 +82,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			err = cerr
 		}
 	}()
-	if *benchOut == "" && *benchPR > 0 {
-		*benchOut = fmt.Sprintf("BENCH_%d.json", *benchPR)
-	}
-	if *candidate == "" {
-		*candidate = *benchOut
-	}
 
 	targets := fs.Args()
 	if len(targets) == 0 || (len(targets) == 1 && targets[0] == "all") {
@@ -153,20 +122,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			err = genSensitivity(stdout, *outDir)
 		case "mixed":
 			err = genMixed(stdout, *outDir, *workers)
-		case "bench":
-			// Refuse to guess the PR number: defaulting it would let a
-			// future PR silently overwrite an older BENCH_<pr>.json.
-			if *benchPR <= 0 {
-				err = fmt.Errorf("-pr is required (e.g. -pr 2 writes BENCH_2.json)")
-			} else {
-				err = genBench(*benchOut, *benchPR)
-			}
-		case "compare":
-			if *selfCheck {
-				err = runSelfCheck(*benchPR)
-			} else {
-				err = runCompare(*baseline, *candidate)
-			}
 		case "promlint":
 			err = runPromLint(*promFile, *promWant)
 		default:

@@ -9,10 +9,8 @@ import (
 func TestRunRejectsBadFlags(t *testing.T) {
 	out := t.TempDir()
 	for name, args := range map[string][]string{
-		"unknown flag":     {"-no-such-flag"},
-		"unknown target":   {"-out", out, "fig99"},
-		"bench needs pr":   {"-out", out, "bench"},
-		"compare no files": {"-out", out, "-candidate", filepath.Join(out, "missing.json"), "compare"},
+		"unknown flag":   {"-no-such-flag"},
+		"unknown target": {"-out", out, "fig99"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -25,6 +25,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"merge mixes shard":     {"-full", "-mergeShards", "-shard", "0/2"},
 		"merge mixes resume":    {"-full", "-mergeShards", "-resume"},
 		"merge empty out dir":   {"-full", "-mergeShards", "-out", t.TempDir()},
+		"NaN tauStep":           {"-nodes", "40", "-rounds", "2", "-runs", "1", "-tauStep", "NaN", "-out", t.TempDir(), "honest_baseline"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

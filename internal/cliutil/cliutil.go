@@ -81,7 +81,7 @@ func Sparse(fs *flag.FlagSet) *SparseFlags {
 }
 
 // Resolve parses the mode and applies the tau overrides to the default
-// protocol params.
+// protocol params, rejecting params that fail Params.Validate.
 func (s *SparseFlags) Resolve() (protocol.SparseMode, protocol.Params, error) {
 	mode, err := protocol.ParseSparseMode(*s.mode)
 	if err != nil {
@@ -93,6 +93,9 @@ func (s *SparseFlags) Resolve() (protocol.SparseMode, protocol.Params, error) {
 	}
 	if *s.tauFinal != 0 {
 		params.TauFinal = *s.tauFinal
+	}
+	if err := params.Validate(); err != nil {
+		return 0, protocol.Params{}, err
 	}
 	return mode, params, nil
 }

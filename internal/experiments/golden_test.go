@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/evolution"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
@@ -144,6 +145,7 @@ func goldenCases() []goldenCase {
 		{name: "evolution", run: func(workers int) (*stats.Table, error) {
 			return evolutionTable()
 		}},
+		{name: "headlines", run: headlinesTable},
 		{name: "weaksync", run: func(workers int) (*stats.Table, error) {
 			cfg := DefaultWeakSyncConfig()
 			cfg.Runs = 3
@@ -190,6 +192,79 @@ func evolutionTable() (*stats.Table, error) {
 			t.AddColumn(scheme.String()+"_"+name, cols[c])
 		}
 	}
+	return t, nil
+}
+
+// headlinesTable pins one headline value per experiment family in a
+// one-row table: Fig. 3's mean final fraction at 15% defection, Table
+// III's period-1 per-round reward, Fig. 5's grid-search B*, the eclipse
+// scenario's mean final fraction, and, from one streamed pass over a
+// 2×2 -full grid, the cells' mean final fraction and the merged p50 of
+// the per-round final fraction.
+func headlinesTable(workers int) (*stats.Table, error) {
+	fig3 := DefaultFig3Config()
+	fig3.Runs = 1
+	fig3.Rounds = 5
+	fig3.DefectionRates = []float64{0.15}
+	fig3.Workers = workers
+	res3, err := RunFig3(fig3)
+	if err != nil {
+		return nil, err
+	}
+	res3T, err := RunTable3()
+	if err != nil {
+		return nil, err
+	}
+	fig5 := DefaultFig5Config()
+	fig5.Workers = workers
+	res5, err := RunFig5(fig5)
+	if err != nil {
+		return nil, err
+	}
+	scn := DefaultScenarioConfig(adversary.EclipseEquivocation)
+	scn.Nodes = 60
+	scn.Rounds = 8
+	scn.Runs = 2
+	scn.Workers = workers
+	scnRes, err := RunScenario(scn)
+	if err != nil {
+		return nil, err
+	}
+	grid := FullScenarioGridConfig()
+	grid.Scenarios = []string{adversary.HonestBaseline, "crash_churn"}
+	grid.Seeds = []int64{1, 2}
+	grid.Nodes = 60
+	grid.Rounds = 6
+	grid.Workers = workers
+	var cells gridCells
+	summary := NewSummarySink(0)
+	if err := StreamScenarioGrid(grid, MultiSink(&cells, summary), StreamOptions{}); err != nil {
+		return nil, err
+	}
+	gridFinal := 0.0
+	for _, c := range cells {
+		gridFinal += c.Audit.MeanFinalFrac
+	}
+	summaryTable, err := summary.Table()
+	if err != nil {
+		return nil, err
+	}
+	var p50 []float64
+	for _, col := range summaryTable.Columns {
+		if col.Name == "p50" {
+			p50 = col.Values[:1]
+		}
+	}
+	if p50 == nil {
+		return nil, fmt.Errorf("stream summary has no p50 column")
+	}
+	t := &stats.Table{}
+	t.AddColumn("fig3_mean_final_d15", []float64{res3.Series[0].MeanFinal()})
+	t.AddColumn("table3_per_round_period1", []float64{res3T.Rows[0].PerRound})
+	t.AddColumn("fig5_min_b_grid", []float64{res5.GridBest.B})
+	t.AddColumn("scenario_eclipse_mean_final", []float64{scnRes.Audit.MeanFinalFrac})
+	t.AddColumn("full_grid_mean_final", []float64{gridFinal / float64(len(cells))})
+	t.AddColumn("full_grid_stream_p50_final", p50)
 	return t, nil
 }
 

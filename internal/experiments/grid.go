@@ -3,11 +3,9 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
-	"github.com/dsn2020-algorand/incentives/internal/runpool"
 	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
@@ -70,13 +68,6 @@ type GridCell struct {
 	Audit adversary.Report
 }
 
-// ScenarioGridResult is the completed grid, cells in scenario-major
-// order (matching Config.Scenarios × Config.Seeds).
-type ScenarioGridResult struct {
-	Config ScenarioGridConfig
-	Cells  []GridCell
-}
-
 // resolveGrid validates the grid config (applying the StakeDist
 // default) and resolves every scenario up front so an unknown name
 // fails before any cell burns cycles.
@@ -119,17 +110,8 @@ func checkGridCell(cfg *ScenarioGridConfig, index int, scenario string, seed int
 	return nil
 }
 
-// simulateGridCell runs one grid cell. rows supplies the three
-// aggregation rows by slot (the materialized path carves them from a
-// slab); a nil rows allocates them.
-func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, cell int, arena *protocol.Arena, rows func(slot int) []float64) (GridCell, error) {
-	if rows == nil {
-		backing := make([]float64, 3*cfg.Rounds)
-		rows = func(slot int) []float64 {
-			lo := (slot % 3) * cfg.Rounds
-			return backing[lo : lo+cfg.Rounds : lo+cfg.Rounds]
-		}
-	}
+// simulateGridCell runs one grid cell.
+func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, cell int, arena *protocol.Arena) (GridCell, error) {
 	si, ki := cell/len(cfg.Seeds), cell%len(cfg.Seeds)
 	seed := cfg.Seeds[ki]
 	out := GridCell{Scenario: cfg.Scenarios[si], Seed: seed}
@@ -166,9 +148,9 @@ func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, ce
 	if err != nil {
 		return out, err
 	}
-	out.Final = rows(3 * cell)
-	out.Tentative = rows(3*cell + 1)
-	out.None = rows(3*cell + 2)
+	n := cfg.Rounds
+	rows := make([]float64, 3*n)
+	out.Final, out.Tentative, out.None = rows[:n:n], rows[n:2*n:2*n], rows[2*n:]
 	for round, report := range runner.RunRounds(cfg.Rounds) {
 		out.Final[round] = report.FinalFrac()
 		out.Tentative[round] = report.TentativeFrac()
@@ -176,47 +158,6 @@ func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, ce
 	}
 	out.Audit = eng.Audit().Report()
 	return out, nil
-}
-
-// RunScenarioGrid executes every cell through the deterministic run
-// pool and returns them in grid order — the materialize-everything
-// path, which retains O(cells × rounds) rows. When cfg.Sink is set the
-// completed grid is also replayed into it cell by cell; grids too large
-// to materialize stream through StreamScenarioGrid instead.
-func RunScenarioGrid(cfg ScenarioGridConfig) (*ScenarioGridResult, error) {
-	scenarios, err := resolveGrid(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Sink = instrumentSink(cfg.Sink)
-	cells := len(cfg.Scenarios) * len(cfg.Seeds)
-	slab := runpool.NewFloatSlab(3*cells, cfg.Rounds)
-	results, err := runpool.SweepWithState(cells, cfg.Workers,
-		func(int) *protocol.Arena { return protocol.NewArena() },
-		func(cell int, arena *protocol.Arena) (GridCell, error) {
-			return simulateGridCell(cfg, scenarios, cell, arena, slab.Row)
-		})
-	if err != nil {
-		return nil, err
-	}
-	r := &ScenarioGridResult{Config: cfg, Cells: results}
-	if cfg.Sink != nil {
-		for i := range results {
-			if err := emitGridCell(cfg.Sink, Cell{Index: i, Name: results[i].Scenario, Seed: results[i].Seed}, &results[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return r, nil
-}
-
-// SafetyViolations sums conflicting-finalisation rounds across the grid.
-func (r *ScenarioGridResult) SafetyViolations() int {
-	total := 0
-	for _, c := range r.Cells {
-		total += c.Audit.SafetyViolations
-	}
-	return total
 }
 
 // Table renders one cell's per-round outcome fractions.
@@ -268,8 +209,8 @@ func (c *GridCell) AuditTable() *stats.Table {
 // gridSummaryTable renders grid cells as one row each: the scenario's
 // grid index, the seed, and the audit counters. cells carries global
 // cell indices (scenario-major × seed) so a shard's partial summary and
-// a merged full summary derive scenario_idx and seed identically to the
-// materialized path; reports is aligned with cells.
+// a merged full summary derive scenario_idx and seed identically to an
+// unsharded run; reports is aligned with cells.
 func gridSummaryTable(cfg ScenarioGridConfig, cells []int, reports []adversary.Report) *stats.Table {
 	t := &stats.Table{}
 	idx := make([]float64, len(cells))
@@ -282,34 +223,4 @@ func gridSummaryTable(cfg ScenarioGridConfig, cells []int, reports []adversary.R
 	t.AddColumn("seed", seeds)
 	auditTableColumns(t, reports)
 	return t
-}
-
-// SummaryTable renders the whole grid, one row per cell: the scenario's
-// grid index, the seed, and the audit counters. Scenario names map to
-// indices in Config.Scenarios order (stats tables are numeric); the
-// textual summary carries the names.
-func (r *ScenarioGridResult) SummaryTable() *stats.Table {
-	cells := make([]int, len(r.Cells))
-	reports := make([]adversary.Report, len(r.Cells))
-	for i, c := range r.Cells {
-		cells[i] = i
-		reports[i] = c.Audit
-	}
-	return gridSummaryTable(r.Config, cells, reports)
-}
-
-// WriteSummary prints one line per cell plus the grid verdict.
-func (r *ScenarioGridResult) WriteSummary(w io.Writer) error {
-	for _, c := range r.Cells {
-		if _, err := fmt.Fprintf(w, "%-22s seed %-3d ", c.Scenario, c.Seed); err != nil {
-			return err
-		}
-		if err := c.Audit.WriteSummary(w); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "grid: %d cells (%d scenarios x %d seeds), %d nodes, %d rounds/cell, safety violations %d\n",
-		len(r.Cells), len(r.Config.Scenarios), len(r.Config.Seeds),
-		r.Config.Nodes, r.Config.Rounds, r.SafetyViolations())
-	return err
 }

@@ -202,6 +202,6 @@ func runOwnedCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, cell i
 	if opt.Interrupt != nil && opt.Interrupt() {
 		return gridCellOut{}, ErrInterrupted
 	}
-	c, err := simulateGridCell(cfg, scenarios, cell, arena, nil)
+	c, err := simulateGridCell(cfg, scenarios, cell, arena)
 	return gridCellOut{cell: c}, err
 }

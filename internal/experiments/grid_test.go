@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
+	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
 
 func smallGridConfig() ScenarioGridConfig {
@@ -15,10 +16,60 @@ func smallGridConfig() ScenarioGridConfig {
 	return cfg
 }
 
-func gridDigest(t *testing.T, res *ScenarioGridResult) string {
+// gridCells collects a grid's event stream back into GridCells, in
+// stream order.
+type gridCells []GridCell
+
+func (s *gridCells) CellStart(cell Cell, _ []string) error {
+	*s = append(*s, GridCell{Scenario: cell.Name, Seed: cell.Seed})
+	return nil
+}
+
+func (s *gridCells) Row(_ Cell, row Row) error {
+	c := &(*s)[len(*s)-1]
+	c.Final = append(c.Final, row.Values[0])
+	c.Tentative = append(c.Tentative, row.Values[1])
+	c.None = append(c.None, row.Values[2])
+	return nil
+}
+
+func (s *gridCells) AuditEvent(_ Cell, report adversary.Report) error {
+	(*s)[len(*s)-1].Audit = report
+	return nil
+}
+
+func (s *gridCells) CellDone(Cell) error { return nil }
+
+// streamGrid runs cfg through StreamScenarioGrid and returns its cells.
+func streamGrid(cfg ScenarioGridConfig) ([]GridCell, error) {
+	var cells gridCells
+	err := StreamScenarioGrid(cfg, &cells, StreamOptions{})
+	return cells, err
+}
+
+// gridSummary renders whole-grid cells as full_grid_summary.csv's table.
+func gridSummary(cfg ScenarioGridConfig, cells []GridCell) *stats.Table {
+	idx := make([]int, len(cells))
+	reports := make([]adversary.Report, len(cells))
+	for i, c := range cells {
+		idx[i], reports[i] = i, c.Audit
+	}
+	return gridSummaryTable(cfg, idx, reports)
+}
+
+// gridSafetyViolations sums conflicting-finalisation rounds across cells.
+func gridSafetyViolations(cells []GridCell) int {
+	total := 0
+	for _, c := range cells {
+		total += c.Audit.SafetyViolations
+	}
+	return total
+}
+
+func gridDigest(t *testing.T, cells []GridCell) string {
 	t.Helper()
 	out := ""
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		table, err := marshalTable(c.Table())
 		if err != nil {
 			t.Fatal(err)
@@ -40,14 +91,14 @@ func TestScenarioGridShapeAndSafety(t *testing.T) {
 		t.Skip("protocol simulation")
 	}
 	cfg := smallGridConfig()
-	res, err := RunScenarioGrid(cfg)
+	cells, err := streamGrid(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 4 {
-		t.Fatalf("got %d cells, want 4", len(res.Cells))
+	if len(cells) != 4 {
+		t.Fatalf("got %d cells, want 4", len(cells))
 	}
-	for i, c := range res.Cells {
+	for i, c := range cells {
 		wantScn := cfg.Scenarios[i/2]
 		wantSeed := cfg.Seeds[i%2]
 		if c.Scenario != wantScn || c.Seed != wantSeed {
@@ -60,10 +111,10 @@ func TestScenarioGridShapeAndSafety(t *testing.T) {
 			t.Fatalf("cell %d has %d per-round rows, want %d", i, len(c.Final), cfg.Rounds)
 		}
 	}
-	if v := res.SafetyViolations(); v != 0 {
+	if v := gridSafetyViolations(cells); v != 0 {
 		t.Fatalf("safety violated %d times on bundled scenarios", v)
 	}
-	if got := res.SummaryTable().Columns[0].Name; got != "scenario_idx" {
+	if got := gridSummary(cfg, cells).Columns[0].Name; got != "scenario_idx" {
 		t.Fatalf("summary table first column %q", got)
 	}
 }
@@ -80,11 +131,11 @@ func TestScenarioGridDeterministicAcrossWorkers(t *testing.T) {
 	var first string
 	for _, workers := range []int{1, 2, 3, 8} {
 		cfg.Workers = workers
-		res, err := RunScenarioGrid(cfg)
+		cells, err := streamGrid(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		digest := gridDigest(t, res)
+		digest := gridDigest(t, cells)
 		if first == "" {
 			first = digest
 		} else if digest != first {
@@ -97,7 +148,7 @@ func TestScenarioGridDeterministicAcrossWorkers(t *testing.T) {
 func TestScenarioGridUnknownScenario(t *testing.T) {
 	cfg := smallGridConfig()
 	cfg.Scenarios = []string{"no_such_scenario"}
-	if _, err := RunScenarioGrid(cfg); err == nil {
+	if _, err := streamGrid(cfg); err == nil {
 		t.Fatal("unknown scenario did not error")
 	}
 }

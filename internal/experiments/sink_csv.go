@@ -10,13 +10,13 @@ import (
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
 
-// GridCSVSink renders a streamed grid as the exact files the
-// materialized -full path wrote: full_<scenario>_s<seed>.csv and
-// full_<scenario>_s<seed>_audit.csv per cell, plus the audit-counter
-// summary (full_grid_summary.csv) on Close. Only the current cell's
-// rows are buffered — cells arrive strictly in index order and one at
-// a time, so the sink's live row count is O(rounds), not
-// O(cells × rounds); PeakBufferedRows pins that in the budget test.
+// GridCSVSink renders a streamed grid as the -full path's files:
+// full_<scenario>_s<seed>.csv and full_<scenario>_s<seed>_audit.csv
+// per cell, plus the audit-counter summary (full_grid_summary.csv) on
+// Close. Only the current cell's rows are buffered — cells arrive
+// strictly in index order and one at a time, so the sink's live row
+// count is O(rounds), not O(cells × rounds); PeakBufferedRows pins that
+// in the budget test.
 // Restored cells skip the file writes (their files were produced by
 // the interrupted run) but still contribute to the summary. File names
 // come from the cell identity, so CellStart refuses any cell that is
@@ -146,8 +146,8 @@ func (s *GridCSVSink) writeCSV(name string, table *stats.Table) error {
 	return nil
 }
 
-// GridTextSink reproduces the materialized path's per-cell stdout
-// lines ("<scenario> seed <n> <audit summary>") as cells complete.
+// GridTextSink prints the -full path's per-cell stdout lines
+// ("<scenario> seed <n> <audit summary>") as cells complete.
 type GridTextSink struct {
 	W io.Writer
 }

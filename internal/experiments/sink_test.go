@@ -94,22 +94,25 @@ func csvBytes(t *testing.T, table *stats.Table) []byte {
 	return buf.Bytes()
 }
 
-// materializeGrid is the reference model for StreamScenarioGrid, the
+// materializeCells is the reference model for StreamScenarioGrid, the
 // collect-then-replay execution streaming replaced: every cell is
-// computed into one slab and retained, then replayed into the sink in
-// ascending order.
-func materializeGrid(cfg ScenarioGridConfig, sink Sink) error {
+// computed and retained, in grid order.
+func materializeCells(cfg ScenarioGridConfig) ([]GridCell, error) {
 	scenarios, err := resolveGrid(&cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cells := len(cfg.Scenarios) * len(cfg.Seeds)
-	slab := runpool.NewFloatSlab(3*cells, cfg.Rounds)
-	results, err := runpool.SweepWithState(cells, cfg.Workers,
+	return runpool.SweepWithState(len(cfg.Scenarios)*len(cfg.Seeds), cfg.Workers,
 		func(int) *protocol.Arena { return protocol.NewArena() },
 		func(cell int, arena *protocol.Arena) (GridCell, error) {
-			return simulateGridCell(cfg, scenarios, cell, arena, slab.Row)
+			return simulateGridCell(cfg, scenarios, cell, arena)
 		})
+}
+
+// materializeGrid replays materializeCells' grid into the sink in
+// ascending order.
+func materializeGrid(cfg ScenarioGridConfig, sink Sink) error {
+	results, err := materializeCells(cfg)
 	if err != nil {
 		return err
 	}
@@ -174,31 +177,6 @@ func TestStreamShardsPartitionGrid(t *testing.T) {
 		if !reflect.DeepEqual(merged, whole.events) {
 			t.Fatalf("%d-way shard reassembly differs from unsharded stream", n)
 		}
-	}
-}
-
-// TestRunScenarioGridReplaysSink pins that the materializing entry
-// point replays the identical event stream into cfg.Sink.
-func TestRunScenarioGridReplaysSink(t *testing.T) {
-	if testing.Short() {
-		t.Skip("protocol simulation")
-	}
-	cfg := smallGridConfig()
-	streamed := newRecordingSink()
-	if err := StreamScenarioGrid(cfg, streamed, StreamOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	replayed := newRecordingSink()
-	cfg.Sink = replayed
-	res, err := RunScenarioGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replayed.events, streamed.events) {
-		t.Fatal("RunScenarioGrid sink replay differs from StreamScenarioGrid")
-	}
-	if len(res.Cells) != replayed.cellCount() {
-		t.Fatalf("replayed %d cells, materialized %d", replayed.cellCount(), len(res.Cells))
 	}
 }
 
@@ -272,11 +250,11 @@ func TestGridCSVSinkMatchesMaterializedTables(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenarioGrid(cfg)
+	cells, err := materializeCells(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		base := fmt.Sprintf("full_%s_s%d", c.Scenario, c.Seed)
 		got, err := os.ReadFile(filepath.Join(dir, base+".csv"))
 		if err != nil {
@@ -297,17 +275,17 @@ func TestGridCSVSinkMatchesMaterializedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, csvBytes(t, res.SummaryTable())) {
+	if !bytes.Equal(got, csvBytes(t, gridSummary(cfg, cells))) {
 		t.Fatal("full_grid_summary.csv differs from materialized summary")
 	}
-	if sink.CellsSeen() != len(res.Cells) {
-		t.Fatalf("sink saw %d cells, want %d", sink.CellsSeen(), len(res.Cells))
+	if sink.CellsSeen() != len(cells) {
+		t.Fatalf("sink saw %d cells, want %d", sink.CellsSeen(), len(cells))
 	}
 	if sink.PeakBufferedRows() != cfg.Rounds {
 		t.Fatalf("peak buffered rows %d, want %d (one cell)", sink.PeakBufferedRows(), cfg.Rounds)
 	}
-	if v := sink.SafetyViolations(); v != res.SafetyViolations() {
-		t.Fatalf("sink safety violations %d, materialized %d", v, res.SafetyViolations())
+	if v, want := sink.SafetyViolations(), gridSafetyViolations(cells); v != want {
+		t.Fatalf("sink safety violations %d, materialized %d", v, want)
 	}
 }
 

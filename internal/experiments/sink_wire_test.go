@@ -113,7 +113,7 @@ func TestStreamCachedReplayByteIdentical(t *testing.T) {
 		t.Skip("grid simulation in -short mode")
 	}
 	cfg := smallGridConfig()
-	res, err := RunScenarioGrid(cfg)
+	cells, err := materializeCells(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +121,9 @@ func TestStreamCachedReplayByteIdentical(t *testing.T) {
 	if err := StreamScenarioGrid(cfg, NewWireSink(&fresh), StreamOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	cached := make(map[int]*GridCell, len(res.Cells))
-	for i := range res.Cells {
-		cached[i] = &res.Cells[i]
+	cached := make(map[int]*GridCell, len(cells))
+	for i := range cells {
+		cached[i] = &cells[i]
 	}
 	var warm bytes.Buffer
 	if err := StreamScenarioGrid(cfg, NewWireSink(&warm), StreamOptions{Cached: cached}); err != nil {
@@ -157,11 +157,11 @@ func TestStreamInterruptSparesCachedCells(t *testing.T) {
 		t.Skip("grid simulation in -short mode")
 	}
 	cfg := smallGridConfig()
-	res, err := RunScenarioGrid(cfg)
+	cells, err := materializeCells(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := map[int]*GridCell{0: &res.Cells[0]}
+	cached := map[int]*GridCell{0: &cells[0]}
 	rec := newRecordingSink()
 	err = StreamScenarioGrid(cfg, rec, StreamOptions{Cached: cached, Interrupt: func() bool { return true }})
 	if !errors.Is(err, ErrInterrupted) {

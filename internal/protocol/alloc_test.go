@@ -10,12 +10,12 @@ import (
 )
 
 // roundAllocBudget is the loud-failure ceiling for one steady-state BA*
-// round of a 100-node honest network. The allocation-lean hot path runs
-// ~1.6k allocs/round (it was ~670k before the slab/cache work); the
-// budget leaves headroom for noise while still failing hard if payload
-// pooling, the sortition cache, or the event queue regress to per-call
-// allocation.
-const roundAllocBudget = 20_000
+// round of a 100-node honest network. A warm round allocates 683 times
+// on Go 1.24 (with or without -race and the metrics registry; it was
+// ~670k before the slab/cache work); the budget leaves headroom for
+// toolchain drift while still failing if payload pooling, the sortition
+// cache or the event queue regress to per-call allocation.
+const roundAllocBudget = 1_000
 
 func TestRoundAllocBudget(t *testing.T) {
 	stakes := make([]float64, 100)
@@ -37,6 +37,7 @@ func TestRoundAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		runner.RunRounds(1)
 	})
+	t.Logf("one warm round: %.0f allocs", allocs)
 	if allocs > roundAllocBudget {
 		t.Errorf("one round allocates %.0f times, budget %d — the allocation-lean hot path regressed", allocs, roundAllocBudget)
 	}

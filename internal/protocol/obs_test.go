@@ -92,6 +92,7 @@ func TestRoundAllocBudgetWithMetrics(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		runner.RunRounds(1)
 	})
+	t.Logf("one warm instrumented round: %.0f allocs", allocs)
 	if allocs > roundAllocBudget {
 		t.Errorf("one instrumented round allocates %.0f times, budget %d — telemetry leaked onto the hot path", allocs, roundAllocBudget)
 	}

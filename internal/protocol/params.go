@@ -8,6 +8,7 @@ package protocol
 
 import (
 	"errors"
+	"math"
 	"time"
 )
 
@@ -66,18 +67,20 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Each check is written so that
+// NaN fails it.
 func (p Params) Validate() error {
+	positiveFinite := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 	switch {
-	case p.TauProposer <= 0:
-		return errors.New("protocol: TauProposer must be positive")
-	case p.TauStep <= 0:
-		return errors.New("protocol: TauStep must be positive")
-	case p.TauFinal <= 0:
-		return errors.New("protocol: TauFinal must be positive")
-	case p.ThresholdStep <= 0.5 || p.ThresholdStep >= 1:
+	case !positiveFinite(p.TauProposer):
+		return errors.New("protocol: TauProposer must be positive and finite")
+	case !positiveFinite(p.TauStep):
+		return errors.New("protocol: TauStep must be positive and finite")
+	case !positiveFinite(p.TauFinal):
+		return errors.New("protocol: TauFinal must be positive and finite")
+	case !(p.ThresholdStep > 0.5 && p.ThresholdStep < 1):
 		return errors.New("protocol: ThresholdStep must be in (0.5, 1)")
-	case p.ThresholdFinal <= 0.5 || p.ThresholdFinal >= 1:
+	case !(p.ThresholdFinal > 0.5 && p.ThresholdFinal < 1):
 		return errors.New("protocol: ThresholdFinal must be in (0.5, 1)")
 	case p.ProposalTimeout <= 0 || p.StepTimeout <= 0:
 		return errors.New("protocol: timeouts must be positive")

@@ -51,6 +51,13 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.ProposalTimeout = 0 },
 		func(p *Params) { p.StepTimeout = -time.Second },
 		func(p *Params) { p.MaxBinarySteps = 0 },
+		func(p *Params) { p.TauProposer = math.NaN() },
+		func(p *Params) { p.TauStep = math.NaN() },
+		func(p *Params) { p.TauStep = math.Inf(1) },
+		func(p *Params) { p.TauFinal = math.NaN() },
+		func(p *Params) { p.TauFinal = math.Inf(1) },
+		func(p *Params) { p.ThresholdStep = math.NaN() },
+		func(p *Params) { p.ThresholdFinal = math.NaN() },
 	}
 	for i, m := range mutations {
 		p := DefaultParams()

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -403,20 +404,49 @@ func TestScenarioJob(t *testing.T) {
 	}
 }
 
-func TestSubmitRejectsBadSpecs(t *testing.T) {
-	_, _, client := startDaemon(t, "", 2)
-	for _, req := range []JobRequest{
+// badJobRequests are specs the daemon must refuse at POST, before
+// queueing: each fails normalize, fingerprint or Config.
+func badJobRequests() []JobRequest {
+	return []JobRequest{
 		{Kind: "nope"},
 		{Kind: KindGrid, Grid: &GridJobSpec{Scenarios: []string{"not_a_scenario"}}},
 		{Kind: KindGrid, Grid: &GridJobSpec{Seeds: -1}},
+		{Kind: KindGrid, Grid: &GridJobSpec{Seeds: maxGridSeeds + 1}},
+		{Kind: KindGrid, Grid: &GridJobSpec{Nodes: -5}},
+		{Kind: KindGrid, Grid: &GridJobSpec{Rounds: -1}},
 		{Kind: KindGrid, Grid: &GridJobSpec{CommonSpec: CommonSpec{Sparse: "sideways"}}},
 		{Kind: KindGrid, Grid: &GridJobSpec{CommonSpec: CommonSpec{Weights: "zipf:1.1:0"}}},
+		{Kind: KindGrid, Grid: &GridJobSpec{CommonSpec: CommonSpec{TauStep: -1}}},
 		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Scenario: "not_a_scenario"}},
+		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Nodes: -5}},
+		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Rounds: -1}},
+		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Runs: -1}},
+		{Kind: KindScenario, Scenario: &ScenarioJobSpec{CommonSpec: CommonSpec{TauFinal: -1}}},
 		{Kind: KindGrid, Scenario: &ScenarioJobSpec{}},
-	} {
+	}
+}
+
+func TestSubmitRejectsBadSpecs(t *testing.T) {
+	daemon, _, client := startDaemon(t, "", 2)
+	for _, req := range badJobRequests() {
 		if _, err := client.Submit(req); err == nil {
 			t.Errorf("submit accepted bad request %+v", req)
 		}
+	}
+	// The seed cap is checked before the seed list is allocated: a
+	// request for 2^40 seeds costs no more than any other bad request.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := client.Submit(JobRequest{Kind: KindGrid, Grid: &GridJobSpec{Seeds: 1 << 40}})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("submit accepted 2^40 seeds")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting 2^40 seeds allocated %d bytes, want < 1 MiB", got)
+	}
+	if n := len(daemon.Jobs()); n != 0 {
+		t.Errorf("bad requests created %d jobs", n)
 	}
 	if _, err := client.Status("job-404"); err == nil {
 		t.Error("status of unknown job did not error")

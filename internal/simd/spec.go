@@ -13,6 +13,7 @@
 package simd
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
@@ -73,11 +74,28 @@ func (c CommonSpec) resolve() (experiments.CommonConfig, protocol.Params, error)
 	if c.TauFinal != 0 {
 		params.TauFinal = c.TauFinal
 	}
+	if err := params.Validate(); err != nil {
+		return common, protocol.Params{}, err
+	}
 	common.Workers = c.Workers
 	common.WeightBackend = backend
 	common.WeightProfile = profile
 	common.Sparse = mode
 	return common, params, nil
+}
+
+// maxGridSeeds caps a grid job's seed axis. Config checks it before it
+// allocates the seed list, so a short request body cannot make the
+// daemon allocate without bound.
+const maxGridSeeds = 10_000
+
+// nonNegative rejects a negative size; 0 keeps the default, and the
+// CLIs reject negative sizes too.
+func nonNegative(name string, v int) error {
+	if v < 0 {
+		return fmt.Errorf("simd: %s must be >= 0 (0 = default), got %d", name, v)
+	}
+	return nil
 }
 
 // GridJobSpec is a scenario×seed grid job, mirroring the `cmd/scenario
@@ -89,7 +107,7 @@ type GridJobSpec struct {
 	// registered scenario.
 	Scenarios []string `json:"scenarios,omitempty"`
 	// Seeds is the seed-axis length: the grid runs seeds 1..Seeds
-	// (default 3), exactly like -fullSeeds.
+	// (default 3, at most maxGridSeeds), exactly like -fullSeeds.
 	Seeds int `json:"seeds,omitempty"`
 	// Nodes is the network size per cell (default 500).
 	Nodes int `json:"nodes,omitempty"`
@@ -102,6 +120,9 @@ type GridJobSpec struct {
 // fingerprint's weightsSpec.
 func (s GridJobSpec) Config() (experiments.ScenarioGridConfig, error) {
 	cfg := experiments.FullScenarioGridConfig()
+	if err := errors.Join(nonNegative("nodes", s.Nodes), nonNegative("rounds", s.Rounds)); err != nil {
+		return cfg, err
+	}
 	common, params, err := s.CommonSpec.resolve()
 	if err != nil {
 		return cfg, err
@@ -121,8 +142,8 @@ func (s GridJobSpec) Config() (experiments.ScenarioGridConfig, error) {
 	if seeds == 0 {
 		seeds = 3
 	}
-	if seeds < 1 {
-		return cfg, fmt.Errorf("simd: grid needs seeds >= 1, got %d", seeds)
+	if seeds < 1 || seeds > maxGridSeeds {
+		return cfg, fmt.Errorf("simd: grid needs 1 <= seeds <= %d, got %d", maxGridSeeds, seeds)
 	}
 	cfg.Seeds = make([]int64, seeds)
 	for i := range cfg.Seeds {
@@ -166,6 +187,9 @@ func (s ScenarioJobSpec) Config() (experiments.ScenarioConfig, error) {
 		return experiments.ScenarioConfig{}, fmt.Errorf("simd: unknown scenario %q", name)
 	}
 	cfg := experiments.DefaultScenarioConfig(name)
+	if err := errors.Join(nonNegative("nodes", s.Nodes), nonNegative("rounds", s.Rounds), nonNegative("runs", s.Runs)); err != nil {
+		return cfg, err
+	}
 	common, params, err := s.CommonSpec.resolve()
 	if err != nil {
 		return cfg, err

@@ -205,3 +205,38 @@ func TestSnapshotIsACopy(t *testing.T) {
 		t.Fatal("Snapshot aliased the index's dense mirror")
 	}
 }
+
+// TestRefreshAllocFree pins the runner's per-round weight refresh at
+// zero allocations on both backends: 16 scattered credits (a busy
+// round's reward mutations) on a 4096-account ledger, then WeightsInto
+// into a reused buffer and TotalWeight.
+func TestRefreshAllocFree(t *testing.T) {
+	const n = 4096
+	for _, backend := range []weight.Backend{weight.BackendLedgerDirect, weight.BackendIndexed} {
+		t.Run(backend.String(), func(t *testing.T) {
+			l := ledger.Genesis(genStakes(n, 8), sim.NewRNG(8, "weight.test.genesis"))
+			o, err := weight.ForLedger(l, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := sim.NewRNG(8, "weight.test.credits")
+			buf := make([]float64, 0, n)
+			round := uint64(0)
+			allocs := testing.AllocsPerRun(200, func() {
+				round++
+				for k := 0; k < 16; k++ {
+					if err := l.Credit(rng.Intn(n), 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				buf = o.WeightsInto(round, buf)
+				if o.TotalWeight(round) <= 0 {
+					t.Fatal("refresh lost the total")
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("refresh allocates %.1f times per round, want 0", allocs)
+			}
+		})
+	}
+}

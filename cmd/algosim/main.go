@@ -44,6 +44,7 @@ import (
 	"os"
 
 	"github.com/dsn2020-algorand/incentives/internal/cliutil"
+	"github.com/dsn2020-algorand/incentives/internal/experiments"
 	"github.com/dsn2020-algorand/incentives/internal/network"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/runpool"
@@ -112,8 +113,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if *defect+*malicious+*faulty > 1 {
-		return fmt.Errorf("behaviour fractions sum to %v > 1", *defect+*malicious+*faulty)
+	if mix := (experiments.BehaviorMix{Selfish: *defect, Malicious: *malicious, Faulty: *faulty}); !mix.Valid() {
+		return fmt.Errorf("behaviour fractions -defect %v -malicious %v -faulty %v must each lie in [0, 1] and sum to at most 1",
+			*defect, *malicious, *faulty)
 	}
 	if *runs < 1 {
 		return fmt.Errorf("need at least one run, got %d", *runs)

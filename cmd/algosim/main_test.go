@@ -12,6 +12,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"positional args":  {"extra"},
 		"bad sparse mode":  {"-sparse", "never"},
 		"fractions over 1": {"-defect", "0.6", "-malicious", "0.6"},
+		"negative defect":  {"-defect", "-0.1"},
+		"fraction above 1": {"-defect", "-0.5", "-malicious", "1.2"},
 		"zero runs":        {"-runs", "0"},
 		"sparse frac taus": {"-sparse", "on", "-tauStep", "0.5"},
 		"NaN tauStep":      {"-nodes", "40", "-rounds", "2", "-runs", "1", "-tauStep", "NaN"},

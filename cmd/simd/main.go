@@ -16,9 +16,12 @@
 // counters. Jobs share a fixed worker-slot budget (-maxWorkers) and
 // queue FIFO; a grid whose cells already ran — in any earlier job
 // sharing their configuration — streams them from the completed-cell
-// cache instead of re-simulating, byte-identically. With -data set,
-// grid jobs checkpoint every completed cell; on SIGINT/SIGTERM the
-// daemon drains (running grids stop at the next cell boundary) and a
+// cache instead of re-simulating, byte-identically. A request matching
+// a queued or running job's configuration gets that job back. A scenario sweep
+// job runs as its one-scenario grid (run i is the cell at seed
+// seed + 7919·i), so everything said of grids holds for it. With -data
+// set, jobs checkpoint every completed cell; on SIGINT/SIGTERM the
+// daemon drains (running jobs stop at the next cell boundary) and a
 // restarted daemon resumes interrupted jobs automatically, producing
 // the remaining cells byte-identical to an uninterrupted run.
 //

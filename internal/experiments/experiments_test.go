@@ -202,6 +202,16 @@ func TestFig3Validation(t *testing.T) {
 	if _, err := RunFig3(cfg); err == nil {
 		t.Error("tiny network accepted")
 	}
+	// A defection rate outside [0, 1] is an invalid behaviour mix: an
+	// error, not a slice-bounds panic.
+	for _, rate := range []float64{1.5, -0.1} {
+		cfg := DefaultFig3Config()
+		cfg.Nodes, cfg.Rounds, cfg.Runs = 20, 1, 1
+		cfg.DefectionRates = []float64{rate}
+		if _, err := RunFig3(cfg); err == nil {
+			t.Errorf("defection rate %v accepted", rate)
+		}
+	}
 }
 
 func TestFig3MonotoneDegradation(t *testing.T) {

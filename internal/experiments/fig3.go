@@ -12,7 +12,6 @@ import (
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/runpool"
-	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -117,10 +116,18 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	if cfg.StakeDist == nil {
 		cfg.StakeDist = stake.UniformInt{A: 1, B: 50}
 	}
+	var scn *adversary.Scenario
+	if cfg.Scenario != "" {
+		s, ok := adversary.Lookup(cfg.Scenario)
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown scenario %q", cfg.Scenario)
+		}
+		scn = &s
+	}
 	cfg.Sink = instrumentSink(cfg.Sink)
 	result := &Fig3Result{Config: cfg}
 	for rateIdx, rate := range cfg.DefectionRates {
-		series, err := runFig3Rate(cfg, rateIdx, rate)
+		series, err := runFig3Rate(cfg, scn, rateIdx, rate)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 rate %.0f%%: %w", rate*100, err)
 		}
@@ -135,113 +142,33 @@ func fig3RunSeed(cfg Fig3Config, rate float64, run int) int64 {
 	return cfg.Seed + int64(run)*7919 + int64(rate*1e4)
 }
 
-// fig3Run is one simulation's per-round outcome fractions.
-type fig3Run struct {
-	final, tentative, none []float64
-}
-
-func runFig3Rate(cfg Fig3Config, rateIdx int, rate float64) (Fig3Series, error) {
-	// All per-run aggregation rows are carved from one slab (3 rows per
-	// run), and each run-pool worker carries a protocol.Arena so Runner
-	// construction is amortised across its runs; neither changes any
-	// output bit (see the golden tests and the arena contract).
-	slab := runpool.NewFloatSlab(3*cfg.Runs, cfg.Rounds)
-	runs, err := runpool.SweepWithState(cfg.Runs, cfg.Workers,
-		func(int) *protocol.Arena { return protocol.NewArena() },
-		func(run int, arena *protocol.Arena) (fig3Run, error) {
-			seed := fig3RunSeed(cfg, rate, run)
-			rng := sim.NewRNG(seed, "fig3.setup")
-			pop, err := stake.SamplePopulation(cfg.StakeDist, cfg.Nodes, rng)
-			if err != nil {
-				return fig3Run{}, err
-			}
-			behaviors := arena.BehaviorBuf(cfg.Nodes)
+// runFig3Rate runs one panel: cfg.Runs simulations with a rate share of
+// selfish defectors, each streamed as one cell, then trimmed-averaged.
+func runFig3Rate(cfg Fig3Config, scn *adversary.Scenario, rateIdx int, rate float64) (Fig3Series, error) {
+	runs, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena,
+		func(run int, arena *protocol.Arena) (GridCell, error) {
 			// Random uniform choice of defectors, as in the paper.
-			defectors := int(rate * float64(cfg.Nodes))
-			for _, idx := range rng.Perm(cfg.Nodes)[:defectors] {
-				behaviors[idx] = protocol.Selfish
+			spec := runSpec{
+				setup: "fig3.setup", seed: fig3RunSeed(cfg, rate, run),
+				nodes: cfg.Nodes, rounds: cfg.Rounds, fanout: cfg.Fanout,
+				params: cfg.Params, stakes: cfg.StakeDist,
+				mix: BehaviorMix{Selfish: rate}, scenario: scn, CommonConfig: cfg.CommonConfig,
 			}
-			pcfg := protocol.Config{
-				Params:        cfg.Params,
-				Stakes:        pop.Stakes,
-				Behaviors:     behaviors,
-				Fanout:        cfg.Fanout,
-				Seed:          seed,
-				Arena:         arena,
-				WeightBackend: cfg.WeightBackend,
-				Sparse:        cfg.Sparse,
+			if rateIdx != 0 || run != 0 {
+				spec.Trace = nil // single-writer: first run only
 			}
-			if rateIdx == 0 && run == 0 {
-				pcfg.Trace = cfg.Trace // single-writer: first run only
-			}
-			if cfg.WeightProfile != nil {
-				pcfg.Weights = cfg.WeightProfile(cfg.Nodes, seed)
-			}
-			runner, err := protocol.NewRunner(pcfg)
-			if err != nil {
-				return fig3Run{}, err
-			}
-			if cfg.Scenario != "" {
-				scn, ok := adversary.Lookup(cfg.Scenario)
-				if !ok {
-					return fig3Run{}, fmt.Errorf("unknown scenario %q", cfg.Scenario)
-				}
-				if _, err := adversary.Attach(runner, scn); err != nil {
-					return fig3Run{}, err
-				}
-			}
-			out := fig3Run{
-				final:     slab.Row(3 * run),
-				tentative: slab.Row(3*run + 1),
-				none:      slab.Row(3*run + 2),
-			}
-			for round, report := range runner.RunRounds(cfg.Rounds) {
-				out.final[round] = report.FinalFrac()
-				out.tentative[round] = report.TentativeFrac()
-				out.none[round] = report.NoneFrac()
-			}
-			return out, nil
+			c, _, err := simulate(spec, arena)
+			return c, err
 		})
 	if err != nil {
 		return Fig3Series{}, err
 	}
-
-	// Stream every run of this panel as one cell — the per-run rows the
-	// trimmed-mean aggregation below consumes but never exposes.
-	if cfg.Sink != nil {
-		name := fmt.Sprintf("d%02.0f", rate*100)
-		for run, r := range runs {
-			cell := Cell{Index: rateIdx*cfg.Runs + run, Name: name, Seed: fig3RunSeed(cfg, rate, run)}
-			if err := cfg.Sink.CellStart(cell, outcomeColumns); err != nil {
-				return Fig3Series{}, err
-			}
-			if err := emitSeriesRows(cfg.Sink, cell, r.final, r.tentative, r.none); err != nil {
-				return Fig3Series{}, err
-			}
-			if err := cfg.Sink.CellDone(cell); err != nil {
-				return Fig3Series{}, err
-			}
-		}
-	}
-
-	pick := func(field func(fig3Run) []float64) [][]float64 {
-		rows := make([][]float64, len(runs))
-		for i, r := range runs {
-			rows[i] = field(r)
-		}
-		return rows
+	if err := emitRunCells(cfg.Sink, rateIdx*cfg.Runs, fmt.Sprintf("d%02.0f", rate*100), runs); err != nil {
+		return Fig3Series{}, err
 	}
 	series := Fig3Series{Rate: rate}
-	if series.Final, err = runpool.TrimmedMeanColumns(pick(func(r fig3Run) []float64 { return r.final }), cfg.TrimFrac); err != nil {
-		return Fig3Series{}, err
-	}
-	if series.Tentative, err = runpool.TrimmedMeanColumns(pick(func(r fig3Run) []float64 { return r.tentative }), cfg.TrimFrac); err != nil {
-		return Fig3Series{}, err
-	}
-	if series.None, err = runpool.TrimmedMeanColumns(pick(func(r fig3Run) []float64 { return r.none }), cfg.TrimFrac); err != nil {
-		return Fig3Series{}, err
-	}
-	return series, nil
+	series.Final, series.Tentative, series.None, err = outcomeMeans(runs, trimmedMean(cfg.TrimFrac))
+	return series, err
 }
 
 // MeanFinal returns the average final-block fraction across all rounds of
@@ -277,11 +204,7 @@ func (s Fig3Series) TailFinal() float64 {
 // Table renders the per-round outcome fractions of every panel.
 func (r *Fig3Result) Table() *stats.Table {
 	t := &stats.Table{}
-	roundCol := make([]float64, r.Config.Rounds)
-	for i := range roundCol {
-		roundCol[i] = float64(i + 1)
-	}
-	t.AddColumn("round", roundCol)
+	t.AddColumn("round", indexColumn(r.Config.Rounds))
 	for _, s := range r.Series {
 		prefix := fmt.Sprintf("d%02.0f_", s.Rate*100)
 		t.AddColumn(prefix+"final", s.Final)

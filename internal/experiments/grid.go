@@ -6,7 +6,6 @@ import (
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
-	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -68,26 +67,37 @@ type GridCell struct {
 	Audit adversary.Report
 }
 
+// Validate checks what the grid driver refuses before any cell runs:
+// at least one scenario and one seed, >=10 nodes, >=1 round, and only
+// registered scenario names.
+func (cfg ScenarioGridConfig) Validate() error {
+	if len(cfg.Scenarios) == 0 || len(cfg.Seeds) == 0 {
+		return errors.New("experiments: grid needs at least one scenario and one seed")
+	}
+	if cfg.Nodes < 10 || cfg.Rounds < 1 {
+		return errors.New("experiments: grid needs >=10 nodes and >=1 round")
+	}
+	for _, name := range cfg.Scenarios {
+		if _, ok := adversary.Lookup(name); !ok {
+			return fmt.Errorf("experiments: unknown scenario %q", name)
+		}
+	}
+	return nil
+}
+
 // resolveGrid validates the grid config (applying the StakeDist
 // default) and resolves every scenario up front so an unknown name
 // fails before any cell burns cycles.
 func resolveGrid(cfg *ScenarioGridConfig) ([]adversary.Scenario, error) {
-	if len(cfg.Scenarios) == 0 || len(cfg.Seeds) == 0 {
-		return nil, errors.New("experiments: grid needs at least one scenario and one seed")
-	}
-	if cfg.Nodes < 10 || cfg.Rounds < 1 {
-		return nil, errors.New("experiments: grid needs >=10 nodes and >=1 round")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.StakeDist == nil {
 		cfg.StakeDist = stake.UniformInt{A: 1, B: 50}
 	}
 	scenarios := make([]adversary.Scenario, len(cfg.Scenarios))
 	for i, name := range cfg.Scenarios {
-		scn, ok := adversary.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown scenario %q", name)
-		}
-		scenarios[i] = scn
+		scenarios[i], _ = adversary.Lookup(name)
 	}
 	return scenarios, nil
 }
@@ -112,62 +122,25 @@ func checkGridCell(cfg *ScenarioGridConfig, index int, scenario string, seed int
 
 // simulateGridCell runs one grid cell.
 func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, cell int, arena *protocol.Arena) (GridCell, error) {
-	si, ki := cell/len(cfg.Seeds), cell%len(cfg.Seeds)
-	seed := cfg.Seeds[ki]
-	out := GridCell{Scenario: cfg.Scenarios[si], Seed: seed}
-	rng := sim.NewRNG(seed, "scenario.setup")
-	// The population vector is arena scratch: NewRunner copies the stakes
-	// into the genesis ledger and never retains the slice, so one buffer
-	// serves every cell a worker runs — at sparse-grid populations the
-	// per-cell make([]float64, n) was a measurable slice of setup time.
-	pop, err := stake.SamplePopulationInto(cfg.StakeDist, arena.StakeBuf(cfg.Nodes), rng)
-	if err != nil {
-		return out, err
+	si := cell / len(cfg.Seeds)
+	spec := runSpec{
+		setup: "scenario.setup", seed: cfg.Seeds[cell%len(cfg.Seeds)],
+		nodes: cfg.Nodes, rounds: cfg.Rounds, fanout: cfg.Fanout,
+		params: cfg.Params, stakes: cfg.StakeDist,
+		scenario: &scenarios[si], CommonConfig: cfg.CommonConfig,
 	}
-	pcfg := protocol.Config{
-		Params:        cfg.Params,
-		Stakes:        pop.Stakes,
-		Behaviors:     arena.BehaviorBuf(cfg.Nodes),
-		Fanout:        cfg.Fanout,
-		Seed:          seed,
-		Arena:         arena,
-		WeightBackend: cfg.WeightBackend,
-		Sparse:        cfg.Sparse,
+	if cell != 0 {
+		spec.Trace = nil // single-writer: first global cell only
 	}
-	if cell == 0 {
-		pcfg.Trace = cfg.Trace // single-writer: first global cell only
-	}
-	if cfg.WeightProfile != nil {
-		pcfg.Weights = cfg.WeightProfile(cfg.Nodes, seed)
-	}
-	runner, err := protocol.NewRunner(pcfg)
-	if err != nil {
-		return out, err
-	}
-	eng, err := adversary.Attach(runner, scenarios[si])
-	if err != nil {
-		return out, err
-	}
-	n := cfg.Rounds
-	rows := make([]float64, 3*n)
-	out.Final, out.Tentative, out.None = rows[:n:n], rows[n:2*n:2*n], rows[2*n:]
-	for round, report := range runner.RunRounds(cfg.Rounds) {
-		out.Final[round] = report.FinalFrac()
-		out.Tentative[round] = report.TentativeFrac()
-		out.None[round] = report.NoneFrac()
-	}
-	out.Audit = eng.Audit().Report()
-	return out, nil
+	out, _, err := simulate(spec, arena)
+	out.Scenario = cfg.Scenarios[si]
+	return out, err
 }
 
 // Table renders one cell's per-round outcome fractions.
 func (c *GridCell) Table() *stats.Table {
 	t := &stats.Table{}
-	roundCol := make([]float64, len(c.Final))
-	for i := range roundCol {
-		roundCol[i] = float64(i + 1)
-	}
-	t.AddColumn("round", roundCol)
+	t.AddColumn("round", indexColumn(len(c.Final)))
 	t.AddColumn("final", c.Final)
 	t.AddColumn("tentative", c.Tentative)
 	t.AddColumn("none", c.None)

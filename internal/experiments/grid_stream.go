@@ -162,8 +162,7 @@ func StreamScenarioGrid(cfg ScenarioGridConfig, sink Sink, opt StreamOptions) er
 		return err
 	}
 	owned := ownedCells(cfg, opt.Shard)
-	return runpool.SweepFold(len(owned), cfg.Workers,
-		func(int) *protocol.Arena { return protocol.NewArena() },
+	return runpool.SweepFold(len(owned), cfg.Workers, newArena,
 		func(i int, arena *protocol.Arena) (gridCellOut, error) {
 			return runOwnedCell(cfg, scenarios, owned[i], arena, opt)
 		},

@@ -7,7 +7,6 @@ import (
 
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/runpool"
-	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -29,6 +28,22 @@ func (m BehaviorMix) Valid() bool {
 		}
 	}
 	return m.Selfish+m.Malicious+m.Faulty <= 1
+}
+
+// assign marks the mix's nodes in behaviors by walking perm: its first
+// Selfish·n entries turn selfish, the next Malicious·n malicious and the
+// next Faulty·n faulty (n = len(behaviors)).
+func (m BehaviorMix) assign(behaviors []protocol.Behavior, perm []int) {
+	n, idx := len(behaviors), 0
+	for _, class := range []struct {
+		frac float64
+		b    protocol.Behavior
+	}{{m.Selfish, protocol.Selfish}, {m.Malicious, protocol.Malicious}, {m.Faulty, protocol.Faulty}} {
+		for k := 0; k < int(class.frac*float64(n)) && idx < n; k++ {
+			behaviors[perm[idx]] = class.b
+			idx++
+		}
+	}
 }
 
 // Label renders the mix compactly.
@@ -103,50 +118,18 @@ func RunMixed(cfg MixedConfig) (*MixedResult, error) {
 	cfg.Sink = instrumentSink(cfg.Sink)
 	res := &MixedResult{Config: cfg}
 	for mi, mix := range cfg.Mixes {
-		if !mix.Valid() {
-			return nil, fmt.Errorf("experiments: invalid mix %+v", mix)
-		}
-		runs, err := runpool.Sweep(cfg.Runs, cfg.Workers, func(run int) (mixedRun, error) {
-			seed := cfg.Seed + int64(mi)*104729 + int64(run)*7919
-			rng := sim.NewRNG(seed, "mixed.setup")
-			pop, err := stake.SamplePopulation(stake.UniformInt{A: 1, B: 50}, cfg.Nodes, rng)
-			if err != nil {
-				return mixedRun{}, err
+		runs, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena, func(run int, arena *protocol.Arena) (mixedRun, error) {
+			c, decided, err := simulate(runSpec{
+				setup: "mixed.setup", seed: cfg.Seed + int64(mi)*104729 + int64(run)*7919,
+				nodes: cfg.Nodes, rounds: cfg.Rounds, params: cfg.Params,
+				stakes: stake.UniformInt{A: 1, B: 50}, mix: mix,
+			}, arena)
+			out := mixedRun{decided: float64(decided)}
+			for round := range c.Final {
+				out.finalSum += c.Final[round]
+				out.noneSum += c.None[round]
 			}
-			behaviors := make([]protocol.Behavior, cfg.Nodes)
-			for i := range behaviors {
-				behaviors[i] = protocol.Honest
-			}
-			perm := rng.Perm(cfg.Nodes)
-			idx := 0
-			assign := func(frac float64, b protocol.Behavior) {
-				for k := 0; k < int(frac*float64(cfg.Nodes)) && idx < cfg.Nodes; k++ {
-					behaviors[perm[idx]] = b
-					idx++
-				}
-			}
-			assign(mix.Selfish, protocol.Selfish)
-			assign(mix.Malicious, protocol.Malicious)
-			assign(mix.Faulty, protocol.Faulty)
-
-			runner, err := protocol.NewRunner(protocol.Config{
-				Params:    cfg.Params,
-				Stakes:    pop.Stakes,
-				Behaviors: behaviors,
-				Seed:      seed,
-			})
-			if err != nil {
-				return mixedRun{}, err
-			}
-			var out mixedRun
-			for _, rep := range runner.RunRounds(cfg.Rounds) {
-				out.finalSum += rep.FinalFrac()
-				out.noneSum += rep.NoneFrac()
-				if rep.Decided {
-					out.decided++
-				}
-			}
-			return out, nil
+			return out, err
 		})
 		if err != nil {
 			return nil, err

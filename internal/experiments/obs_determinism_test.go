@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -142,6 +143,20 @@ func TestInstrumentedSinkCounts(t *testing.T) {
 	cfg.Rounds = 6
 	cfg.Runs = 3
 	cfg.Workers = 1
+	// Without a sink nothing reaches the caller, so the sink counters
+	// stay at zero.
+	if _, err := RunScenario(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for key, v := range obs.Default().DeterministicTotals() {
+		if v != 0 && (key == "exp_rows_streamed_total" || key == "exp_cells_done_total" ||
+			strings.HasPrefix(key, "exp_audit_events_total")) {
+			t.Fatalf("sinkless sweep counted %s = %d, want 0", key, v)
+		}
+	}
+	obs.Disable()
+	obs.Enable()
+
 	rec := newRecordingSink()
 	cfg.Sink = rec
 	if _, err := RunScenario(cfg); err != nil {

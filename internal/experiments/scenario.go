@@ -8,7 +8,6 @@ import (
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/runpool"
-	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -73,13 +72,29 @@ type ScenarioResult struct {
 	RunAudits []adversary.Report
 }
 
-// scenarioRun is one simulation's contribution.
-type scenarioRun struct {
-	final, tentative, none []float64
-	audit                  adversary.Report
+// Grid returns the sweep as the one-scenario grid it runs: run i is the
+// cell (Scenario, Seed + 7919·i).
+func (cfg ScenarioConfig) Grid() ScenarioGridConfig {
+	seeds := make([]int64, max(cfg.Runs, 0))
+	for i := range seeds {
+		seeds[i] = cfg.Seed + int64(i)*7919
+	}
+	return ScenarioGridConfig{
+		Scenarios:    []string{cfg.Scenario},
+		Seeds:        seeds,
+		Nodes:        cfg.Nodes,
+		Rounds:       cfg.Rounds,
+		Fanout:       cfg.Fanout,
+		Params:       cfg.Params,
+		StakeDist:    cfg.StakeDist,
+		CommonConfig: cfg.CommonConfig,
+	}
 }
 
-// RunScenario executes the sweep through the deterministic run pool.
+// RunScenario executes the sweep as its one-scenario grid (see Grid)
+// through the deterministic run pool, streams each run into cfg.Sink as
+// the grid cell it is, then folds the runs into trimmed means and the
+// merged audit.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.Nodes < 10 || cfg.Rounds < 1 || cfg.Runs < 1 {
 		return nil, errors.New("experiments: scenario needs >=10 nodes, >=1 round, >=1 run")
@@ -87,138 +102,48 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.StakeDist == nil {
 		cfg.StakeDist = stake.UniformInt{A: 1, B: 50}
 	}
-	scn, ok := adversary.Lookup(cfg.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scenario %q", cfg.Scenario)
+	grid := cfg.Grid()
+	scenarios, err := resolveGrid(&grid)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Sink = instrumentSink(cfg.Sink)
-
-	// Aggregation rows come from one slab and each worker reuses a
-	// protocol.Arena across its runs — output-neutral, see RunFig3.
-	slab := runpool.NewFloatSlab(3*cfg.Runs, cfg.Rounds)
-	runs, err := runpool.SweepWithState(cfg.Runs, cfg.Workers,
-		func(int) *protocol.Arena { return protocol.NewArena() },
-		func(run int, arena *protocol.Arena) (scenarioRun, error) {
-			seed := cfg.Seed + int64(run)*7919
-			rng := sim.NewRNG(seed, "scenario.setup")
-			pop, err := stake.SamplePopulation(cfg.StakeDist, cfg.Nodes, rng)
-			if err != nil {
-				return scenarioRun{}, err
-			}
-			pcfg := protocol.Config{
-				Params:        cfg.Params,
-				Stakes:        pop.Stakes,
-				Behaviors:     arena.BehaviorBuf(cfg.Nodes),
-				Fanout:        cfg.Fanout,
-				Seed:          seed,
-				Arena:         arena,
-				WeightBackend: cfg.WeightBackend,
-				Sparse:        cfg.Sparse,
-			}
-			if run == 0 {
-				pcfg.Trace = cfg.Trace // single-writer: first run only
-			}
-			if cfg.WeightProfile != nil {
-				pcfg.Weights = cfg.WeightProfile(cfg.Nodes, seed)
-			}
-			runner, err := protocol.NewRunner(pcfg)
-			if err != nil {
-				return scenarioRun{}, err
-			}
-			eng, err := adversary.Attach(runner, scn)
-			if err != nil {
-				return scenarioRun{}, err
-			}
-			out := scenarioRun{
-				final:     slab.Row(3 * run),
-				tentative: slab.Row(3*run + 1),
-				none:      slab.Row(3*run + 2),
-			}
-			for round, report := range runner.RunRounds(cfg.Rounds) {
-				out.final[round] = report.FinalFrac()
-				out.tentative[round] = report.TentativeFrac()
-				out.none[round] = report.NoneFrac()
-			}
-			out.audit = eng.Audit().Report()
-			return out, nil
+	cells, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena,
+		func(run int, arena *protocol.Arena) (GridCell, error) {
+			return simulateGridCell(grid, scenarios, run, arena)
 		})
 	if err != nil {
 		return nil, err
 	}
-
-	// Stream every run as one cell: its per-round rows plus its audit.
-	if cfg.Sink != nil {
-		for run, r := range runs {
-			cell := Cell{Index: run, Name: cfg.Scenario, Seed: cfg.Seed + int64(run)*7919}
-			if err := cfg.Sink.CellStart(cell, outcomeColumns); err != nil {
-				return nil, err
-			}
-			if err := emitSeriesRows(cfg.Sink, cell, r.final, r.tentative, r.none); err != nil {
-				return nil, err
-			}
-			if err := cfg.Sink.AuditEvent(cell, r.audit); err != nil {
-				return nil, err
-			}
-			if err := cfg.Sink.CellDone(cell); err != nil {
+	if sink := instrumentSink(cfg.Sink); sink != nil {
+		for run := range cells {
+			c := &cells[run]
+			if err := emitGridCell(sink, Cell{Index: run, Name: c.Scenario, Seed: c.Seed}, c); err != nil {
 				return nil, err
 			}
 		}
 	}
-
-	result := &ScenarioResult{Config: cfg, Scenario: scn}
-	pick := func(field func(scenarioRun) []float64) [][]float64 {
-		rows := make([][]float64, len(runs))
-		for i, r := range runs {
-			rows[i] = field(r)
-		}
-		return rows
-	}
-	if result.Final, err = runpool.TrimmedMeanColumns(pick(func(r scenarioRun) []float64 { return r.final }), cfg.TrimFrac); err != nil {
+	result := &ScenarioResult{Config: cfg, Scenario: scenarios[0], RunAudits: make([]adversary.Report, len(cells))}
+	if result.Final, result.Tentative, result.None, err = outcomeMeans(cells, trimmedMean(cfg.TrimFrac)); err != nil {
 		return nil, err
 	}
-	if result.Tentative, err = runpool.TrimmedMeanColumns(pick(func(r scenarioRun) []float64 { return r.tentative }), cfg.TrimFrac); err != nil {
-		return nil, err
-	}
-	if result.None, err = runpool.TrimmedMeanColumns(pick(func(r scenarioRun) []float64 { return r.none }), cfg.TrimFrac); err != nil {
-		return nil, err
-	}
-	result.RunAudits = make([]adversary.Report, len(runs))
-	for i, r := range runs {
-		result.RunAudits[i] = r.audit
-		result.Audit.Merge(r.audit)
+	for i, c := range cells {
+		result.RunAudits[i] = c.Audit
+		result.Audit.Merge(c.Audit)
 	}
 	return result, nil
 }
 
 // Table renders the per-round outcome fractions.
 func (r *ScenarioResult) Table() *stats.Table {
-	t := &stats.Table{}
-	roundCol := make([]float64, r.Config.Rounds)
-	for i := range roundCol {
-		roundCol[i] = float64(i + 1)
-	}
-	t.AddColumn("round", roundCol)
-	t.AddColumn("final", r.Final)
-	t.AddColumn("tentative", r.Tentative)
-	t.AddColumn("none", r.None)
-	return t
+	c := GridCell{Final: r.Final, Tentative: r.Tentative, None: r.None}
+	return c.Table()
 }
 
 // AuditTable renders the merged audit counters as a one-row table, the
 // machine-readable safety/liveness summary written next to the figures.
 func (r *ScenarioResult) AuditTable() *stats.Table {
 	t := &stats.Table{}
-	a := r.Audit
-	t.AddColumn("rounds", []float64{float64(a.Rounds)})
-	t.AddColumn("decided", []float64{float64(a.Decided)})
-	t.AddColumn("empty_decided", []float64{float64(a.EmptyDecided)})
-	t.AddColumn("stalls", []float64{float64(a.Stalls)})
-	t.AddColumn("max_stall_run", []float64{float64(a.MaxStallRun)})
-	t.AddColumn("safety_violations", []float64{float64(a.SafetyViolations)})
-	t.AddColumn("corruptions", []float64{float64(a.Corruptions)})
-	t.AddColumn("mean_final", []float64{a.MeanFinalFrac})
-	t.AddColumn("mean_none", []float64{a.MeanNoneFrac})
-	t.AddColumn("mean_desynced", []float64{a.MeanDesynced})
+	auditTableColumns(t, []adversary.Report{r.Audit})
 	return t
 }
 

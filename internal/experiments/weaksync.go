@@ -7,7 +7,6 @@ import (
 
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/runpool"
-	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -68,81 +67,25 @@ func RunWeakSync(cfg WeakSyncConfig) (*WeakSyncResult, error) {
 	if cfg.WindowFrom < 2 || cfg.WindowTo >= uint64(cfg.Rounds) || cfg.WindowFrom > cfg.WindowTo {
 		return nil, errors.New("experiments: window must sit strictly inside the run")
 	}
-	cfg.Sink = instrumentSink(cfg.Sink)
-	type weakSyncRun struct {
-		final, tentative, none []float64
-	}
-	runs, err := runpool.Sweep(cfg.Runs, cfg.Workers, func(run int) (weakSyncRun, error) {
-		seed := cfg.Seed + int64(run)*7919
-		rng := sim.NewRNG(seed, "weaksync.setup")
-		pop, err := stake.SamplePopulation(stake.UniformInt{A: 1, B: 50}, cfg.Nodes, rng)
-		if err != nil {
-			return weakSyncRun{}, err
-		}
-		behaviors := make([]protocol.Behavior, cfg.Nodes)
-		for i := range behaviors {
-			behaviors[i] = protocol.Honest
-		}
-		for _, idx := range rng.Perm(cfg.Nodes)[:int(cfg.Defection*float64(cfg.Nodes))] {
-			behaviors[idx] = protocol.Selfish
-		}
-		runner, err := protocol.NewRunner(protocol.Config{
-			Params:    cfg.Params,
-			Stakes:    pop.Stakes,
-			Behaviors: behaviors,
-			Seed:      seed,
+	runs, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena,
+		func(run int, arena *protocol.Arena) (GridCell, error) {
+			c, _, err := simulate(runSpec{
+				setup: "weaksync.setup", seed: cfg.Seed + int64(run)*7919,
+				nodes: cfg.Nodes, rounds: cfg.Rounds, params: cfg.Params,
+				stakes: stake.UniformInt{A: 1, B: 50}, mix: BehaviorMix{Selfish: cfg.Defection},
+				windowFrom: cfg.WindowFrom, windowTo: cfg.WindowTo,
+			}, arena)
+			return c, err
 		})
-		if err != nil {
-			return weakSyncRun{}, err
-		}
-		runner.SetDegradedWindow(cfg.WindowFrom, cfg.WindowTo)
-		out := weakSyncRun{
-			final:     make([]float64, cfg.Rounds),
-			tentative: make([]float64, cfg.Rounds),
-			none:      make([]float64, cfg.Rounds),
-		}
-		for round, report := range runner.RunRounds(cfg.Rounds) {
-			out.final[round] = report.FinalFrac()
-			out.tentative[round] = report.TentativeFrac()
-			out.none[round] = report.NoneFrac()
-		}
-		return out, nil
-	})
 	if err != nil {
 		return nil, err
 	}
-
 	// Stream every run as one cell before averaging.
-	if cfg.Sink != nil {
-		for run, r := range runs {
-			cell := Cell{Index: run, Name: "weaksync", Seed: cfg.Seed + int64(run)*7919}
-			if err := cfg.Sink.CellStart(cell, outcomeColumns); err != nil {
-				return nil, err
-			}
-			if err := emitSeriesRows(cfg.Sink, cell, r.final, r.tentative, r.none); err != nil {
-				return nil, err
-			}
-			if err := cfg.Sink.CellDone(cell); err != nil {
-				return nil, err
-			}
-		}
+	if err := emitRunCells(instrumentSink(cfg.Sink), 0, "weaksync", runs); err != nil {
+		return nil, err
 	}
-
 	res := &WeakSyncResult{Config: cfg}
-	pick := func(field func(weakSyncRun) []float64) [][]float64 {
-		rows := make([][]float64, len(runs))
-		for i, r := range runs {
-			rows[i] = field(r)
-		}
-		return rows
-	}
-	if res.Final, err = runpool.MeanColumns(pick(func(r weakSyncRun) []float64 { return r.final })); err != nil {
-		return nil, err
-	}
-	if res.Tentative, err = runpool.MeanColumns(pick(func(r weakSyncRun) []float64 { return r.tentative })); err != nil {
-		return nil, err
-	}
-	if res.None, err = runpool.MeanColumns(pick(func(r weakSyncRun) []float64 { return r.none })); err != nil {
+	if res.Final, res.Tentative, res.None, err = outcomeMeans(runs, runpool.MeanColumns); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -200,12 +143,8 @@ func (r *WeakSyncResult) Recovered(frac float64) bool {
 
 // Table renders the series.
 func (r *WeakSyncResult) Table() *stats.Table {
-	t := &stats.Table{}
-	t.AddColumn("round", indexColumn(r.Config.Rounds))
-	t.AddColumn("final", r.Final)
-	t.AddColumn("tentative", r.Tentative)
-	t.AddColumn("none", r.None)
-	return t
+	c := GridCell{Final: r.Final, Tentative: r.Tentative, None: r.None}
+	return c.Table()
 }
 
 // WriteSummary prints the spike and recovery metrics.

@@ -21,6 +21,12 @@ func TestWeakSyncValidation(t *testing.T) {
 	if _, err := RunWeakSync(cfg); err == nil {
 		t.Error("window past the run accepted")
 	}
+	cfg = DefaultWeakSyncConfig()
+	cfg.Nodes, cfg.Runs = 20, 1
+	cfg.Defection = 1.5
+	if _, err := RunWeakSync(cfg); err == nil {
+		t.Error("defection 1.5 accepted")
+	}
 }
 
 func TestWindowMeanFromZeroClamped(t *testing.T) {

@@ -131,33 +131,6 @@ func SweepWithState[T, S any](runs, workers int, newState func(worker int) S, fn
 	return results, nil
 }
 
-// FloatSlab carves equal-width float64 rows out of one contiguous
-// allocation. Sweeps that aggregate per-run series previously allocated
-// a handful of small slices per run (the ~14 MB/run fig3 aggregation
-// buffers at -full scale); carving them from a slab costs one allocation
-// per sweep and keeps rows cache-adjacent for the column-wise reductions
-// that follow. Rows are disjoint and capacity-clamped, so concurrent
-// workers writing different rows never share an element and rows can be
-// retained or appended to safely.
-type FloatSlab struct {
-	backing []float64
-	width   int
-}
-
-// NewFloatSlab allocates a slab of rows×width float64s.
-func NewFloatSlab(rows, width int) *FloatSlab {
-	if rows < 0 || width < 0 {
-		rows, width = 0, 0
-	}
-	return &FloatSlab{backing: make([]float64, rows*width), width: width}
-}
-
-// Row returns row i: a zeroed []float64 of the slab's width.
-func (s *FloatSlab) Row(i int) []float64 {
-	lo := i * s.width
-	return s.backing[lo : lo+s.width : lo+s.width]
-}
-
 // Accumulate folds per-run results in run-index order. It exists to make
 // the deterministic-aggregation contract explicit at call sites: feed it
 // a Sweep result and the fold sees runs 0, 1, 2, ... regardless of the

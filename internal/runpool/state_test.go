@@ -81,29 +81,3 @@ func TestSweepWithStateNilStateFactory(t *testing.T) {
 		t.Errorf("results = %v", results)
 	}
 }
-
-func TestFloatSlabRowsDisjoint(t *testing.T) {
-	s := NewFloatSlab(4, 3)
-	for i := 0; i < 4; i++ {
-		row := s.Row(i)
-		if len(row) != 3 || cap(row) != 3 {
-			t.Fatalf("row %d: len %d cap %d, want 3/3", i, len(row), cap(row))
-		}
-		for j := range row {
-			row[j] = float64(10*i + j)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		for j, v := range s.Row(i) {
-			if v != float64(10*i+j) {
-				t.Fatalf("rows overlap: row %d col %d = %v", i, j, v)
-			}
-		}
-	}
-	// Appending past a row's capacity must not bleed into its neighbour.
-	row0 := append(s.Row(0), 99)
-	_ = row0
-	if s.Row(1)[0] != 10 {
-		t.Fatal("append to row 0 overwrote row 1")
-	}
-}

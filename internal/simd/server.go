@@ -23,8 +23,8 @@ import (
 
 // Config parameterises one daemon instance.
 type Config struct {
-	// DataDir persists grid-job specs and checkpoints so a restarted
-	// daemon resumes interrupted jobs; empty disables persistence.
+	// DataDir persists job specs and checkpoints so a restarted daemon
+	// resumes interrupted jobs; empty disables persistence.
 	DataDir string
 	// MaxWorkers is the worker-slot budget shared by every concurrent
 	// job (0 = GOMAXPROCS). Jobs acquire slots FIFO before running.
@@ -67,22 +67,26 @@ type JobStatus struct {
 	StreamBytes int `json:"stream_bytes"`
 }
 
-// Job is one submitted experiment: its request, its wire-event log, and
-// its mutable lifecycle state.
+// Job is one submitted experiment: its request, the grid it resolved
+// to at POST (a sweep job's is its one-scenario grid), its wire-event
+// log, and its mutable lifecycle state.
 type Job struct {
-	id  string
-	req JobRequest
-	log *eventLog
-
-	mu          sync.Mutex
-	state       JobState
-	errText     string
+	id          string
+	req         JobRequest
+	cfg         experiments.ScenarioGridConfig
+	weightsSpec string
 	fingerprint string
 	cells       int
-	cellsDone   int
-	cached      int
-	restored    int
-	workers     int
+	log         *eventLog
+	resume      bool // recovered from DataDir: restore the checkpoint
+
+	mu        sync.Mutex
+	state     JobState
+	errText   string
+	cellsDone int
+	cached    int
+	restored  int
+	workers   int
 }
 
 // ID returns the job's daemon-assigned identifier.
@@ -123,14 +127,18 @@ type Server struct {
 	jobs   map[string]*Job
 	order  []string
 	nextID int
+	// live holds the queued or running job of each fingerprint. Jobs of
+	// one fingerprint would share one spec file and one checkpoint, so a
+	// request matching a live job joins it instead of starting another.
+	live map[string]*Job
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
 }
 
 // New builds a daemon, enabling the global telemetry registry (the
-// daemon always exposes /metrics) and re-enqueuing any interrupted grid
-// jobs persisted in cfg.DataDir.
+// daemon always exposes /metrics) and re-enqueuing any interrupted jobs
+// persisted in cfg.DataDir.
 func New(cfg Config) (*Server, error) {
 	reg := obs.Enable()
 	s := &Server{
@@ -138,6 +146,7 @@ func New(cfg Config) (*Server, error) {
 		metrics: obs.NewSimdMetrics(reg),
 		budget:  runpool.NewWorkerBudget(runpool.Resolve(cfg.MaxWorkers)),
 		jobs:    make(map[string]*Job),
+		live:    make(map[string]*Job),
 	}
 	if s.metrics == nil {
 		// -tags obs_off: a zero bundle's nil counters/gauges no-op safely.
@@ -173,27 +182,26 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) Budget() *runpool.WorkerBudget { return s.budget }
 
 // Submit validates and enqueues a job, returning it immediately; the
-// job runs as soon as the budget grants its worker slots. Grid jobs
-// with a DataDir persist their spec first, so a daemon killed while
+// job runs as soon as the budget grants its worker slots. The request
+// is resolved once, here, into the grid the job runs. A request whose
+// fingerprint a queued or running job holds (the same grid at another
+// worker count, or a sweep and the grid it equals) returns that job.
+// With a DataDir the spec is persisted first, so a daemon killed while
 // the job is queued or running re-enqueues it on restart.
 func (s *Server) Submit(req JobRequest) (*Job, error) {
-	if err := req.normalize(); err != nil {
-		return nil, err
-	}
-	fingerprint, err := req.fingerprint()
+	return s.submit(req, false)
+}
+
+func (s *Server) submit(req JobRequest, resume bool) (*Job, error) {
+	cfg, weightsSpec, err := req.resolve()
 	if err != nil {
 		return nil, err
 	}
-	cells, err := jobCells(req)
-	if err != nil {
-		return nil, err
-	}
-	if req.Kind == KindGrid && s.cfg.DataDir != "" {
-		blob, err := json.Marshal(req)
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(s.specPath(fingerprint), blob, 0o644); err != nil {
+	fingerprint := experiments.GridFingerprint(cfg, weightsSpec)
+	cells := len(cfg.Scenarios) * len(cfg.Seeds)
+	var blob []byte
+	if s.cfg.DataDir != "" {
+		if blob, err = json.Marshal(req); err != nil {
 			return nil, err
 		}
 	}
@@ -202,13 +210,24 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		s.mu.Unlock()
 		return nil, errors.New("simd: daemon is draining; not accepting jobs")
 	}
+	if job := s.live[fingerprint]; job != nil {
+		s.mu.Unlock()
+		return job, nil
+	}
+	if blob != nil {
+		if err := os.WriteFile(s.specPath(fingerprint), blob, 0o644); err != nil {
+			s.mu.Unlock()
+			return nil, err
+		}
+	}
 	s.nextID++
 	job := &Job{
-		id: fmt.Sprintf("job-%d", s.nextID), req: req, log: newEventLog(),
-		state: JobQueued, fingerprint: fingerprint, cells: cells,
+		id: fmt.Sprintf("job-%d", s.nextID), req: req, cfg: cfg, weightsSpec: weightsSpec,
+		fingerprint: fingerprint, cells: cells, log: newEventLog(), resume: resume, state: JobQueued,
 	}
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
+	s.live[fingerprint] = job
 	s.wg.Add(1)
 	s.mu.Unlock()
 	s.metrics.JobsSubmitted.Add(1)
@@ -256,24 +275,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// jobCells computes a job's total cell count up front for its status.
-func jobCells(req JobRequest) (int, error) {
-	switch req.Kind {
-	case KindScenario:
-		cfg, err := req.Scenario.Config()
-		if err != nil {
-			return 0, err
-		}
-		return cfg.Runs, nil
-	default:
-		cfg, err := req.Grid.Config()
-		if err != nil {
-			return 0, err
-		}
-		return len(cfg.Scenarios) * len(cfg.Seeds), nil
-	}
-}
-
 // runJob drives one job through acquire -> execute -> settle.
 func (s *Server) runJob(job *Job) {
 	defer s.wg.Done()
@@ -296,6 +297,11 @@ func (s *Server) runJob(job *Job) {
 	} else {
 		s.metrics.JobsFailed.Add(1)
 	}
+	// Leave live before the stream ends, so a client that read the
+	// whole stream and resubmits gets a new job.
+	s.mu.Lock()
+	delete(s.live, job.fingerprint)
+	s.mu.Unlock()
 	job.log.close()
 	s.logf("simd: %s %s\n", job.id, state)
 }
@@ -303,7 +309,7 @@ func (s *Server) runJob(job *Job) {
 // execute acquires worker slots and runs the job's kind.
 func (s *Server) execute(job *Job) error {
 	s.metrics.QueueDepth.Add(1)
-	n, release, err := s.budget.Acquire(s.ctx, jobWorkers(job.req))
+	n, release, err := s.budget.Acquire(s.ctx, job.cfg.Workers)
 	s.metrics.QueueDepth.Add(-1)
 	if err != nil {
 		return err // context.Canceled during drain -> interrupted
@@ -315,22 +321,11 @@ func (s *Server) execute(job *Job) error {
 	job.mu.Unlock()
 	s.metrics.JobsInFlight.Add(1)
 	defer s.metrics.JobsInFlight.Add(-1)
-	if job.req.Kind == KindScenario {
-		return s.executeScenario(job, n)
-	}
 	return s.executeGrid(job, n)
 }
 
-func jobWorkers(req JobRequest) int {
-	if req.Kind == KindScenario {
-		return req.Scenario.Workers
-	}
-	return req.Grid.Workers
-}
-
-// jobFileBase names a grid job's durable files after its fingerprint
-// digest, so resubmitting the same grid — before or after a restart —
-// lands on the same checkpoint.
+// jobFileBase names a job's durable files after its fingerprint digest,
+// so a restart finds the checkpoint of the job it resumes.
 func jobFileBase(fingerprint string) string {
 	sum := sha256.Sum256([]byte(fingerprint))
 	return "simd_" + hex.EncodeToString(sum[:8])
@@ -344,24 +339,21 @@ func (s *Server) ckptPath(fingerprint string) string {
 	return filepath.Join(s.cfg.DataDir, jobFileBase(fingerprint)+".ckpt.jsonl")
 }
 
-// executeGrid streams one grid job: checkpointed cells restore
+// executeGrid streams one job's grid: checkpointed cells restore
 // audit-only, cache hits replay their full rows, and everything else
 // simulates — all through one sink stack (wire log, cache capture,
 // checkpoint last) whose event order the run pool fixes, so the wire
 // bytes are identical at any worker count and any cache/restore split.
+// Only a resumed job restores from the checkpoint; a fresh one starts a
+// new checkpoint.
 func (s *Server) executeGrid(job *Job, workers int) error {
-	cfg, err := job.req.Grid.Config()
-	if err != nil {
-		return err
-	}
+	cfg, weightsSpec, fingerprint, cells := job.cfg, job.weightsSpec, job.fingerprint, job.cells
 	cfg.Workers = workers
-	weightsSpec := job.req.Grid.Weights
-	fingerprint := experiments.GridFingerprint(cfg, weightsSpec)
-	cells := len(cfg.Scenarios) * len(cfg.Seeds)
 
 	var prior []experiments.GridCellRecord
+	var err error
 	persist := s.cfg.DataDir != ""
-	if persist {
+	if persist && job.resume {
 		prior, err = experiments.LoadGridCheckpoint(s.ckptPath(fingerprint), cfg, fingerprint, experiments.ShardSpec{})
 		if err != nil {
 			return err
@@ -429,23 +421,8 @@ func (s *Server) executeGrid(job *Job, workers int) error {
 	return nil
 }
 
-// executeScenario streams one sweep job. Sweeps run whole (RunScenario
-// has no cell-boundary interrupt seam, and at sweep scale a job is
-// seconds, not hours), so shutdown waits for them; they are neither
-// cached nor checkpointed.
-func (s *Server) executeScenario(job *Job, workers int) error {
-	cfg, err := job.req.Scenario.Config()
-	if err != nil {
-		return err
-	}
-	cfg.Workers = workers
-	cfg.Sink = &meteredWireSink{sink: experiments.NewWireSink(job.log), metrics: s.metrics, job: job}
-	_, err = experiments.RunScenario(cfg)
-	return err
-}
-
-// recoverJobs re-enqueues every grid job whose spec file survived a
-// previous daemon: each resumes from its checkpoint, re-simulating only
+// recoverJobs re-enqueues every job whose spec file survived a previous
+// daemon: each resumes from its checkpoint, re-simulating only
 // unrecorded cells.
 func (s *Server) recoverJobs() error {
 	matches, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "simd_*.job.json"))
@@ -464,7 +441,7 @@ func (s *Server) recoverJobs() error {
 			os.Remove(path)
 			continue
 		}
-		job, err := s.Submit(req)
+		job, err := s.submit(req, true)
 		if err != nil {
 			s.logf("simd: dropping unrunnable job spec %s: %v\n", path, err)
 			os.Remove(path)

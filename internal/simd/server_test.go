@@ -43,15 +43,21 @@ func startDaemon(t *testing.T, dataDir string, maxWorkers int) (*Server, *httpte
 	return daemon, ts, &Client{Base: ts.URL}
 }
 
-// streamBytes submits req with the given worker request and reads the
-// job's whole wire stream (which follows until the job settles).
+// streamBytes submits req and reads the job's whole wire stream.
 func streamBytes(t *testing.T, c *Client, req JobRequest) (JobStatus, []byte) {
 	t.Helper()
 	st, err := c.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := c.Stream(st.ID)
+	return jobBytes(t, c, st.ID)
+}
+
+// jobBytes reads a job's whole wire stream (which follows until the job
+// settles) and its final status.
+func jobBytes(t *testing.T, c *Client, id string) (JobStatus, []byte) {
+	t.Helper()
+	stream, err := c.Stream(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +66,18 @@ func streamBytes(t *testing.T, c *Client, req JobRequest) (JobStatus, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Status(st.ID)
+	final, err := c.Status(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return final, blob
 }
 
-// directWireBytes runs the grid in-process (no daemon) through the wire
-// sink — the CLI-equivalent reference bytes.
-func directWireBytes(t *testing.T, spec GridJobSpec, workers int) []byte {
+// directWireBytes runs the job's grid in-process (no daemon) through
+// the wire sink — the CLI-equivalent reference bytes.
+func directWireBytes(t *testing.T, req JobRequest, workers int) []byte {
 	t.Helper()
-	cfg, err := spec.Config()
+	cfg, _, err := req.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +160,7 @@ func TestGridJobMatchesCLIBytes(t *testing.T) {
 	if st.Cells != 4 || st.CellsDone != 4 {
 		t.Fatalf("cells %d done %d, want 4/4", st.Cells, st.CellsDone)
 	}
-	if want := directWireBytes(t, spec, 1); !bytes.Equal(streamed, want) {
+	if want := directWireBytes(t, JobRequest{Kind: KindGrid, Grid: &spec}, 1); !bytes.Equal(streamed, want) {
 		t.Fatal("daemon stream differs from in-process wire encoding")
 	}
 
@@ -242,23 +248,55 @@ func wireLinesByCell(t *testing.T, blob []byte) map[int][]string {
 	return out
 }
 
+// TestShutdownCheckpointResume drains the daemon mid-job and restarts
+// it: the job must resume from its checkpoint. A sweep job is its
+// one-scenario grid, so it drains and resumes the same way.
 func TestShutdownCheckpointResume(t *testing.T) {
-	// A 12-cell grid at one worker: cells land one at a time, so a drain
-	// triggered after the first cell interrupts mid-grid.
-	spec := GridJobSpec{
-		Scenarios: []string{"crash_churn", "honest_baseline", "partition_healing"},
-		Seeds:     4,
-		Nodes:     80,
-		Rounds:    8,
+	// 12-cell jobs at one worker: cells land one at a time, so a drain
+	// triggered after the first cell interrupts mid-job.
+	sweep := JobRequest{Kind: KindScenario, Scenario: &ScenarioJobSpec{
+		CommonSpec: CommonSpec{Workers: 1}, Scenario: "crash_churn", Nodes: 80, Rounds: 8, Runs: 12,
+	}}
+	for _, tc := range []struct {
+		name          string
+		req           JobRequest
+		copies, slots int
+	}{
+		{"grid", JobRequest{Kind: KindGrid, Grid: &GridJobSpec{
+			Scenarios: []string{"crash_churn", "honest_baseline", "partition_healing"},
+			Seeds:     4,
+			Nodes:     80,
+			Rounds:    8,
+		}}, 1, 1},
+		{"sweep", sweep, 1, 1},
+		// The same sweep submitted twice on a budget that could run both
+		// at once is one job: one spec file, one checkpoint, one resume.
+		{"identical_sweeps", sweep, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testShutdownCheckpointResume(t, tc.req, tc.copies, tc.slots) })
 	}
-	reference := directWireBytes(t, spec, 1)
+}
+
+// testShutdownCheckpointResume submits req copies times to a daemon with
+// slots worker slots, drains it once the job has a cell, and restarts it
+// on the same data dir.
+func testShutdownCheckpointResume(t *testing.T, req JobRequest, copies, slots int) {
+	reference := directWireBytes(t, req, 1)
 	refCells := wireLinesByCell(t, reference)
 
 	dataDir := filepath.Join(t.TempDir(), "data")
-	daemon, _, client := startDaemon(t, dataDir, 1)
-	st, err := client.Submit(JobRequest{Kind: KindGrid, Grid: &spec})
-	if err != nil {
-		t.Fatal(err)
+	daemon, _, client := startDaemon(t, dataDir, slots)
+	var st JobStatus
+	for i := range copies {
+		again, err := client.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			st = again
+		} else if again.ID != st.ID {
+			t.Fatalf("identical submission %d started %s beside the live %s", i, again.ID, st.ID)
+		}
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		cur, err := client.Status(st.ID)
@@ -283,7 +321,7 @@ func TestShutdownCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if interrupted.State == JobDone {
-		t.Skip("job finished before the drain landed; nothing to resume")
+		t.Fatal("job finished before the drain landed: the drain must stop it at a cell boundary")
 	}
 	if interrupted.State != JobInterrupted {
 		t.Fatalf("drained job ended %s: %s", interrupted.State, interrupted.Error)
@@ -291,7 +329,7 @@ func TestShutdownCheckpointResume(t *testing.T) {
 
 	// A fresh daemon on the same data dir re-enqueues and finishes the
 	// job; its cache is empty, so only the checkpoint feeds the resume.
-	_, _, client2 := startDaemon(t, dataDir, 1)
+	_, _, client2 := startDaemon(t, dataDir, slots)
 	var resumed JobStatus
 	for deadline := time.Now().Add(60 * time.Second); ; {
 		jobs, err := client2.List()
@@ -314,18 +352,10 @@ func TestShutdownCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed job ended %s: %s", resumed.State, resumed.Error)
 	}
 	if resumed.RestoredCells < 1 || resumed.RestoredCells >= 12 {
-		t.Fatalf("resumed job restored %d of 12 cells; the interrupt did not land mid-grid", resumed.RestoredCells)
+		t.Fatalf("resumed job restored %d of 12 cells; the interrupt did not land mid-job", resumed.RestoredCells)
 	}
 
-	stream, err := client2.Stream(resumed.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := io.ReadAll(stream)
-	stream.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, blob := jobBytes(t, client2, resumed.ID)
 	// Restored cells replay audit-only; every remaining cell's event
 	// lines must be byte-identical to the uninterrupted run's.
 	restoredCells := 0
@@ -377,6 +407,24 @@ func TestShutdownCheckpointResume(t *testing.T) {
 
 func TestScenarioJob(t *testing.T) {
 	_, _, client := startDaemon(t, "", 4)
+	// A one-run sweep at seed 1 is the one-seed grid: same bytes, and its
+	// one cell is served from the cache the grid job filled.
+	grid, gridBlob := streamBytes(t, client, JobRequest{Kind: KindGrid, Grid: &GridJobSpec{
+		Scenarios: []string{"honest_baseline"}, Seeds: 1, Nodes: 40, Rounds: 5,
+	}})
+	one, oneBlob := streamBytes(t, client, JobRequest{Kind: KindScenario, Scenario: &ScenarioJobSpec{
+		Scenario: "honest_baseline", Nodes: 40, Rounds: 5, Runs: 1, Seed: 1,
+	}})
+	if grid.State != JobDone || one.State != JobDone {
+		t.Fatalf("jobs ended %s and %s: %s%s", grid.State, one.State, grid.Error, one.Error)
+	}
+	if !bytes.Equal(gridBlob, oneBlob) {
+		t.Fatal("one-run sweep stream differs from the one-seed grid's")
+	}
+	if one.CachedCells != 1 {
+		t.Fatalf("one-run sweep served %d cells from the cache, want 1", one.CachedCells)
+	}
+
 	req := JobRequest{Kind: KindScenario, Scenario: &ScenarioJobSpec{
 		Scenario: "honest_baseline", Nodes: 40, Rounds: 5, Runs: 3,
 	}}
@@ -391,21 +439,76 @@ func TestScenarioJob(t *testing.T) {
 	if err := experiments.ReplayWire(bytes.NewReader(blob), &restoredCounter{}); err != nil {
 		t.Fatal(err)
 	}
-	// Streams are worker-invariant for sweeps too.
+	// Streams are worker-invariant for sweeps too: a second daemon, whose
+	// cache is empty, simulates the sweep afresh at three workers.
+	_, _, client2 := startDaemon(t, "", 4)
 	req2 := JobRequest{Kind: KindScenario, Scenario: &ScenarioJobSpec{
 		Scenario: "honest_baseline", Nodes: 40, Rounds: 5, Runs: 3, CommonSpec: CommonSpec{Workers: 3},
 	}}
-	st2, blob2 := streamBytes(t, client, req2)
+	st2, blob2 := streamBytes(t, client2, req2)
 	if st2.State != JobDone {
 		t.Fatalf("job ended %s: %s", st2.State, st2.Error)
+	}
+	if st2.CachedCells != 0 || st2.Workers != 3 {
+		t.Fatalf("fresh sweep served %d cells from the cache at %d workers, want 0 at 3", st2.CachedCells, st2.Workers)
 	}
 	if !bytes.Equal(blob, blob2) {
 		t.Fatal("sweep stream differs across worker budgets")
 	}
 }
 
+// TestIdenticalJobsShareOneJob submits one sweep twice, at one worker
+// each, to a two-slot daemon with a data dir while a grid holds both
+// slots. The sweeps share a fingerprint, hence one spec file and one
+// checkpoint, so the second submission must join the queued first job:
+// one stream with the uninterrupted run's full bytes and nothing
+// restored. Once that job is done, a resubmission is a new job served
+// from the cache, and nothing durable outlives either.
+func TestIdenticalJobsShareOneJob(t *testing.T) {
+	req := JobRequest{Kind: KindScenario, Scenario: &ScenarioJobSpec{
+		CommonSpec: CommonSpec{Workers: 1}, Scenario: "crash_churn", Nodes: 60, Rounds: 6, Runs: 6,
+	}}
+	want := directWireBytes(t, req, 1)
+	dataDir := filepath.Join(t.TempDir(), "data")
+	_, _, client := startDaemon(t, dataDir, 2)
+	spec := testGridSpec()
+	spec.Workers = 2
+	blocker, err := client.Submit(JobRequest{Kind: KindGrid, Grid: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := client.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := client.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ID != first.ID {
+		t.Fatalf("identical submission started %s beside the queued %s", second.ID, first.ID)
+	}
+	st, blob := jobBytes(t, client, first.ID)
+	if st.State != JobDone || st.RestoredCells != 0 || !bytes.Equal(blob, want) {
+		t.Fatalf("shared job ended %s with %d restored cells; stream equal to the uninterrupted run: %v",
+			st.State, st.RestoredCells, bytes.Equal(blob, want))
+	}
+	again, blob := streamBytes(t, client, req)
+	if again.ID == first.ID || again.CachedCells != 6 || !bytes.Equal(blob, want) {
+		t.Fatalf("resubmission after completion: job %s, %d cached cells; stream equal: %v",
+			again.ID, again.CachedCells, bytes.Equal(blob, want))
+	}
+	if st, _ := jobBytes(t, client, blocker.ID); st.State != JobDone {
+		t.Fatalf("grid job ended %s: %s", st.State, st.Error)
+	}
+	matches, _ := filepath.Glob(filepath.Join(dataDir, "simd_*"))
+	if len(matches) != 0 {
+		t.Fatalf("completed jobs left durable files: %v", matches)
+	}
+}
+
 // badJobRequests are specs the daemon must refuse at POST, before
-// queueing: each fails normalize, fingerprint or Config.
+// queueing: each fails resolve.
 func badJobRequests() []JobRequest {
 	return []JobRequest{
 		{Kind: "nope"},
@@ -413,14 +516,21 @@ func badJobRequests() []JobRequest {
 		{Kind: KindGrid, Grid: &GridJobSpec{Seeds: -1}},
 		{Kind: KindGrid, Grid: &GridJobSpec{Seeds: maxGridSeeds + 1}},
 		{Kind: KindGrid, Grid: &GridJobSpec{Nodes: -5}},
+		{Kind: KindGrid, Grid: &GridJobSpec{Nodes: 5}},
+		{Kind: KindGrid, Grid: &GridJobSpec{Nodes: maxJobNodes + 1}},
 		{Kind: KindGrid, Grid: &GridJobSpec{Rounds: -1}},
+		{Kind: KindGrid, Grid: &GridJobSpec{Rounds: maxJobRounds + 1}},
 		{Kind: KindGrid, Grid: &GridJobSpec{CommonSpec: CommonSpec{Sparse: "sideways"}}},
 		{Kind: KindGrid, Grid: &GridJobSpec{CommonSpec: CommonSpec{Weights: "zipf:1.1:0"}}},
 		{Kind: KindGrid, Grid: &GridJobSpec{CommonSpec: CommonSpec{TauStep: -1}}},
 		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Scenario: "not_a_scenario"}},
 		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Nodes: -5}},
+		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Nodes: 5}},
+		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Nodes: maxJobNodes + 1}},
 		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Rounds: -1}},
+		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Rounds: maxJobRounds + 1}},
 		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Runs: -1}},
+		{Kind: KindScenario, Scenario: &ScenarioJobSpec{Runs: maxGridSeeds + 1}},
 		{Kind: KindScenario, Scenario: &ScenarioJobSpec{CommonSpec: CommonSpec{TauFinal: -1}}},
 		{Kind: KindGrid, Scenario: &ScenarioJobSpec{}},
 	}
@@ -433,17 +543,23 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			t.Errorf("submit accepted bad request %+v", req)
 		}
 	}
-	// The seed cap is checked before the seed list is allocated: a
-	// request for 2^40 seeds costs no more than any other bad request.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := client.Submit(JobRequest{Kind: KindGrid, Grid: &GridJobSpec{Seeds: 1 << 40}})
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Error("submit accepted 2^40 seeds")
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Errorf("rejecting 2^40 seeds allocated %d bytes, want < 1 MiB", got)
+	// The seed and run caps are checked before the seed list is
+	// allocated: a request for 2^40 seeds or runs costs no more than any
+	// other bad request.
+	for name, req := range map[string]JobRequest{
+		"seeds": {Kind: KindGrid, Grid: &GridJobSpec{Seeds: 1 << 40}},
+		"runs":  {Kind: KindScenario, Scenario: &ScenarioJobSpec{Runs: 1 << 40}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := client.Submit(req)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("submit accepted 2^40 %s", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("rejecting 2^40 %s allocated %d bytes, want < 1 MiB", name, got)
+		}
 	}
 	if n := len(daemon.Jobs()); n != 0 {
 		t.Errorf("bad requests created %d jobs", n)

@@ -84,16 +84,22 @@ func (c CommonSpec) resolve() (experiments.CommonConfig, protocol.Params, error)
 	return common, params, nil
 }
 
-// maxGridSeeds caps a grid job's seed axis. Config checks it before it
-// allocates the seed list, so a short request body cannot make the
-// daemon allocate without bound.
-const maxGridSeeds = 10_000
+// Job size caps. Config checks each before it builds anything from
+// it, so a short request body cannot make the daemon allocate without
+// bound: a cell allocates one stake per node and three rows of rounds
+// fractions, and a grid one seed per seed-axis entry. A sweep's runs are
+// its grid's seeds, so maxGridSeeds caps both.
+const (
+	maxGridSeeds = 10_000
+	maxJobNodes  = 1_000_000
+	maxJobRounds = 10_000
+)
 
-// nonNegative rejects a negative size; 0 keeps the default, and the
-// CLIs reject negative sizes too.
-func nonNegative(name string, v int) error {
-	if v < 0 {
-		return fmt.Errorf("simd: %s must be >= 0 (0 = default), got %d", name, v)
+// checkSize rejects a size outside [0, limit]; 0 keeps the default, and
+// the CLIs reject negative sizes too.
+func checkSize(name string, v, limit int) error {
+	if v < 0 || v > limit {
+		return fmt.Errorf("simd: %s must be in [0, %d] (0 = default), got %d", name, limit, v)
 	}
 	return nil
 }
@@ -120,7 +126,8 @@ type GridJobSpec struct {
 // fingerprint's weightsSpec.
 func (s GridJobSpec) Config() (experiments.ScenarioGridConfig, error) {
 	cfg := experiments.FullScenarioGridConfig()
-	if err := errors.Join(nonNegative("nodes", s.Nodes), nonNegative("rounds", s.Rounds)); err != nil {
+	if err := errors.Join(checkSize("nodes", s.Nodes, maxJobNodes), checkSize("rounds", s.Rounds, maxJobRounds),
+		checkSize("seeds", s.Seeds, maxGridSeeds)); err != nil {
 		return cfg, err
 	}
 	common, params, err := s.CommonSpec.resolve()
@@ -142,19 +149,9 @@ func (s GridJobSpec) Config() (experiments.ScenarioGridConfig, error) {
 	if seeds == 0 {
 		seeds = 3
 	}
-	if seeds < 1 || seeds > maxGridSeeds {
-		return cfg, fmt.Errorf("simd: grid needs 1 <= seeds <= %d, got %d", maxGridSeeds, seeds)
-	}
 	cfg.Seeds = make([]int64, seeds)
 	for i := range cfg.Seeds {
 		cfg.Seeds[i] = int64(i + 1)
-	}
-	// Resolve scenario names eagerly so a bad submission fails at the
-	// API instead of after queueing.
-	for _, name := range cfg.Scenarios {
-		if _, ok := adversary.Lookup(name); !ok {
-			return cfg, fmt.Errorf("simd: unknown scenario %q", name)
-		}
 	}
 	return cfg, nil
 }
@@ -177,23 +174,24 @@ type ScenarioJobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// Config resolves the spec into the sweep config the CLI would build.
-func (s ScenarioJobSpec) Config() (experiments.ScenarioConfig, error) {
+// Config resolves the spec into the one-scenario grid the sweep runs
+// (experiments.ScenarioConfig.Grid): run i is the cell at seed
+// Seed + 7919·i, so a sweep shares the grid's cells, cache and
+// checkpoint.
+func (s ScenarioJobSpec) Config() (experiments.ScenarioGridConfig, error) {
+	if err := errors.Join(checkSize("nodes", s.Nodes, maxJobNodes), checkSize("rounds", s.Rounds, maxJobRounds),
+		checkSize("runs", s.Runs, maxGridSeeds)); err != nil {
+		return experiments.ScenarioGridConfig{}, err
+	}
+	common, params, err := s.CommonSpec.resolve()
+	if err != nil {
+		return experiments.ScenarioGridConfig{}, err
+	}
 	name := s.Scenario
 	if name == "" {
 		name = adversary.EclipseEquivocation
 	}
-	if _, ok := adversary.Lookup(name); !ok {
-		return experiments.ScenarioConfig{}, fmt.Errorf("simd: unknown scenario %q", name)
-	}
 	cfg := experiments.DefaultScenarioConfig(name)
-	if err := errors.Join(nonNegative("nodes", s.Nodes), nonNegative("rounds", s.Rounds), nonNegative("runs", s.Runs)); err != nil {
-		return cfg, err
-	}
-	common, params, err := s.CommonSpec.resolve()
-	if err != nil {
-		return cfg, err
-	}
 	cfg.CommonConfig = common
 	cfg.Params = params
 	if s.Nodes > 0 {
@@ -208,7 +206,7 @@ func (s ScenarioJobSpec) Config() (experiments.ScenarioConfig, error) {
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
 	}
-	return cfg, nil
+	return cfg.Grid(), nil
 }
 
 // JobRequest is the POST /api/v1/jobs body: a tagged union over the job
@@ -244,24 +242,24 @@ func (r *JobRequest) normalize() error {
 	return nil
 }
 
-// fingerprint digests the job's full result-shaping configuration; grid
-// jobs use the checkpoint fingerprint (so daemon checkpoints interoperate
-// with resume validation), scenario jobs an analogous sweep digest.
-func (r *JobRequest) fingerprint() (string, error) {
-	switch r.Kind {
-	case KindScenario:
-		cfg, err := r.Scenario.Config()
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("sweep|scenario=%s|nodes=%d|rounds=%d|runs=%d|seed=%d|fanout=%d|params=%+v|stake=%+v|backend=%d|weights=%s|sparse=%d",
-			cfg.Scenario, cfg.Nodes, cfg.Rounds, cfg.Runs, cfg.Seed, cfg.Fanout,
-			cfg.Params, cfg.StakeDist, cfg.WeightBackend, r.Scenario.Weights, cfg.Sparse), nil
-	default:
-		cfg, err := r.Grid.Config()
-		if err != nil {
-			return "", err
-		}
-		return experiments.GridFingerprint(cfg, r.Grid.Weights), nil
+// resolve normalizes the request and resolves it, once, into the grid
+// the job runs and the -weights spec its fingerprint digests
+// (experiments.GridFingerprint). A sweep job is its one-scenario grid,
+// so both kinds pass the grid driver's own Validate here, at POST.
+func (r *JobRequest) resolve() (experiments.ScenarioGridConfig, string, error) {
+	if err := r.normalize(); err != nil {
+		return experiments.ScenarioGridConfig{}, "", err
 	}
+	if r.Kind == KindScenario {
+		cfg, err := r.Scenario.Config()
+		if err == nil {
+			err = cfg.Validate()
+		}
+		return cfg, r.Scenario.Weights, err
+	}
+	cfg, err := r.Grid.Config()
+	if err == nil {
+		err = cfg.Validate()
+	}
+	return cfg, r.Grid.Weights, err
 }

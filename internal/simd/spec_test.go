@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"github.com/dsn2020-algorand/incentives/internal/experiments"
 )
 
 // FuzzJobRequest decodes arbitrary bytes the way the POST handler does
-// and runs the submit path's spec handling: normalize, fingerprint and
-// Config. No input may panic, an accepted grid holds at most
-// maxGridSeeds seeds, and the fingerprint is a function of the request
-// alone.
+// and resolves them through resolve, the one function Submit uses (it
+// returns the grid driver's Validate error, so an accepted request
+// passes Validate by construction). No input may panic; an accepted
+// request of either kind stays within every job size cap; and resolving
+// it twice gives the same fingerprint.
 func FuzzJobRequest(f *testing.F) {
 	add := func(req JobRequest) {
 		body, err := json.Marshal(req)
@@ -26,35 +29,29 @@ func FuzzJobRequest(f *testing.F) {
 		add(req)
 	}
 	f.Add([]byte(`{"grid":{"seeds":1000000}}`))
+	f.Add([]byte(`{"kind":"scenario","scenario":{"runs":1099511627776}}`))
+	f.Add([]byte(`{"grid":{"nodes":1000001,"rounds":10001}}`))
+	f.Add([]byte(`{"kind":"scenario","scenario":{"nodes":1000001,"rounds":10001}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req JobRequest
 		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
 			return
 		}
-		if err := req.normalize(); err != nil {
-			return
-		}
-		fp, err := req.fingerprint()
+		cfg, weights, err := req.resolve()
 		if err != nil {
 			return
 		}
-		if again, err := req.fingerprint(); err != nil || again != fp {
-			t.Fatalf("fingerprint not repeatable: %q then %q (%v)", fp, again, err)
+		if len(cfg.Seeds) > maxGridSeeds || cfg.Nodes > maxJobNodes || cfg.Rounds > maxJobRounds {
+			t.Fatalf("accepted %s job exceeds a cap: %d seeds, %d nodes, %d rounds",
+				req.Kind, len(cfg.Seeds), cfg.Nodes, cfg.Rounds)
 		}
-		switch req.Kind {
-		case KindGrid:
-			cfg, err := req.Grid.Config()
-			if err != nil {
-				t.Fatalf("fingerprinted grid fails Config: %v", err)
-			}
-			if len(cfg.Seeds) > maxGridSeeds {
-				t.Fatalf("accepted grid has %d seeds, cap %d", len(cfg.Seeds), maxGridSeeds)
-			}
-		case KindScenario:
-			if _, err := req.Scenario.Config(); err != nil {
-				t.Fatalf("fingerprinted scenario fails Config: %v", err)
-			}
+		again, weightsAgain, err := req.resolve()
+		if err != nil {
+			t.Fatalf("second resolve failed: %v", err)
+		}
+		if fp, fpAgain := experiments.GridFingerprint(cfg, weights), experiments.GridFingerprint(again, weightsAgain); fp != fpAgain {
+			t.Fatalf("fingerprint not repeatable: %q then %q", fp, fpAgain)
 		}
 	})
 }

@@ -412,7 +412,7 @@ func BenchmarkProtocolRound(b *testing.B) {
 
 // BenchmarkProtocolRoundSparse measures one warm round of a 5k-node
 // network on the sparse path (absolute taus 100/150): committee sampling
-// plus mean-field delivery batches, the per-round work of the large-N
+// plus the mean-field delivery logs, the per-round work of the large-N
 // Fig. 3 sweeps.
 func BenchmarkProtocolRoundSparse(b *testing.B) {
 	const n = 5_000
@@ -435,7 +435,7 @@ func BenchmarkProtocolRoundSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner.RunRounds(2) // warm pools, tallies and batch blocks
+	runner.RunRounds(2) // warm pools, tallies and log blocks
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -168,6 +168,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 
 		reports := runner.RunRounds(*rounds)
+		if err := runner.Err(); err != nil {
+			return simRun{}, err
+		}
 		out := simRun{
 			final:       make([]float64, len(reports)),
 			tentative:   make([]float64, len(reports)),

@@ -62,9 +62,6 @@ func obsGridCell(t *testing.T, workers int) []byte {
 }
 
 func TestTelemetryDeterminism(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("obs_off build")
-	}
 	drivers := []struct {
 		name string
 		run  func(t *testing.T, workers int) []byte
@@ -131,9 +128,6 @@ func TestTelemetryDeterminism(t *testing.T) {
 // The sink instrumentation must count exactly what flowed through and
 // classify audit events by severity.
 func TestInstrumentedSinkCounts(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("obs_off build")
-	}
 	obs.Disable()
 	obs.Enable()
 	defer obs.Disable()
@@ -186,9 +180,6 @@ func TestInstrumentedSinkCounts(t *testing.T) {
 // A trace attached to run 0 must record spans without changing output,
 // and only run 0 writes it.
 func TestTraceDoesNotPerturbFig3(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("obs_off build")
-	}
 	obs.Disable()
 	baseline := obsFig3(t, 1)
 

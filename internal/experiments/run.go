@@ -93,6 +93,9 @@ func simulate(spec runSpec, arena *protocol.Arena) (GridCell, int, error) {
 			decided++
 		}
 	}
+	if err := runner.Err(); err != nil {
+		return out, 0, err
+	}
 	if eng != nil {
 		out.Audit = eng.Audit().Report()
 	}

@@ -27,8 +27,7 @@
 // build pays one predictable branch per flush point and zero
 // allocations. Hot loops (the event scheduler, the sortition cache)
 // keep plain uint64 fields and flush deltas into the shared atomic
-// registry once per round. Building with -tags obs_off pins the layer
-// off: Enable becomes a no-op and Default always returns nil.
+// registry once per round.
 package obs
 
 import (
@@ -311,12 +310,8 @@ var global atomic.Pointer[Registry]
 
 // Enable installs (creating on first call) the process-global registry
 // and returns it. Until Enable is called, Default returns nil and every
-// instrumentation point no-ops. Under -tags obs_off Enable itself
-// no-ops and returns nil.
+// instrumentation point no-ops.
 func Enable() *Registry {
-	if !Enabled {
-		return nil
-	}
 	for {
 		if r := global.Load(); r != nil {
 			return r

@@ -86,10 +86,10 @@ func TestSortitionSelectAllocFree(t *testing.T) {
 }
 
 // sparseColdAllocBudget bounds the bytes a fresh 5k-node sparse runner
-// allocates over construction plus its first two rounds. Batched
-// deliveries recycle their blocks, so the cold cost stays near 21 MiB;
-// one scheduler event per delivery cost 72 MiB, and batch storage that
-// is not recycled fails here too.
+// allocates over construction plus its first two rounds. The delivery
+// logs recycle their blocks, so the cold cost stays near 20 MiB; one
+// scheduler event per delivery cost 72 MiB, and log storage that is not
+// recycled fails here too.
 const sparseColdAllocBudget = 40 << 20
 
 func TestSparseColdAllocBudget(t *testing.T) {

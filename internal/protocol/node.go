@@ -30,6 +30,14 @@ type tallyEntry struct {
 // reach one tally twice. Its votes arrive flagged equivocal and are
 // checked against a voter set allocated on the first such vote; the
 // first to arrive counts.
+//
+// That rule is the only one arrival order reaches. Weights are whole
+// seat counts, so sums are exact in any order, and a tally's slot
+// layout, which follows the order values first arrive in, is invisible
+// to leader and evaluateBinaryTally. The sparse path's delivery logs
+// rely on this: they sort a receiver's deliveries into arrival order
+// only while an equivocal vote or a proposal is among them (see
+// flushLogs).
 type stepTally struct {
 	slots        []tallyEntry
 	n            int // live slot count

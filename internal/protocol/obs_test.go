@@ -37,9 +37,6 @@ func TestCountersCoveragePinned(t *testing.T) {
 // The coverage marker must also surface as the
 // sim_counters_coverage_materialized_only gauge at construction.
 func TestCoverageGaugeTracksRunner(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("obs_off build")
-	}
 	obs.Disable()
 	obs.Enable()
 	defer obs.Disable()
@@ -63,9 +60,6 @@ func TestCoverageGaugeTracksRunner(t *testing.T) {
 // metric flush is a fixed handful of atomic adds and must fit inside the
 // same allocation budget as an uninstrumented round (0 extra allocs).
 func TestRoundAllocBudgetWithMetrics(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("obs_off build")
-	}
 	obs.Disable()
 	obs.Enable()
 	defer obs.Disable()

@@ -160,13 +160,13 @@ type Runner struct {
 
 	// sparse is non-nil when this runner uses the centralized
 	// sparse-committee path; fanout/lossProb/delay snapshot the gossip
-	// parameters its mean-field model needs, and runBatchCb is the
-	// pre-bound delivery-batch callback handed to Engine.ScheduleFn.
-	sparse     *sparseState
-	fanout     int
-	lossProb   float64
-	delay      network.DelayModel
-	runBatchCb func(arg int, head any)
+	// parameters its mean-field model needs. err is set when a sparse
+	// delivery left the delivery logs' range (see Err).
+	sparse   *sparseState
+	fanout   int
+	lossProb float64
+	delay    network.DelayModel
+	err      error
 
 	// cache is the per-runner sortition oracle: every Select/Verify in
 	// the round hot path walks its memoised threshold tables instead of
@@ -327,7 +327,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		} else {
 			r.sparse = newSparseState(engine.RNG("protocol.sparse"))
 		}
-		r.runBatchCb = r.runBatch
+		r.sparse.hops = sparseHops(n, cfg.Fanout)
 	} else {
 		for i, nd := range r.nodes {
 			acct, err := canonical.Account(i)
@@ -368,23 +368,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.delay = cfg.Delay
 	// The network hints the engine's scheduling horizon for the current
 	// delay factor; pre-hint the weak-synchrony worst case too, so the
-	// first degraded round never rebuilds the calendar ring mid-run. The
-	// sparse path delays each mean-field delivery by a whole multi-hop
-	// path, so its horizon scales with the modelled hop count.
-	if bd, ok := cfg.Delay.(network.BoundedDelay); ok {
-		horizon := float64(bd.MaxDelay())
-		if cfg.Params.AsyncFactor > 1 {
-			horizon *= cfg.Params.AsyncFactor
-		}
-		if r.sparse != nil {
-			r.sparse.hops = sparseHops(n, cfg.Fanout)
-			horizon *= float64(r.sparse.hops)
-		}
-		if cfg.Params.AsyncFactor > 1 || r.sparse != nil {
-			engine.HintHorizon(time.Duration(horizon))
-		}
-	} else if r.sparse != nil {
-		r.sparse.hops = sparseHops(n, cfg.Fanout)
+	// first degraded round never rebuilds the calendar ring mid-run.
+	// Sparse rounds schedule only their phase timers.
+	if bd, ok := cfg.Delay.(network.BoundedDelay); ok && r.sparse == nil && cfg.Params.AsyncFactor > 1 {
+		engine.HintHorizon(time.Duration(float64(bd.MaxDelay()) * cfg.Params.AsyncFactor))
 	}
 	net.SetRelayObserver(func(nodeID int) {
 		r.meter.of(nodeID).Gossip++
@@ -472,14 +459,25 @@ func (r *Runner) SetDegradedWindow(from, to uint64) {
 	r.degradedFrom, r.degradedTo = from, to
 }
 
-// RunRounds simulates n consecutive rounds and returns their reports.
+// RunRounds simulates n consecutive rounds and returns their reports. A
+// run that fails (see Err) stops: the round it failed in and any later
+// ones are not returned.
 func (r *Runner) RunRounds(n int) []RoundReport {
 	reports := make([]RoundReport, 0, n)
-	for i := 0; i < n; i++ {
-		reports = append(reports, r.runRound())
+	for i := 0; i < n && r.err == nil; i++ {
+		rep := r.runRound()
+		if r.err != nil {
+			break
+		}
+		reports = append(reports, rep)
 	}
 	return reports
 }
+
+// Err reports why RunRounds stopped early: a sparse delivery arrived too
+// long after its round's start, or a round gossiped too many payloads,
+// for the delivery logs to key it (a *SparseRangeError).
+func (r *Runner) Err() error { return r.err }
 
 const finalVoteStep = 1 << 20 // sortition step id reserved for final votes
 
@@ -557,18 +555,29 @@ func (r *Runner) runRound() RoundReport {
 	}
 
 	start := r.engine.Now()
-	r.engine.ScheduleAt(start, func() { r.proposePhase(round) })
 	stepAt := func(s int) time.Duration {
 		return start + r.params.ProposalTimeout + time.Duration(s-1)*r.params.StepTimeout
 	}
-	r.engine.ScheduleAt(stepAt(1), func() { r.reductionStep1(round) })
-	r.engine.ScheduleAt(stepAt(2), func() { r.reductionStep2(round) })
+	timer := func(at time.Duration, phase func()) {
+		if r.sparse != nil {
+			// Sparse deliveries wait in their receivers' logs; a phase
+			// first applies those due before it.
+			r.engine.ScheduleAt(at, func() { r.flushDue(); phase() })
+			return
+		}
+		r.engine.ScheduleAt(at, phase)
+	}
+	timer(start, func() { r.proposePhase(round) })
+	timer(stepAt(1), func() { r.reductionStep1(round) })
+	timer(stepAt(2), func() { r.reductionStep2(round) })
 	for s := 3; s <= lastStep; s++ {
-		s := s
-		r.engine.ScheduleAt(stepAt(s), func() { r.binaryStep(round, uint64(s)) })
+		timer(stepAt(s), func() { r.binaryStep(round, uint64(s)) })
 	}
 	// Drain all gossip; late messages land in tallies but were not counted.
 	_ = r.engine.Run(0)
+	if r.sparse != nil {
+		r.drainLogs()
+	}
 
 	var report RoundReport
 	if r.sparse != nil {
@@ -1037,13 +1046,8 @@ func (r *Runner) maliciousValue(nd *node, honest ledger.Hash) ledger.Hash {
 // --- Message handling ----------------------------------------------------
 
 func (r *Runner) handleMessage(nodeID int, msg network.Message) {
-	if r.trace != nil && nodeID < r.trace.Panel() {
-		// Named from the payload: mean-field deliveries carry no Kind.
-		name := "vote"
-		if _, ok := msg.Payload.(*proposalPayload); ok {
-			name = "proposal"
-		}
-		r.trace.Instant("gossip", name, nodeID, r.engine.Now())
+	if nodeID < r.trace.Panel() {
+		r.traceGossip(nodeID, msg.Payload, r.engine.Now())
 	}
 	nd := r.nodes[nodeID]
 	if nd == nil {
@@ -1062,6 +1066,17 @@ func (r *Runner) handleMessage(nodeID int, msg network.Message) {
 	case *votePayload:
 		r.handleVote(nd, payload)
 	}
+}
+
+// traceGossip records one delivery to a trace panel node as a gossip
+// instant at its arrival time, named from the payload: mean-field
+// deliveries carry no Kind.
+func (r *Runner) traceGossip(nodeID int, payload any, at time.Duration) {
+	name := "vote"
+	if _, ok := payload.(*proposalPayload); ok {
+		name = "proposal"
+	}
+	r.trace.Instant("gossip", name, nodeID, at)
 }
 
 func (r *Runner) handleProposal(nd *node, p *proposalPayload) {

@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -184,58 +186,96 @@ type sparseState struct {
 	// first-arrival times within the step windows.
 	delayTable []time.Duration
 
-	// Delivery batches (see deliverAt). open maps the arrival instants of
-	// the running event's batches to their tail blocks (see openHome); a
-	// slot is live only when its gen equals openGen (openLive slots are),
-	// and openGen belongs to the event with engine step count openStep-1
-	// (0: none yet). msgs holds the payloads that queued batches refer
-	// to, until the last of them runs (queued counts them). freeBlk is the
-	// freelist of batch blocks.
-	open      []openBatch
-	openShift uint8
-	openLive  int
-	openGen   uint32
-	openStep  uint64
-	msgs      []any
-	queued    int
-	freeBlk   *batchBlock
+	// Delivery logs (see flushLogs). logs[i] holds the pending
+	// deliveries to actors[i]; orphans hold those to nodes this round did
+	// not materialize, which only deliveries emitted after a drain can
+	// address. msgs are the payloads the logs refer to, in emission order.
+	// base is the instant arrival offsets count from: the end of the last
+	// drain, which is this round's start. carry counts the msgs emitted
+	// after that drain, before this round scheduled its timers. freeBlk is
+	// the freelist of log blocks; due and traced are flush scratch.
+	logs    []recvLog
+	orphans []recvLog
+	msgs    []logMsg
+	base    time.Duration
+	carry   int
+	freeBlk *logBlock
+	due     []uint64
+	traced  []tracedKey
 
 	// scratch buffers reused across rounds.
 	idScratch  []int
 	desScratch []int
 }
 
-// batchBlockLen is the delivery capacity of one batch block, which
-// makes a block 512 bytes.
-const batchBlockLen = 63
+// A log entry is one packed key: the arrival offset from sparseState.base
+// in the high bits and the payload's index in msgs in the low
+// logIdxBits. Payloads are indexed in emission order, so one uint64
+// compare orders two entries by (arrival, emission), the order one
+// scheduler event per delivery would run them in.
+const (
+	logIdxBits = 24
+	logIdxMask = 1<<logIdxBits - 1
+	// logMaxMsgs bounds the payloads one round can gossip.
+	logMaxMsgs = 1 << logIdxBits
+	// logSpan bounds an arrival's offset from its round's start: 2^40 ns,
+	// about 18 minutes.
+	logSpan = time.Duration(1) << (64 - logIdxBits)
+)
 
-// batchBlock is one link of a delivery batch, its deliveries in emission
-// order. A batch is a chain of blocks; its head rides in the batch's
-// engine event. Entries past the last delivery are zero.
-type batchBlock struct {
-	next *batchBlock
-	ent  [batchBlockLen]batchEntry
+// logBlockLen is the key capacity of one log block, which makes a block
+// 512 bytes.
+const logBlockLen = 63
+
+// logBlock is one link of a receiver's log, its keys in emission order.
+type logBlock struct {
+	next *logBlock
+	keys [logBlockLen]uint64
 }
 
-// batchEntry is one delivery: the receiver's id plus one, so a zero
-// entry ends a partly filled block, and the payload's index in msgs.
-type batchEntry struct {
-	node, msg int32
+// recvLog is one receiver's pending deliveries: a chain of blocks, each
+// full but the tail, which holds n keys (head is nil when the log is
+// empty). sens counts the pending entries whose apply order is
+// observable: proposals, of which equivocal variants share a priority,
+// and equivocal votes, which count first-arrival-wins.
+type recvLog struct {
+	head, tail *logBlock
+	n          int32
+	sens       int32
+	id         int32
 }
 
-// openBatch is one slot of the open-batch table: a batch of the running
-// event, with n deliveries in its tail block.
-type openBatch struct {
-	at   time.Duration
-	tail *batchBlock
-	n    int32
-	gen  uint32
+// logMsg is one logged payload and whether its apply order matters.
+type logMsg struct {
+	payload any
+	sens    bool
 }
 
-// openMinShift sizes the open-batch table at 1<<(64-openMinShift) = 8192
-// slots: twice the delay table, so an event without delay-scaled links
-// never grows it.
-const openMinShift = 64 - 13
+// tracedKey is a flushed delivery to a node of the trace panel.
+type tracedKey struct {
+	key uint64
+	id  int32
+}
+
+// SparseRangeError stops a sparse run (see Runner.Err) with a delivery
+// the delivery logs cannot key: one arriving logSpan or more after its
+// round starts, or one more payload than logMaxMsgs in a round.
+type SparseRangeError struct {
+	// Arrival is the offending arrival offset (logSpan when its delay
+	// alone reaches the span); zero for a payload count.
+	Arrival time.Duration
+	// Payloads is the offending payload count; zero for an arrival.
+	Payloads int
+}
+
+func (e *SparseRangeError) Error() string {
+	if e.Payloads > 0 {
+		return fmt.Sprintf("protocol: Sparse: %d payloads gossiped in one round; sparse delivery logs index at most %d",
+			e.Payloads, logMaxMsgs)
+	}
+	return fmt.Sprintf("protocol: Sparse: a delivery arrives %v after its round starts; sparse delivery logs hold arrivals below %v",
+		e.Arrival, logSpan)
+}
 
 func newSparseState(rng *rand.Rand) *sparseState {
 	return &sparseState{
@@ -262,13 +302,18 @@ func (s *sparseState) adopt(rng *rand.Rand) {
 	s.panel = s.panel[:0]
 	s.pinned = s.pinned[:0]
 	clear(s.desynced)
-	// The recycled engine dropped any still-queued batch events, and its
-	// step count restarts, so no open batch may take another delivery.
-	// Blocks held by dropped events are left to the collector.
-	s.openStep = 0
+	// Deliveries the previous run emitted after its last drain never run.
+	for i := range s.logs {
+		s.freeLog(&s.logs[i])
+	}
+	for i := range s.orphans {
+		s.freeLog(&s.orphans[i])
+	}
+	s.logs = s.logs[:0]
+	s.orphans = s.orphans[:0]
 	clear(s.msgs)
 	s.msgs = s.msgs[:0]
-	s.queued = 0
+	s.base, s.carry = 0, 0
 }
 
 // takeCommittee returns a cleared committee from the pool.
@@ -429,12 +474,20 @@ func (r *Runner) beginRoundSparse(round uint64, lastStep int) {
 	s := r.sparse
 	n := len(r.roundStakes)
 
-	// Return last round's materialized nodes to the pool.
+	// Return last round's materialized nodes to the pool. Deliveries
+	// still logged for them were emitted after the last drain, which
+	// emptied every other log; they keep their receivers (see placeLogs).
 	for _, nd := range s.actors {
 		r.nodes[nd.id] = nil
 		s.free = append(s.free, nd)
 	}
 	s.actors = s.actors[:0]
+	var carried []recvLog
+	for _, l := range s.logs {
+		if l.head != nil {
+			carried = append(carried, l)
+		}
+	}
 	for step, c := range s.committees {
 		c.reset()
 		s.comPool = append(s.comPool, c)
@@ -492,6 +545,7 @@ func (r *Runner) beginRoundSparse(round uint64, lastStep int) {
 		r.nodes[id] = nd
 		s.actors = append(s.actors, nd)
 	}
+	s.placeLogs(ids, carried)
 
 	// Flat meter pass: every online node derives the round seed; even
 	// defectors run sortition to join the network ("paying cost c_so").
@@ -559,6 +613,26 @@ func (r *Runner) participatesID(id int) bool {
 	return b == Honest || b == Malicious
 }
 
+// placeLogs gives each of this round's actors an empty log, then hands
+// every carried log to its receiver: the receiver's actor slot when it is
+// materialized again, an orphan slot otherwise. Carried entries were
+// emitted before this round's timers were scheduled, which carry marks.
+func (s *sparseState) placeLogs(ids []int, carried []recvLog) {
+	s.logs = slices.Grow(s.logs[:0], len(ids))[:len(ids)]
+	for i, id := range ids {
+		s.logs[i] = recvLog{id: int32(id)}
+	}
+	s.orphans = s.orphans[:0]
+	for _, l := range carried {
+		if i, ok := slices.BinarySearch(ids, int(l.id)); ok {
+			s.logs[i] = l
+		} else {
+			s.orphans = append(s.orphans, l)
+		}
+	}
+	s.carry = len(s.msgs)
+}
+
 // sparseGossip is the mean-field replacement for Network.Gossip: the
 // origin consumes its own message immediately, then every other
 // materialized node receives it independently with the epidemic coverage
@@ -566,8 +640,9 @@ func (r *Runner) participatesID(id int) bool {
 // The real network still carries topology, online/relay state and the
 // fault overlay — sparseGossip consults all three — but no per-hop push
 // fans out, so gossip work is O(materialized), not O(N·fanout). Each
-// delivery joins the batch for its arrival instant (see deliverAt), so
-// the scheduler sees one event per batch, not one per delivery.
+// delivery is appended to its receiver's log, to be applied by the first
+// phase timer after its arrival (see flushLogs); the scheduler sees none
+// of them.
 //
 // Unmaterialized nodes receive nothing: they hold no tallies to update.
 // Their sortition/seed costs accrue in the flat meter passes and their
@@ -584,10 +659,24 @@ func (r *Runner) sparseGossip(origin int, msg network.Message) {
 	}
 	r.meter.of(origin).Gossip++
 	s := r.sparse
+	if r.err != nil {
+		return
+	}
+	sens := false
+	switch p := msg.Payload.(type) {
+	case *proposalPayload:
+		sens = true
+	case *votePayload:
+		sens = p.equivocal
+	}
 	factor := r.net.DelayFactor()
-	idx := int32(-1) // msg.Payload's index in s.msgs, from its first delivery
-	for _, nd := range s.actors {
-		v := nd.id
+	now := r.engine.Now() - s.base
+	idx := uint64(len(s.msgs))
+	logged := false
+	var last time.Duration // the latest arrival offset logged
+	for i := range s.logs {
+		l := &s.logs[i] // actors[i]'s log, which holds its id
+		v := int(l.id)
 		if v == origin || !r.net.Online(v) {
 			continue
 		}
@@ -605,156 +694,238 @@ func (r *Runner) sparseGossip(origin int, msg network.Message) {
 		if s.rng.Float64() >= p {
 			continue
 		}
-		delay := s.delayTable[s.rng.Intn(len(s.delayTable))]
-		delay = time.Duration(float64(delay) * factor)
-		if fault.DelayScale > 1 {
-			delay = time.Duration(float64(delay) * fault.DelayScale)
+		// The delay scales in two roundings, as a network hop's does; each
+		// product is range-checked before it converts.
+		d := float64(s.delayTable[s.rng.Intn(len(s.delayTable))]) * factor
+		if fault.DelayScale > 1 && d < float64(logSpan) {
+			d = float64(time.Duration(d)) * fault.DelayScale
 		}
-		if idx < 0 {
-			idx = int32(len(s.msgs))
-			s.msgs = append(s.msgs, msg.Payload)
+		if !(d < float64(logSpan)) {
+			r.fail(&SparseRangeError{Arrival: logSpan})
+			return
 		}
-		r.deliverAt(delay, v, idx)
+		at := now + max(time.Duration(d), 0)
+		if at >= logSpan {
+			r.fail(&SparseRangeError{Arrival: at})
+			return
+		}
+		if !logged {
+			if idx >= logMaxMsgs {
+				r.fail(&SparseRangeError{Payloads: len(s.msgs) + 1})
+				return
+			}
+			s.msgs = append(s.msgs, logMsg{payload: msg.Payload, sens: sens})
+			logged = true
+		}
+		s.push(l, uint64(at)<<logIdxBits|idx)
+		if sens {
+			l.sens++
+		}
+		last = max(last, at)
+	}
+	if logged {
+		// A drain still ends at the latest arrival, as if each delivery
+		// had been an event.
+		r.engine.Elide(last - now)
 	}
 }
 
-// deliverAt queues one mean-field delivery of payload msgs[msg] to node
-// v, delay from now. Deliveries the running event emits for one arrival
-// instant form a batch: the first schedules the batch's only engine
-// event, the rest join its block chain, and runBatch hands them to
-// sparseDeliver in emission order.
+// fail stops a sparse run whose deliveries left the delivery logs' range;
+// RunRounds returns no further round and Err reports why.
+func (r *Runner) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// push appends key to l.
+func (s *sparseState) push(l *recvLog, key uint64) {
+	if l.head == nil || l.n == logBlockLen {
+		blk := s.freeBlk
+		if blk == nil {
+			blk = &logBlock{}
+		} else {
+			s.freeBlk = blk.next
+			blk.next = nil
+		}
+		if l.head == nil {
+			l.head = blk
+		} else {
+			l.tail.next = blk
+		}
+		l.tail, l.n = blk, 0
+	}
+	l.tail.keys[l.n] = key
+	l.n++
+}
+
+// freeLog empties l, returning its blocks to the freelist.
+func (s *sparseState) freeLog(l *recvLog) {
+	if l.head != nil {
+		l.tail.next = s.freeBlk
+		s.freeBlk = l.head
+	}
+	*l = recvLog{id: l.id}
+}
+
+// flushDue is the sparse half of every phase timer: before the phase
+// runs, it applies each logged delivery that one scheduler event per
+// delivery would have run first. That is every arrival strictly before
+// the timer, plus the arrivals at its instant emitted before the round
+// scheduled its timers (after the previous drain, see carry); an entry
+// the round emitted for the timer's instant runs after it.
+func (r *Runner) flushDue() {
+	s := r.sparse
+	lim := uint64(math.MaxUint64)
+	if off := r.engine.Now() - s.base; off < logSpan {
+		lim = uint64(off)<<logIdxBits | uint64(s.carry)
+	}
+	r.flushLogs(lim)
+}
+
+// drainLogs ends a sparse round's drain: it applies every delivery still
+// logged, then rebases the logs on the drained clock, the next round's
+// start. Deliveries emitted from here on (final votes cast during
+// finalizeRoundSparse) run in the next round.
+func (r *Runner) drainLogs() {
+	s := r.sparse
+	r.flushLogs(math.MaxUint64)
+	clear(s.msgs)
+	s.msgs = s.msgs[:0]
+	s.base = r.engine.Now()
+}
+
+// flushLogs applies every logged delivery whose key is below lim,
+// receiver by receiver, so each receiver's tallies stay in cache while
+// they fill.
 //
-// This reproduces the one-event-per-delivery schedule exactly. A
-// delivery schedules nothing, and an event that emits deliveries
-// schedules nothing else, so every other event at the batch's instant
-// was scheduled before its first delivery (lower seq: step timers,
-// earlier events' batches) or after its last (higher seq: later events'
-// batches). Running the batch back to back is therefore the (at, seq)
-// order, delivery for delivery. A batch takes deliveries only while the
-// event that opened it runs; the engine's step count tells when that
-// event is over.
-func (r *Runner) deliverAt(delay time.Duration, v int, msg int32) {
+// A receiver's order is that of its keys, (arrival, emission), but only
+// entries whose order is observable need it. Other due entries commute:
+// seat weights are integers, so tally sums are exact in any order, and
+// tally leaders are picked by a total order over (weight, hash), so a
+// tally's slot layout is invisible. They apply in emission order, and a
+// receiver's due entries are sorted only while it holds an
+// order-sensitive one (see recvLog.sens).
+func (r *Runner) flushLogs(lim uint64) {
 	s := r.sparse
-	if step := r.engine.Steps() + 1; step != s.openStep {
-		s.openStep = step
-		s.openGen++
-		s.openLive = 0
-		if s.openGen == 0 || s.open == nil {
-			s.open = make([]openBatch, 1<<(64-openMinShift))
-			s.openShift = openMinShift
-			s.openGen = 1
-		}
+	for i := range s.logs {
+		r.flushLog(&s.logs[i], lim)
 	}
-	if delay < 0 {
-		delay = 0
+	for i := range s.orphans {
+		r.flushLog(&s.orphans[i], lim)
 	}
-	at := r.engine.Now() + delay
-	e := batchEntry{node: int32(v) + 1, msg: msg}
-	mask := len(s.open) - 1
-	for i := s.openHome(at); ; i = (i + 1) & mask {
-		slot := &s.open[i]
-		if slot.gen != s.openGen {
-			blk := s.takeBlock()
-			blk.ent[0] = e
-			*slot = openBatch{at: at, tail: blk, n: 1, gen: s.openGen}
-			r.engine.ScheduleFn(delay, r.runBatchCb, 0, blk)
-			s.queued++
-			if s.openLive++; 2*s.openLive > len(s.open) {
-				s.growOpen()
-			}
-			return
-		}
-		if slot.at == at {
-			if slot.n == batchBlockLen {
-				blk := s.takeBlock()
-				slot.tail.next = blk
-				slot.tail, slot.n = blk, 0
-			}
-			slot.tail.ent[slot.n] = e
-			slot.n++
-			return
-		}
+	if len(s.traced) > 0 {
+		r.traceDeliveries()
 	}
 }
 
-// openHome is the open-batch slot where probing for instant at starts:
-// the top bits of its Fibonacci hash.
-func (s *sparseState) openHome(at time.Duration) int {
-	return int(uint64(at) * 0x9e3779b97f4a7c15 >> s.openShift)
-}
-
-// takeBlock returns a zeroed block from the freelist.
-func (s *sparseState) takeBlock() *batchBlock {
-	blk := s.freeBlk
-	if blk == nil {
-		return &batchBlock{}
-	}
-	s.freeBlk = blk.next
-	blk.next = nil
-	return blk
-}
-
-// growOpen doubles the open-batch table, keeping the running event's
-// batches. Only events whose delay-scaled links multiply the distinct
-// arrival instants past the delay table's length need it.
-func (s *sparseState) growOpen() {
-	old := s.open
-	s.open = make([]openBatch, 2*len(old))
-	s.openShift--
-	mask := len(s.open) - 1
-	for _, slot := range old {
-		if slot.gen != s.openGen {
-			continue
-		}
-		i := s.openHome(slot.at)
-		for s.open[i].gen == s.openGen {
-			i = (i + 1) & mask
-		}
-		s.open[i] = slot
-	}
-}
-
-// runBatch is the engine callback of one delivery batch: it delivers the
-// chain headed by head in emission order, zeroing entries as it goes,
-// and returns the blocks to the freelist. The last queued batch to run
-// releases the payload table.
-func (r *Runner) runBatch(_ int, head any) {
-	s := r.sparse
-	for blk := head.(*batchBlock); blk != nil; {
-		for i := range blk.ent {
-			e := blk.ent[i]
-			if e.node == 0 {
-				break
-			}
-			blk.ent[i] = batchEntry{}
-			r.sparseDeliver(int(e.node-1), s.msgs[e.msg])
-		}
-		next := blk.next
-		blk.next = s.freeBlk
-		s.freeBlk = blk
-		blk = next
-	}
-	if s.queued--; s.queued == 0 {
-		clear(s.msgs)
-		s.msgs = s.msgs[:0]
-	}
-}
-
-// sparseDeliver hands one mean-field delivery to the protocol handler.
-// Kind/ID are irrelevant past this point (no dedup layer: each pair gets
-// at most one delivery per message by construction), so batches carry
-// only the receiver and the payload.
-func (r *Runner) sparseDeliver(nodeID int, payload any) {
-	if !r.net.Online(nodeID) {
+// flushLog applies l's entries with keys below lim and keeps the rest in
+// the chain, in order.
+func (r *Runner) flushLog(l *recvLog, lim uint64) {
+	if l.head == nil {
 		return
 	}
-	if r.net.Relaying(nodeID) {
-		// The receiver forwards the message onward (its fan-out is already
+	s := r.sparse
+	due := s.due[:0]
+	wb, wn := l.head, 0 // write cursor: it never passes the read cursor
+	sens := int32(0)
+	for b := l.head; b != nil; b = b.next {
+		n := logBlockLen
+		if b == l.tail {
+			n = int(l.n)
+		}
+		for _, k := range b.keys[:n] {
+			if k < lim {
+				due = append(due, k)
+				continue
+			}
+			if wn == logBlockLen {
+				wb, wn = wb.next, 0
+			}
+			wb.keys[wn] = k
+			wn++
+			if l.sens > 0 && s.msgs[k&logIdxMask].sens {
+				sens++
+			}
+		}
+	}
+	if len(due) == 0 {
+		s.due = due
+		return
+	}
+	if l.sens > 0 {
+		slices.Sort(due)
+	}
+	free, last := wb.next, l.tail
+	if wn == 0 {
+		free, l.head, l.tail, l.n = l.head, nil, nil, 0
+	} else {
+		wb.next = nil
+		l.tail, l.n = wb, int32(wn)
+	}
+	if free != nil {
+		last.next = s.freeBlk
+		s.freeBlk = free
+	}
+	l.sens = sens
+	r.sparseDeliver(int(l.id), due)
+	s.due = due
+}
+
+// sparseDeliver hands one receiver's due deliveries to the protocol
+// handler in order, as the network's delivery callback would one at a
+// time. The receiver's online, relay and behaviour state change only at
+// phase timers, so they are read once. Kind/ID are irrelevant past this
+// point (no dedup layer: each pair gets at most one delivery per message
+// by construction), so log entries carry only the payload.
+func (r *Runner) sparseDeliver(id int, due []uint64) {
+	if !r.net.Online(id) {
+		return
+	}
+	s := r.sparse
+	if r.net.Relaying(id) {
+		// The receiver forwards each message onward (its fan-out is already
 		// folded into the mean-field coverage); the relay task is metered at
 		// delivery time, when the node's live relay status is known.
-		r.meter.of(nodeID).Gossip++
+		r.meter.of(id).Gossip += uint64(len(due))
 	}
-	r.handleMessage(nodeID, network.Message{Origin: nodeID, Payload: payload})
+	if id < r.trace.Panel() {
+		for _, k := range due {
+			s.traced = append(s.traced, tracedKey{key: k, id: int32(id)})
+		}
+	}
+	nd := r.nodes[id]
+	if nd == nil || nd.behavior == Selfish || nd.behavior == Faulty {
+		// Unmaterialized nodes hold no protocol state; defectors skip
+		// verification, block selection and vote counting.
+		return
+	}
+	for _, k := range due {
+		switch p := s.msgs[k&logIdxMask].payload.(type) {
+		case *proposalPayload:
+			r.handleProposal(nd, p)
+		case *votePayload:
+			r.handleVote(nd, p)
+		}
+	}
+}
+
+// traceDeliveries records the flushed deliveries to the trace panel as
+// gossip instants at their arrival times, in (arrival, emission) order:
+// the order of one event per delivery. One payload's deliveries were
+// emitted in receiver id order.
+func (r *Runner) traceDeliveries() {
+	s := r.sparse
+	slices.SortFunc(s.traced, func(a, b tracedKey) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for _, t := range s.traced {
+		r.traceGossip(int(t.id), s.msgs[t.key&logIdxMask].payload, s.base+time.Duration(t.key>>logIdxBits))
+	}
+	s.traced = s.traced[:0]
 }
 
 // finalizeRoundSparse mirrors finalizeRound's outcome rules on the

@@ -2,17 +2,20 @@ package protocol
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/dsn2020-algorand/incentives/internal/ledger"
 	"github.com/dsn2020-algorand/incentives/internal/network"
 	"github.com/dsn2020-algorand/incentives/internal/obs"
+	"github.com/dsn2020-algorand/incentives/internal/sortition"
 )
 
 // pinOverlay is a deterministic fault overlay mixing the three link
@@ -147,13 +150,14 @@ func sparseOrderDigest(t *testing.T, n int, hooked bool, maxBinary int) string {
 }
 
 // TestSparseDeliveryOrderPinned pins the sparse path's delivery order,
-// delivery for delivery, to digests recorded before mean-field
-// deliveries were batched per arrival instant. Batching is exact only
-// because a sparse delivery schedules nothing; a change that breaks that
-// (or reorders RNG draws at emission) moves these digests. In the short
-// variant (one BinaryBA* step), finalizeRoundSparse casts final votes
-// after the round's drain, outside any event; their deliveries run in
-// the next round.
+// delivery for delivery, to digests recorded when every mean-field
+// delivery was its own scheduler event. The delivery logs that replaced
+// those events are exact only because a delivery reads state that just
+// the phase timers change; a change that breaks that (or reorders RNG
+// draws at emission) moves these digests. In the short variant (one
+// BinaryBA* step), finalizeRoundSparse casts final votes after the
+// round's drain, outside any event; their deliveries run in the next
+// round.
 func TestSparseDeliveryOrderPinned(t *testing.T) {
 	cases := []struct {
 		n         int
@@ -246,95 +250,362 @@ func traceEvents(t *testing.T, trace *obs.Trace) []tracedEvent {
 	return doc.TraceEvents
 }
 
-// TestBatchedDeliveriesMatchPerDeliveryOrder checks deliverAt's
-// exactness claim against a reference model of one engine event per
-// delivery: deliveries and marker events must run in (at, seq) order,
-// where every delivery takes its own seq when emitted. Random schedules
-// put emitting events at shared instants, aim deliveries of several
-// events (and zero delays) at shared arrival instants, let
-// non-emitting events schedule markers at those instants between two
-// emitters, and emit from outside any event after a drain. The second
-// schedule's times lie before the drained clock, so its events all run
-// at the instant the post-drain deliveries were emitted.
-func TestBatchedDeliveriesMatchPerDeliveryOrder(t *testing.T) {
-	const n = 40
-	delays := []time.Duration{0, 100 * time.Millisecond, 250 * time.Millisecond,
-		time.Second, 1250 * time.Millisecond, 2 * time.Second}
-	times := []time.Duration{time.Second, time.Second, 2 * time.Second, 2250 * time.Millisecond, 3 * time.Second}
-	for seed := int64(1); seed <= 8; seed++ {
-		params := DefaultParams()
-		params.TauStep, params.TauFinal = 5, 6
-		trace := obs.NewTrace(n)
-		r, err := NewRunner(Config{
-			Params: params, Stakes: testStakes(n), Behaviors: behaviorsOf(n, Honest),
-			Seed: seed, Sparse: SparseOn, Trace: trace,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		type ref struct {
-			at  time.Duration
-			seq int
-			tid int
-		}
-		var want []ref
-		seq := 0
-		emit := func(count int) {
-			payload := &votePayload{}
-			for k := 0; k < count; k++ {
-				d := delays[rng.Intn(len(delays))]
-				v := rng.Intn(n)
-				r.sparse.msgs = append(r.sparse.msgs, payload)
-				r.deliverAt(d, v, int32(len(r.sparse.msgs)-1))
-				seq++
-				want = append(want, ref{r.engine.Now() + d, seq, v})
-			}
-		}
-		markers := 0
-		schedule := func() {
-			for k := 0; k < 12; k++ {
-				at := times[rng.Intn(len(times))]
-				seq++
-				if rng.Intn(3) == 0 {
-					// A non-emitting event that schedules a marker.
-					r.engine.ScheduleAt(at, func() {
-						d := delays[1+rng.Intn(len(delays)-1)]
-						tid := 1000 + markers
-						markers++
-						seq++
-						want = append(want, ref{r.engine.Now() + d, seq, tid})
-						r.engine.Schedule(d, func() { trace.Instant("test", "marker", tid, r.engine.Now()) })
-					})
-					continue
-				}
-				// Up to ~130 deliveries per arrival instant: batches span
-				// several blocks.
-				count := 1 + rng.Intn(800)
-				r.engine.ScheduleAt(at, func() { emit(count) })
-			}
-		}
-		schedule()
-		_ = r.engine.Run(0)
-		emit(30) // after the drain, outside any event
-		schedule()
-		_ = r.engine.Run(0)
+// logOverlay spreads each emission over several arrival instants: it
+// severs one link in five and scales the delay on two in five, so one
+// payload's deliveries land at several instants and different payloads'
+// deliveries share instants.
+type logOverlay struct{}
 
-		sort.SliceStable(want, func(i, j int) bool {
-			if want[i].at != want[j].at {
-				return want[i].at < want[j].at
+func (logOverlay) Link(from, to int) network.LinkFault {
+	switch (from + 2*to) % 5 {
+	case 0:
+		return network.LinkFault{Drop: true}
+	case 1:
+		return network.LinkFault{DelayScale: 2}
+	case 2:
+		return network.LinkFault{DelayScale: 1.5}
+	}
+	return network.LinkFault{}
+}
+
+// refDelivery is one event of the per-delivery reference model: a
+// delivery, or (self) an origin's copy of its own message, which it
+// handles at once: inside the emitting timer, whose seq it takes, or
+// after a drain, behind the drain's last event, when it reaches round
+// state the next round discards (inert). sub orders the copies one
+// event handles.
+type refDelivery struct {
+	at       time.Duration
+	seq, sub int
+	node     int
+	payload  any
+	self     bool
+	inert    bool
+}
+
+// refRound is one round of a logHarness run: its events are those with
+// seq in (from, to], and got holds every actor's tallies and best
+// proposal at the round's end.
+type refRound struct {
+	num      uint64
+	from, to int
+	got      map[int]nodeView
+}
+
+// nodeView is the order-sensitive protocol state of one node: its
+// tallies by step (final votes under finalVoteStep) and its best
+// proposal. equivocal lists the equivocators the reference has counted.
+type nodeView struct {
+	tallies   map[uint64]map[ledger.Hash]float64
+	best      *proposalPayload
+	equivocal []equivocation
+}
+
+type equivocation struct {
+	step  uint64
+	voter int
+}
+
+// logHarness drives emissions into a sparse runner's delivery logs from
+// its phase timers (the StepDone hook) and after its drains (the
+// RoundEnd hook), and records the schedule of the reference model, in
+// which every delivery is one engine event taking the next seq when it
+// is emitted. The runner's own proposals and votes are silenced, so the
+// harness's emissions are the only gossip.
+type logHarness struct {
+	r        *Runner
+	rng      *rand.Rand
+	seq, sub int
+	timerSeq []int
+	events   []refDelivery
+	rounds   []refRound
+	round    uint64
+	values   [4]ledger.Hash
+}
+
+func newLogHarness(t *testing.T, seed int64, ar *Arena) *logHarness {
+	t.Helper()
+	const n = 300 // beyond the 256-node panel, so some receivers are not materialized
+	params := DefaultParams()
+	params.TauStep, params.TauFinal = 2, 2
+	params.AsyncProb = 0
+	params.MaxBinarySteps = 1
+	r, err := NewRunner(Config{
+		Params: params, Stakes: testStakes(n), Behaviors: behaviorsOf(n, Honest),
+		Seed: seed, Sparse: SparseOn, Trace: obs.NewTrace(n), Arena: ar,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &logHarness{r: r, rng: rand.New(rand.NewSource(seed))}
+	for i := range h.values {
+		h.values[i][0], h.values[i][1] = 0xee, byte(i)
+	}
+	r.Network().SetOverlay(logOverlay{}, 2)
+	r.SetHooks(Hooks{
+		RoundStart: h.roundStart,
+		StepDone:   func(round, step uint64, _ []int) { h.emitSome(int(step)) },
+		RoundEnd:   h.roundEnd,
+		VoteValues: func(int, uint64, uint64, bool, ledger.Hash, ledger.Hash) ([]ledger.Hash, bool) {
+			return nil, true
+		},
+		ProposalFan: func(int, uint64) int { return 0 },
+	})
+	return h
+}
+
+// roundStart gives the round's timers their seqs: they are scheduled
+// after every delivery emitted so far and before any the round emits.
+func (h *logHarness) roundStart(round uint64) {
+	h.round = round
+	h.timerSeq = h.timerSeq[:0]
+	for s := 0; s <= 2+h.r.params.MaxBinarySteps; s++ {
+		h.seq++
+		h.timerSeq = append(h.timerSeq, h.seq)
+	}
+}
+
+// roundEnd snapshots every actor's view, closes the round's seq range,
+// then emits after the drain: those deliveries run in the next round.
+func (h *logHarness) roundEnd(round uint64, _ RoundReport) {
+	from := 0
+	if k := len(h.rounds); k > 0 {
+		from = h.rounds[k-1].to
+	}
+	got := make(map[int]nodeView)
+	for _, nd := range h.r.sparse.actors {
+		got[nd.id] = viewOf(nd)
+	}
+	h.rounds = append(h.rounds, refRound{num: round, from: from, to: h.seq, got: got})
+	h.emitSome(-1)
+}
+
+func viewOf(nd *node) nodeView {
+	v := nodeView{tallies: map[uint64]map[ledger.Hash]float64{}, best: nd.bestProposal}
+	add := func(step uint64, t *stepTally) {
+		for _, e := range t.slots {
+			if e.live {
+				if v.tallies[step] == nil {
+					v.tallies[step] = map[ledger.Hash]float64{}
+				}
+				v.tallies[step][e.key] = e.w
 			}
-			return want[i].seq < want[j].seq
-		})
-		got := traceEvents(t, trace)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d instants recorded, reference has %d", seed, len(got), len(want))
 		}
-		for i, w := range want {
-			if g := got[i]; g.Ts != float64(w.at)/1e3 || g.Tid != w.tid {
-				t.Fatalf("seed %d: instant %d is (ts %v, tid %d), reference (ts %v, tid %d)",
-					seed, i, g.Ts, g.Tid, float64(w.at)/1e3, w.tid)
+	}
+	for step, t := range nd.tallies {
+		if t != nil {
+			add(uint64(step), t)
+		}
+	}
+	add(finalVoteStep, nd.finalTally)
+	return v
+}
+
+// emitSome emits from the phase timer of step (-1: after the drain):
+// plain votes, one voter's equivocal votes whose arrival order differs
+// from their emission order, and proposal variants sharing a priority.
+// Delays include zero and every gap to a later timer (2 s from the
+// proposal timer to reduction 1, 1 s per step after it, and 0 to 4 s
+// after the drain onto the next round's timers).
+func (h *logHarness) emitSome(step int) {
+	s := h.r.sparse
+	delays := []time.Duration{0, 200 * time.Millisecond, 500 * time.Millisecond, time.Second,
+		1500 * time.Millisecond, 2 * time.Second, 3 * time.Second, 4 * time.Second}
+	origin := func() int { return s.actors[h.rng.Intn(len(s.actors))].id }
+	delay := func() time.Duration { return delays[h.rng.Intn(len(delays))] }
+	vote := func(voter int, value ledger.Hash, equivocal bool) *votePayload {
+		st := uint64(1 + h.rng.Intn(3))
+		return &votePayload{Round: h.round, Step: st, Final: h.rng.Intn(4) == 0, Value: value, Voter: voter,
+			Credential: sortition.Result{SubUsers: 1 + h.rng.Intn(3)}, verdict: memoValid, equivocal: equivocal}
+	}
+	for k := 0; k < 3; k++ {
+		o := origin()
+		h.emit(step, o, delay(), vote(o, h.values[h.rng.Intn(len(h.values))], false))
+	}
+	// Equivocation: descending delays, so on most links the last vote
+	// emitted arrives first.
+	o := origin()
+	proto := vote(o, ledger.Hash{}, true)
+	for k, d := range []time.Duration{2 * time.Second, time.Second, 500 * time.Millisecond, 0} {
+		v := *proto
+		v.Value = h.values[k]
+		h.emit(step, o, d, &v)
+	}
+	if step <= 0 {
+		o := origin()
+		block := ledger.Block{Round: h.round, Prev: h.r.canonical.Tip(),
+			Seed: ledger.NextSeed(h.r.canonical.Seed(), h.round), Proposer: o}
+		var prio sortition.Priority
+		prio[0] = byte(1 + h.rng.Intn(3))
+		for k := 0; k < 3; k++ {
+			variant := block
+			variant.Seed[0] ^= byte(k)
+			h.emit(step, o, delay(), &proposalPayload{Block: variant, BlockHash: variant.Hash(),
+				Credential: sortition.Result{SubUsers: 1, Priority: prio}, Proposer: o, verdict: memoValid})
+		}
+	}
+}
+
+// emit gossips payload from origin with the given path delay and
+// records the reference events: the origin's own copy, then one
+// delivery per receiver, in receiver id order.
+func (h *logHarness) emit(step, origin int, d time.Duration, payload any) {
+	r, s := h.r, h.r.sparse
+	now := r.engine.Now()
+	h.sub++
+	self := refDelivery{at: now, node: origin, payload: payload, self: true, sub: h.sub}
+	if step >= 0 {
+		self.seq = h.timerSeq[step]
+	} else {
+		// Handled before every delivery still pending, as the last event
+		// the drain ran would have.
+		self.seq, self.inert = h.rounds[len(h.rounds)-1].to, true
+	}
+	h.events = append(h.events, self)
+	for _, nd := range s.actors {
+		f := logOverlay{}.Link(origin, nd.id)
+		if nd.id == origin || f.Drop {
+			continue
+		}
+		at := now + d
+		if f.DelayScale > 1 {
+			at = now + time.Duration(float64(d)*f.DelayScale)
+		}
+		h.seq++
+		h.events = append(h.events, refDelivery{at: at, seq: h.seq, node: nd.id, payload: payload})
+	}
+	// Every receiver hears the message, after exactly d.
+	s.reach = 1
+	s.delayTable = append(s.delayTable[:0], d)
+	r.sparseGossip(origin, network.Message{Origin: origin, Payload: payload})
+}
+
+// check compares the run with the reference model: the global order of
+// traced gossip instants (a delivery emitted after the last drain never
+// runs) and, round by round, every actor's order-sensitive state.
+func (h *logHarness) check(t *testing.T, label string) {
+	t.Helper()
+	ref := slices.Clone(h.events)
+	slices.SortStableFunc(ref, func(a, b refDelivery) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.sub, b.sub)
+	})
+	last := h.rounds[len(h.rounds)-1].to
+	var want []tracedEvent
+	for _, e := range ref {
+		if e.self || e.seq <= last {
+			want = append(want, tracedEvent{Name: payloadName(e.payload), Ph: "i", Ts: float64(e.at) / 1e3, Tid: e.node})
+		}
+	}
+	var got []tracedEvent
+	for _, ev := range traceEvents(t, h.r.trace) {
+		if ev.Ph == "i" {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d gossip instants traced, reference has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			for j := max(0, i-5); j < min(len(want), i+8); j++ {
+				t.Logf("%d got %+v want %+v", j, got[j], want[j])
 			}
+			t.Fatalf("%s: instant %d is %+v, reference %+v", label, i, got[i], want[i])
+		}
+	}
+
+	for _, rd := range h.rounds {
+		views := map[int]*nodeView{}
+		for _, e := range ref {
+			if e.seq <= rd.from || e.seq > rd.to || e.inert {
+				continue
+			}
+			if _, materialized := rd.got[e.node]; !materialized {
+				continue
+			}
+			v := views[e.node]
+			if v == nil {
+				v = &nodeView{tallies: map[uint64]map[ledger.Hash]float64{}}
+				views[e.node] = v
+			}
+			v.apply(e.payload, rd.num)
+		}
+		for id, got := range rd.got {
+			want := views[id]
+			if want == nil {
+				want = &nodeView{tallies: map[uint64]map[ledger.Hash]float64{}}
+			}
+			if got.best != want.best || !reflect.DeepEqual(got.tallies, want.tallies) {
+				t.Fatalf("%s: round %d node %d holds %v (best %p), reference %v (best %p)",
+					label, rd.num, id, got.tallies, got.best, want.tallies, want.best)
+			}
+		}
+	}
+}
+
+// apply is handleProposal/handleVote on the reference view.
+func (v *nodeView) apply(payload any, round uint64) {
+	switch p := payload.(type) {
+	case *proposalPayload:
+		if p.Block.Round == round && (v.best == nil || v.best.Credential.Priority.Less(p.Credential.Priority)) {
+			v.best = p
+		}
+	case *votePayload:
+		if p.Round != round {
+			return
+		}
+		step := p.Step
+		if p.Final {
+			step = finalVoteStep
+		}
+		if p.equivocal {
+			for _, e := range v.equivocal {
+				if e.step == step && e.voter == p.Voter {
+					return
+				}
+			}
+			v.equivocal = append(v.equivocal, equivocation{step, p.Voter})
+		}
+		if v.tallies[step] == nil {
+			v.tallies[step] = map[ledger.Hash]float64{}
+		}
+		v.tallies[step][p.Value] += float64(p.Credential.SubUsers)
+	}
+}
+
+func payloadName(p any) string {
+	if _, ok := p.(*proposalPayload); ok {
+		return "proposal"
+	}
+	return "vote"
+}
+
+// TestDeliveryLogsMatchPerDeliveryOrder checks the delivery logs
+// against the schedule they replace, one engine event per delivery run
+// in (at, seq) order: the traced gossip instants must follow that order
+// globally, and each receiver's tallies and best proposal must be what
+// it yields. Emissions come from every phase timer and after every
+// drain (MaxBinarySteps 1, so the round's last timer is close to its
+// drain). They share arrival instants, use zero delays, land exactly on
+// later timers, and include equivocal votes and proposal variants whose
+// arrival order is not their emission order. A second run on the same
+// arena follows a run that ended with deliveries pending; none of them
+// may reach it.
+func TestDeliveryLogsMatchPerDeliveryOrder(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ar := NewArena()
+		for run := 0; run < 2; run++ {
+			h := newLogHarness(t, seed, ar)
+			if reps := h.r.RunRounds(3); len(reps) != 3 {
+				t.Fatalf("seed %d: %d rounds ran, want 3 (%v)", seed, len(reps), h.r.Err())
+			}
+			h.check(t, fmt.Sprintf("seed %d run %d", seed, run))
 		}
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
+
+	"github.com/dsn2020-algorand/incentives/internal/network"
 )
 
 // sparseParams returns DefaultParams with absolute committee taus, the
@@ -304,5 +307,87 @@ func TestSparseAdversarySmoke(t *testing.T) {
 	}
 	if got := r.Behavior(flip - 1); got != Malicious {
 		t.Fatalf("behaviour table lost the last flip: %v", got)
+	}
+}
+
+// TestSparseRoundSchedulesOnlyTimers pins that sparse deliveries never
+// reach the scheduler: every SparseOn round schedules and executes
+// exactly its MaxBinarySteps+3 phase timers, however much it gossips.
+func TestSparseRoundSchedulesOnlyTimers(t *testing.T) {
+	for _, maxBinary := range []int{1, 11} {
+		cfg := sparseTestConfig(1200, 3, SparseOn)
+		cfg.Params.MaxBinarySteps = maxBinary
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(maxBinary + 3)
+		for round := 0; round < 3; round++ {
+			before := r.engine.SchedStats()
+			r.RunRounds(1)
+			after := r.engine.SchedStats()
+			if s, e := after.Scheduled-before.Scheduled, after.Executed-before.Executed; s != want || e != want {
+				t.Fatalf("MaxBinarySteps %d, round %d: %d events scheduled and %d executed, want the %d phase timers",
+					maxBinary, round, s, e, want)
+			}
+		}
+		var votes uint64
+		for _, c := range r.TaskCounts() {
+			votes += c.CountVotes
+		}
+		if votes == 0 {
+			t.Fatalf("MaxBinarySteps %d: no vote was delivered, so the pin shows nothing", maxBinary)
+		}
+	}
+}
+
+// fixedDelay is a delay model without a MaxDelay bound.
+type fixedDelay time.Duration
+
+func (d fixedDelay) Sample(*rand.Rand) time.Duration { return time.Duration(d) }
+
+// rangeConfig is a sparse configuration whose last step timer plus one
+// whole gossip path (4 hops of 100 s, no weak synchrony) ends exactly
+// slack before the delivery logs' span.
+func rangeConfig(delay network.DelayModel, slack time.Duration) Config {
+	cfg := sparseTestConfig(300, 5, SparseOn)
+	cfg.Params.TauStep, cfg.Params.TauFinal = 25, 35
+	cfg.Params.MaxBinarySteps = 1
+	cfg.Params.AsyncFactor = 1
+	cfg.Params.StepTimeout = time.Second
+	cfg.Params.ProposalTimeout = logSpan - slack - 2*time.Second - 4*100*time.Second
+	cfg.Delay = delay
+	return cfg
+}
+
+// TestSparseRangeBoundary pins the delivery logs' range check at its
+// boundary, for a bounded and an unbounded delay model. A run whose last
+// timer's deliveries arrive one nanosecond inside the span completes;
+// one whose deliveries reach it stops at its first round with a typed
+// error instead of wrapping their arrival times.
+func TestSparseRangeBoundary(t *testing.T) {
+	if sparseHops(300, 5) != 4 {
+		t.Fatal("rangeConfig assumes 4 hops")
+	}
+	for _, delay := range []network.DelayModel{
+		network.UniformDelay{Min: 100 * time.Second, Max: 100 * time.Second},
+		fixedDelay(100 * time.Second),
+	} {
+		r, err := NewRunner(rangeConfig(delay, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reps := r.RunRounds(2); len(reps) != 2 || r.Err() != nil {
+			t.Fatalf("%T one nanosecond inside the span: %d rounds, err %v", delay, len(reps), r.Err())
+		}
+		if r, err = NewRunner(rangeConfig(delay, 0)); err != nil {
+			t.Fatal(err)
+		}
+		reps := r.RunRounds(2)
+		var rangeErr *SparseRangeError
+		if !errors.As(r.Err(), &rangeErr) || rangeErr.Arrival != logSpan || len(reps) != 0 {
+			t.Fatalf("%T reaching the span: %d rounds, err %v; want none and a SparseRangeError at %v",
+				delay, len(reps), r.Err(), logSpan)
+		}
 	}
 }

@@ -317,9 +317,9 @@ func meanFieldDelays(rng *rand.Rand) []time.Duration {
 	return tab
 }
 
-// runMeanField replays the burst shape the sparse path scheduled before
-// it batched deliveries per arrival instant under the reference model,
-// and checks each delivery receives its own arg. Every step instant, each of V
+// runMeanField replays the burst shape the sparse path scheduled when
+// each of its deliveries was one event under the reference model, and
+// checks each delivery receives its own arg. Every step instant, each of V
 // sources delivers to R receivers at a table delay — most land on far
 // days, and the table's 4096 offsets make events share timestamps — and
 // sends one short-delay direct insert; every receiver arms two step
@@ -392,7 +392,8 @@ func runMeanField(t *testing.T, seed int64) {
 }
 
 // TestCalendarMatchesHeapMeanField cross-checks the calendar queue
-// against the reference heap on the pre-batching mean-field burst shape.
+// against the reference heap on the one-event-per-delivery mean-field
+// burst shape.
 func TestCalendarMatchesHeapMeanField(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {

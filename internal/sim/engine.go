@@ -194,9 +194,6 @@ func (e *Engine) SchedStats() SchedStats {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
-
 // Pending returns the number of events still queued.
 func (e *Engine) Pending() int {
 	return e.cal.len()
@@ -245,11 +242,13 @@ func (e *Engine) pushEvent(ev event) {
 	e.cal.push(ev, e.now)
 }
 
-// Elide accounts for an event the caller chose not to schedule because
-// running it delay from now would change nothing. A drain (Run with no
+// Elide accounts for an event delay from now that the caller does not
+// schedule: because running it would change nothing (the network's dead
+// pushes), or because the caller runs it itself, outside the scheduler
+// (the sparse protocol path's logged deliveries). A drain (Run with no
 // deadline) still ends with the clock at that event's time, as if it had
-// been scheduled and popped, so skipping dead events never moves virtual
-// time. Elided events are not pending and count as neither scheduled nor
+// been scheduled and popped, so eliding never moves virtual time.
+// Elided events are not pending and count as neither scheduled nor
 // executed.
 func (e *Engine) Elide(delay time.Duration) {
 	if at := e.now + delay; at > e.elided {

@@ -191,8 +191,8 @@ func TestStepCounting(t *testing.T) {
 		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
 	_ = e.Run(0)
-	if e.Steps() != 5 {
-		t.Errorf("Steps = %d, want 5", e.Steps())
+	if got := e.SchedStats().Executed; got != 5 {
+		t.Errorf("Executed = %d, want 5", got)
 	}
 	if e.Step() {
 		t.Error("Step on empty queue returned true")

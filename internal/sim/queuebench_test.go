@@ -30,10 +30,10 @@ func BenchmarkQueueChurnCalendar16k(b *testing.B) { benchQueueChurn(b, 16384) }
 func BenchmarkQueueChurnCalendar1k(b *testing.B)  { benchQueueChurn(b, 1024) }
 
 // BenchmarkQueueMeanFieldBurst replays the scheduling shape the sparse
-// protocol path had before it batched its mean-field deliveries per
-// arrival instant: one event per delivery (a batched 50k round now
-// schedules ~34k events, not 3.3M). It runs a fresh engine per op: four
-// step instants 1.3 s apart, each scheduling 250 sources × 1000
+// protocol path had when each mean-field delivery was one event (3.3M
+// per 50k-node round; its deliveries now wait in per-receiver logs, and
+// a round schedules only its phase timers). It runs a fresh engine per
+// op: four step instants 1.3 s apart, each scheduling 250 sources × 1000
 // receivers at delays drawn from a 4096-entry table of 0.3–3 s
 // multi-hop sums (see meanFieldDelays), so most events take the far
 // ring and hundreds share each timestamp, then a drain. It reports ns

@@ -40,9 +40,9 @@ func TestResetMatchesFresh(t *testing.T) {
 			}
 
 			recycled.Reset(1) // runProgram's engines use seed 1
-			if recycled.Now() != 0 || recycled.Steps() != 0 || recycled.Pending() != 0 {
-				t.Fatalf("Reset left state: now=%v steps=%d pending=%d",
-					recycled.Now(), recycled.Steps(), recycled.Pending())
+			if recycled.Now() != 0 || recycled.SchedStats().Executed != 0 || recycled.Pending() != 0 {
+				t.Fatalf("Reset left state: now=%v executed=%d pending=%d",
+					recycled.Now(), recycled.SchedStats().Executed, recycled.Pending())
 			}
 			run := newRefEngine(t, recycled)
 			for i := range ops {

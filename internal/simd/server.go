@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -147,18 +148,10 @@ func New(cfg Config) (*Server, error) {
 		budget:  runpool.NewWorkerBudget(runpool.Resolve(cfg.MaxWorkers)),
 		jobs:    make(map[string]*Job),
 		live:    make(map[string]*Job),
-	}
-	if s.metrics == nil {
-		// -tags obs_off: a zero bundle's nil counters/gauges no-op safely.
-		s.metrics = &obs.SimdMetrics{}
+		mux:     obs.NewMux(reg),
 	}
 	s.cache = newCellCache(cfg.CacheCells, s.metrics.CellCacheSize)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	if reg != nil {
-		s.mux = obs.NewMux(reg)
-	} else {
-		s.mux = http.NewServeMux() // -tags obs_off: API only
-	}
 	s.mux.HandleFunc("/api/v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("/api/v1/jobs/", s.handleJob)
 	if cfg.DataDir != "" {
@@ -298,10 +291,19 @@ func (s *Server) runJob(job *Job) {
 		s.metrics.JobsFailed.Add(1)
 	}
 	// Leave live before the stream ends, so a client that read the
-	// whole stream and resubmits gets a new job.
+	// whole stream and resubmits gets a new job. A failed job's durable
+	// files move aside first, while no resubmission can have rewritten
+	// them: a restart would resume it only to fail the same way.
+	var qerr error
 	s.mu.Lock()
+	if state == JobFailed && s.cfg.DataDir != "" {
+		qerr = s.quarantine(job.fingerprint)
+	}
 	delete(s.live, job.fingerprint)
 	s.mu.Unlock()
+	if qerr != nil {
+		s.logf("simd: %s: %v\n", job.id, qerr)
+	}
 	job.log.close()
 	s.logf("simd: %s %s\n", job.id, state)
 }
@@ -337,6 +339,19 @@ func (s *Server) specPath(fingerprint string) string {
 
 func (s *Server) ckptPath(fingerprint string) string {
 	return filepath.Join(s.cfg.DataDir, jobFileBase(fingerprint)+".ckpt.jsonl")
+}
+
+// quarantine renames a failed job's spec and checkpoint with a .failed
+// suffix, which recoverJobs does not match, and keeps them for
+// inspection. A later failure of the same grid replaces them.
+func (s *Server) quarantine(fingerprint string) error {
+	var errs []error
+	for _, path := range []string{s.specPath(fingerprint), s.ckptPath(fingerprint)} {
+		if err := os.Rename(path, path+".failed"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			errs = append(errs, fmt.Errorf("quarantining %s: %w", path, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // executeGrid streams one job's grid: checkpointed cells restore
@@ -423,7 +438,7 @@ func (s *Server) executeGrid(job *Job, workers int) error {
 
 // recoverJobs re-enqueues every job whose spec file survived a previous
 // daemon: each resumes from its checkpoint, re-simulating only
-// unrecorded cells.
+// unrecorded cells. Jobs that failed were quarantined and stay out.
 func (s *Server) recoverJobs() error {
 	matches, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "simd_*.job.json"))
 	if err != nil {

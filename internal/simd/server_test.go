@@ -616,3 +616,70 @@ func TestSSEFraming(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedJobNotResumed pins that a job which fails is not resubmitted
+// by every restart. A spec whose checkpoint cannot be read resumes once,
+// fails, and has its files quarantined, so the next restart resumes
+// nothing.
+func TestFailedJobNotResumed(t *testing.T) {
+	dataDir := filepath.Join(t.TempDir(), "data")
+	spec := testGridSpec()
+	req := JobRequest{Kind: KindGrid, Grid: &spec}
+	cfg, weightsSpec, err := req.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fingerprint := experiments.GridFingerprint(cfg, weightsSpec)
+	blob, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &Server{cfg: Config{DataDir: dataDir}}
+	if err := os.MkdirAll(dataDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(probe.specPath(fingerprint), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(probe.ckptPath(fingerprint), []byte("not a checkpoint\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	settled := func(client *Client) []JobStatus {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); ; {
+			jobs, err := client.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := true
+			for _, j := range jobs {
+				done = done && (j.State == JobDone || j.State == JobFailed)
+			}
+			if done {
+				return jobs
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("jobs did not settle: %+v", jobs)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	first, _, client := startDaemon(t, dataDir, 2)
+	jobs := settled(client)
+	if len(jobs) != 1 || jobs[0].State != JobFailed {
+		t.Fatalf("first restart: jobs %+v, want one failed", jobs)
+	}
+	if err := first.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, _, client2 := startDaemon(t, dataDir, 2)
+	if jobs := settled(client2); len(jobs) != 0 {
+		t.Fatalf("second restart resumed %d jobs, want none: %+v", len(jobs), jobs)
+	}
+	for _, path := range []string{probe.specPath(fingerprint), probe.ckptPath(fingerprint)} {
+		if _, err := os.Stat(path + ".failed"); err != nil {
+			t.Errorf("quarantined copy of %s: %v", filepath.Base(path), err)
+		}
+	}
+}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/dsn2020-algorand/incentives/internal/protocol"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -33,6 +36,22 @@ func TestRunRejectsBadFlags(t *testing.T) {
 				t.Fatalf("run(%v) succeeded, want error", args)
 			}
 		})
+	}
+}
+
+// TestRunRejectsUnusableWeights pins that a sweep over weights sortition
+// cannot use fails with the round check's typed error instead of
+// reporting every round as a stall. The specs parse, but give +Inf
+// weights, NaN weights, and 1e200 weights that churn to +Inf.
+func TestRunRejectsUnusableWeights(t *testing.T) {
+	for _, spec := range []string{"zipf:1.1:1e308", "zipf:-1e300", "zipf:1.1;churn@1:1:1e200,2:1:1e200"} {
+		args := []string{"-nodes", "30", "-rounds", "3", "-runs", "1", "-weights", spec, "-out", t.TempDir(), "honest_baseline"}
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		var rangeErr *protocol.WeightRangeError
+		if !errors.As(err, &rangeErr) {
+			t.Errorf("-weights %q: err %v, want a WeightRangeError", spec, err)
+		}
 	}
 }
 

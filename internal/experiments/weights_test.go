@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"github.com/dsn2020-algorand/incentives/internal/protocol"
 	"github.com/dsn2020-algorand/incentives/internal/weight"
 )
 
@@ -113,16 +115,56 @@ func TestParseWeightProfile(t *testing.T) {
 	if got, want := o.TotalWeight(1), 40*100.0; got < want*0.999 || got > want*1.001 {
 		t.Fatalf("TotalWeight = %v, want ~%v", got, want)
 	}
-	for _, bad := range []string{
-		"pareto", "zipf:x", "zipf:1:2:3", "zipf:1;churn@5:0.1", "zipf:1;decay@5:0.1:0",
-		"zipf:NaN", "zipf:Inf", "zipf:1.1:0", "zipf:1.1:-5", "zipf:1.1:NaN", "zipf:1.1:+Inf",
-		"zipf:1.1;churn@1:5:-3", "zipf:1.1;churn@1:-0.1:1", "zipf:1.1;churn@1:NaN:1",
-		"zipf:1.1;churn@1:0.5:-3", "zipf:1.1;churn@1:0.5:NaN", "zipf:1.1;churn@1:0.5:Inf",
-	} {
+	for _, bad := range badWeightSpecs {
 		if _, err := ParseWeightProfile(bad); err == nil {
 			t.Fatalf("spec %q: want error", bad)
 		}
 	}
+}
+
+// badWeightSpecs are specs ParseWeightProfile must refuse.
+var badWeightSpecs = []string{
+	"pareto", "zipf:x", "zipf:1:2:3", "zipf:1;churn@5:0.1", "zipf:1;decay@5:0.1:0",
+	"zipf:NaN", "zipf:Inf", "zipf:1.1:0", "zipf:1.1:-5", "zipf:1.1:NaN", "zipf:1.1:+Inf",
+	"zipf:1.1;churn@1:5:-3", "zipf:1.1;churn@1:-0.1:1", "zipf:1.1;churn@1:NaN:1",
+	"zipf:1.1;churn@1:0.5:-3", "zipf:1.1;churn@1:0.5:NaN", "zipf:1.1;churn@1:0.5:Inf",
+}
+
+// FuzzParseWeightProfile feeds arbitrary specs to ParseWeightProfile.
+// Parsing never panics. An accepted spec builds oracles at n = 1, 2 and
+// 64 that answer three rounds of WeightsInto and TotalWeight without
+// panicking, and the runner's round check either passes those weights
+// or returns its typed error. The seeds include three specs that parse
+// but give weights sortition cannot use (+Inf, NaN, 1e200 churned to
+// +Inf).
+func FuzzParseWeightProfile(f *testing.F) {
+	for _, spec := range append([]string{
+		"", "zipf:1.1", "zipf:0", "zipf:1.3:40;churn@5:0.1:0,9:0.2:2", "zipf:2.5:1;churn@1:1:0",
+		"zipf:1.1:1e308", "zipf:-1e300", "zipf:1.1;churn@1:1:1e200,2:1:1e200",
+	}, badWeightSpecs...) {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		profile, err := ParseWeightProfile(spec)
+		if err != nil || profile == nil {
+			return
+		}
+		for _, n := range []int{1, 2, 64} {
+			o := profile(n, 1)
+			var w []float64
+			for round := uint64(1); round <= 3; round++ {
+				w = o.WeightsInto(round, w)
+				if len(w) != n {
+					t.Fatalf("spec %q at n=%d: round %d has %d weights", spec, n, round, len(w))
+				}
+				err := protocol.CheckWeights(round, w, o.TotalWeight(round))
+				var rangeErr *protocol.WeightRangeError
+				if err != nil && !errors.As(err, &rangeErr) {
+					t.Fatalf("spec %q at n=%d: round check returned %T: %v", spec, n, err, err)
+				}
+			}
+		}
+	})
 }
 
 func TestParseWeightBackend(t *testing.T) {

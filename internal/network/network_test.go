@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -58,6 +59,60 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsHugePopulation: node ids travel in scheduler events as
+// int32, so New refuses a population beyond math.MaxInt32 before it
+// allocates anything.
+func TestNewRejectsHugePopulation(t *testing.T) {
+	engine := sim.NewEngine(1)
+	cfg := Config{N: math.MaxInt32 + 1, Fanout: 5, Delay: UniformDelay{Max: time.Millisecond}}
+	h := func(int, Message) {}
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { _, err = New(cfg, engine, h) })
+	if err != ErrBadConfig || allocs != 0 {
+		t.Fatalf("N = MaxInt32+1: err %v after %v allocations, want ErrBadConfig and none", err, allocs)
+	}
+}
+
+// TestMessageTableSurvivesMidFlightReset resets the dedup state while a
+// message's deliveries are still in flight and gossips a second one: the
+// pending deliveries keep carrying the first message, because the table
+// starts over only once nothing is in flight.
+func TestMessageTableSurvivesMidFlightReset(t *testing.T) {
+	net, engine, _ := build(t, 50, 5, 0)
+	a, b, c := Message{ID: [32]byte{1}, Payload: "a"}, Message{ID: [32]byte{2}, Payload: "b"}, Message{ID: [32]byte{3}, Payload: "c"}
+	payloads := map[[32]byte]any{a.ID: "a", b.ID: "b", c.ID: "c"}
+	var late int
+	net.handler = func(_ int, msg Message) {
+		if msg.Payload != payloads[msg.ID] {
+			t.Fatalf("message %x carries payload %v", msg.ID[0], msg.Payload)
+		}
+		if msg.ID == a.ID && engine.Now() > 5*time.Millisecond {
+			late++
+		}
+	}
+	net.Gossip(0, a)
+	engine.Run(5 * time.Millisecond)
+	if net.msgs.inflight == 0 {
+		t.Fatal("setup: nothing in flight at the reset")
+	}
+	net.ResetSeen()
+	net.Gossip(1, b)
+	if len(net.msgs.msgs) != 2 || net.msgs.msgs[0].ID != a.ID {
+		t.Fatalf("gossip in flight emptied the table: %d messages", len(net.msgs.msgs))
+	}
+	engine.Run(0)
+	if late == 0 {
+		t.Fatal("no delivery of the first message arrived after the reset")
+	}
+	if net.msgs.inflight != 0 {
+		t.Fatalf("%d deliveries in flight after a drain", net.msgs.inflight)
+	}
+	net.Gossip(2, c)
+	if len(net.msgs.msgs) != 1 {
+		t.Fatalf("gossip after a drain kept %d messages, want the table started over", len(net.msgs.msgs))
+	}
+}
+
 func TestTopologyShape(t *testing.T) {
 	net, _, _ := build(t, 50, 5, 0)
 	for i := 0; i < 50; i++ {
@@ -91,7 +146,7 @@ func TestFanoutClamped(t *testing.T) {
 func TestGossipFullCoverageNoLoss(t *testing.T) {
 	net, engine, rec := build(t, 80, 5, 0)
 	net.Gossip(0, Message{ID: [32]byte{1}, Kind: KindVote, Origin: 0})
-	_ = engine.Run(0)
+	engine.Run(0)
 	if len(rec.delivered) != 80 {
 		t.Errorf("delivered to %d/80 nodes", len(rec.delivered))
 	}
@@ -109,7 +164,7 @@ func TestGossipDeduplication(t *testing.T) {
 	msg := Message{ID: [32]byte{7}, Kind: KindVote, Origin: 0}
 	net.Gossip(0, msg)
 	net.Gossip(0, msg) // duplicate injection is a no-op
-	_ = engine.Run(0)
+	engine.Run(0)
 	for node, ids := range rec.delivered {
 		if len(ids) != 1 {
 			t.Errorf("node %d received %d copies", node, len(ids))
@@ -121,7 +176,7 @@ func TestOfflineNodesReceiveNothing(t *testing.T) {
 	net, engine, rec := build(t, 40, 5, 0)
 	net.SetOnline(3, false)
 	net.Gossip(0, Message{ID: [32]byte{2}, Kind: KindProposal, Origin: 0})
-	_ = engine.Run(0)
+	engine.Run(0)
 	if _, got := rec.delivered[3]; got {
 		t.Error("offline node received a message")
 	}
@@ -134,7 +189,7 @@ func TestOfflineOriginCannotGossip(t *testing.T) {
 	net, engine, rec := build(t, 20, 5, 0)
 	net.SetOnline(0, false)
 	net.Gossip(0, Message{ID: [32]byte{3}, Kind: KindVote, Origin: 0})
-	_ = engine.Run(0)
+	engine.Run(0)
 	if len(rec.delivered) != 0 {
 		t.Error("offline origin still gossiped")
 	}
@@ -148,7 +203,7 @@ func TestNonRelayingNodesStillReceive(t *testing.T) {
 		net.SetRelay(i, false)
 	}
 	net.Gossip(0, Message{ID: [32]byte{4}, Kind: KindVote, Origin: 0})
-	_ = engine.Run(0)
+	engine.Run(0)
 	if len(rec.delivered) != 6 { // origin + its 5 peers
 		t.Errorf("delivered to %d nodes, want 6", len(rec.delivered))
 	}
@@ -158,7 +213,7 @@ func TestLossReducesCoverage(t *testing.T) {
 	deliveredAt := func(loss float64) int {
 		net, engine, rec := build(t, 200, 5, loss)
 		net.Gossip(0, Message{ID: [32]byte{5}, Kind: KindVote, Origin: 0})
-		_ = engine.Run(0)
+		engine.Run(0)
 		return len(rec.delivered)
 	}
 	full := deliveredAt(0)
@@ -192,7 +247,7 @@ func TestDelayFactorSlowsDelivery(t *testing.T) {
 		t.Errorf("DelayFactor = %v", net.DelayFactor())
 	}
 	net.Gossip(0, Message{ID: [32]byte{6}, Kind: KindVote, Origin: 0})
-	_ = engine.Run(0)
+	engine.Run(0)
 	if firstDelivery != time.Second {
 		t.Errorf("first delivery at %v, want 1s under 10x factor", firstDelivery)
 	}
@@ -202,11 +257,11 @@ func TestResetSeenAllowsReuse(t *testing.T) {
 	net, engine, rec := build(t, 20, 5, 0)
 	msg := Message{ID: [32]byte{8}, Kind: KindVote, Origin: 0}
 	net.Gossip(0, msg)
-	_ = engine.Run(0)
+	engine.Run(0)
 	first := len(rec.delivered[0])
 	net.ResetSeen()
 	net.Gossip(0, msg)
-	_ = engine.Run(0)
+	engine.Run(0)
 	if len(rec.delivered[0]) != first+1 {
 		t.Error("ResetSeen did not clear dedup state")
 	}

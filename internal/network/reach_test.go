@@ -105,7 +105,7 @@ func TestSimulatedCoverageMatchesTheory(t *testing.T) {
 		rec = 0
 		net.ResetSeen()
 		net.Gossip(trial%nodes, Message{ID: [32]byte{byte(trial), byte(trial >> 8), 99}, Kind: KindVote})
-		_ = engine.Run(0)
+		engine.Run(0)
 		delivered += rec
 	}
 	simCoverage := float64(delivered) / float64(trials*nodes)

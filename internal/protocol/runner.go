@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -474,10 +475,59 @@ func (r *Runner) RunRounds(n int) []RoundReport {
 	return reports
 }
 
-// Err reports why RunRounds stopped early: a sparse delivery arrived too
-// long after its round's start, or a round gossiped too many payloads,
-// for the delivery logs to key it (a *SparseRangeError).
+// Err reports why RunRounds stopped early: the weight oracle returned a
+// weight sortition cannot draw over (a *WeightRangeError), or a sparse
+// delivery arrived too long after its round's start, or a round gossiped
+// too many payloads, for the delivery logs to key it (a
+// *SparseRangeError).
 func (r *Runner) Err() error { return r.err }
+
+// fail stops the run: RunRounds returns no further round and Err reports
+// err. The first failure sticks.
+func (r *Runner) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// maxWeight bounds a node's weight. Sortition draws over a weight's
+// whole units, which float64 holds exactly below 2^53.
+const maxWeight = 1 << 53
+
+// WeightRangeError stops a run (see Runner.Err) whose weight oracle
+// returned a round's weights that sortition cannot draw over.
+type WeightRangeError struct {
+	Round uint64
+	// Node is the first node whose weight is NaN, negative or at least
+	// 2^53; -1 when every weight is in range but their total is not
+	// finite.
+	Node int
+	// Weight is the offending weight, or the total when Node is -1.
+	Weight float64
+}
+
+func (e *WeightRangeError) Error() string {
+	if e.Node < 0 {
+		return fmt.Sprintf("protocol: round %d: total weight %v is not finite", e.Round, e.Weight)
+	}
+	return fmt.Sprintf("protocol: round %d: node %d has weight %v; weights must be finite, non-negative and below 2^53",
+		e.Round, e.Node, e.Weight)
+}
+
+// CheckWeights returns a *WeightRangeError unless every weight lies in
+// [0, 2^53) and total is finite. Runners apply it to each round's
+// weights before sortition reads them.
+func CheckWeights(round uint64, weights []float64, total float64) error {
+	for i, w := range weights {
+		if !(w >= 0 && w < maxWeight) {
+			return &WeightRangeError{Round: round, Node: i, Weight: w}
+		}
+	}
+	if math.IsNaN(total) || math.IsInf(total, 0) {
+		return &WeightRangeError{Round: round, Node: -1, Weight: total}
+	}
+	return nil
+}
 
 const finalVoteStep = 1 << 20 // sortition step id reserved for final votes
 
@@ -494,6 +544,10 @@ func (r *Runner) runRound() RoundReport {
 	// private to the round.
 	r.roundStakes = r.weights.WeightsInto(round, r.roundStakes)
 	r.roundTotal = r.weights.TotalWeight(round)
+	if err := CheckWeights(round, r.roundStakes, r.roundTotal); err != nil {
+		r.fail(err)
+		return RoundReport{}
+	}
 	if r.metrics != nil {
 		r.metrics.WeightRefreshes.Add(1)
 		r.metrics.WeightRefreshNS.Add(uint64(time.Since(wallStart)))
@@ -574,7 +628,7 @@ func (r *Runner) runRound() RoundReport {
 		timer(stepAt(s), func() { r.binaryStep(round, uint64(s)) })
 	}
 	// Drain all gossip; late messages land in tallies but were not counted.
-	_ = r.engine.Run(0)
+	r.engine.Run(0)
 	if r.sparse != nil {
 		r.drainLogs()
 	}

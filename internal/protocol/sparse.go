@@ -730,14 +730,6 @@ func (r *Runner) sparseGossip(origin int, msg network.Message) {
 	}
 }
 
-// fail stops a sparse run whose deliveries left the delivery logs' range;
-// RunRounds returns no further round and Err reports why.
-func (r *Runner) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
 // push appends key to l.
 func (s *sparseState) push(l *recvLog, key uint64) {
 	if l.head == nil || l.n == logBlockLen {

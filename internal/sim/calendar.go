@@ -41,6 +41,11 @@ import (
 // Events pushed into the bucket currently being drained insert into its
 // still-sorted tail.
 //
+// Memory layout: an event is 24 bytes of integers (see event), so near
+// buckets, far blocks and the overflow heap hold no pointers the garbage
+// collector must scan, and nothing needs clearing when storage is
+// recycled.
+//
 // Memory bounds: both rings have a fixed bucket count (near buckets
 // double only while halving the width, far buckets double only to cover
 // a grown horizon, both capped), and neither rung keeps storage per
@@ -112,15 +117,11 @@ type calendarQueue struct {
 	// population and growing it never copies a block.
 	freeBlk *farBlock
 
-	// spare holds idle near-bucket backings, cleared, by capacity class:
+	// spare holds idle near-bucket backings by capacity class:
 	// spare[k] backings hold calBucketMin<<(2k) events. Drained buckets
 	// file their backing here and filling buckets take one, so near
 	// memory follows the pending population.
 	spare [calBucketClasses][][]event
-
-	// sortKeys and sortTmp are sortBucket's scratch for crowded buckets.
-	sortKeys []sortKey
-	sortTmp  []event
 
 	// overflow holds events beyond the far span, ordered by (at, seq).
 	overflow eventQueue
@@ -150,14 +151,6 @@ type calBucket struct {
 	next     int32
 	sorted   bool
 	unsorted bool
-}
-
-// sortKey orders one event of a crowded near bucket: its (at, seq) and
-// its index in the bucket.
-type sortKey struct {
-	at  time.Duration
-	seq uint64
-	i   int
 }
 
 // farBlock is one fixed-size chunk of a far day's push-ordered event
@@ -196,7 +189,7 @@ const (
 	// calOverflowSlack is how many overflow events are tolerated before a
 	// far-span regrow is considered.
 	calOverflowSlack = 64
-	// calFarBlockLen sizes the pooled far blocks (~3.6 KB each): small
+	// calFarBlockLen sizes the pooled far blocks (~1.5 KB each): small
 	// enough that sparse days waste little, large enough that burst days
 	// chain few blocks.
 	calFarBlockLen = 64
@@ -230,8 +223,7 @@ func (c *calendarQueue) len() int { return c.ring + c.farCount + len(c.overflow)
 // the spare lists, far blocks to the freelist, and ring sizes/widths
 // stay where resizes left them. Pop order is strict (at, seq)
 // regardless of geometry, so a reset calendar schedules identically to
-// a fresh one — it just skips the warm-up growth. All closure/payload
-// references are dropped.
+// a fresh one — it just skips the warm-up growth.
 func (c *calendarQueue) reset() {
 	for i := range c.near {
 		c.drop(&c.near[i])
@@ -244,7 +236,6 @@ func (c *calendarQueue) reset() {
 	c.farCursor = -1
 	c.farCount = 0
 	c.migrated = 0
-	clear(c.overflow)
 	c.overflow = c.overflow[:0]
 	c.statNear = 0
 	c.statFar = 0
@@ -302,16 +293,12 @@ func (c *calendarQueue) migrate(day int64) {
 	c.freeChain(slot)
 }
 
-// freeChain clears far slot's chain — releasing closure/payload
-// references — and splices it onto the block freelist.
+// freeChain splices far slot's chain onto the block freelist; appendFar
+// empties a block when it takes it back.
 func (c *calendarQueue) freeChain(slot int64) {
 	head, tail := c.farHead[slot], c.farTail[slot]
 	if head == nil {
 		return
-	}
-	for blk := head; blk != nil; blk = blk.next {
-		clear(blk.events[:blk.n])
-		blk.n = 0
 	}
 	tail.next = c.freeBlk
 	c.freeBlk = head
@@ -327,7 +314,7 @@ func (c *calendarQueue) appendFar(ev event) {
 		nb := c.freeBlk
 		if nb != nil {
 			c.freeBlk = nb.next
-			nb.next = nil
+			nb.next, nb.n = nil, 0
 		} else {
 			nb = new(farBlock)
 		}
@@ -404,13 +391,11 @@ func bucketClass(e []event) int {
 	return (bits.TrailingZeros(uint(cap(e))) - 3) / 2
 }
 
-// release clears a bucket backing and files it as a spare; a nil
-// backing is ignored.
+// release files a bucket backing as a spare; a nil backing is ignored.
 func (c *calendarQueue) release(e []event) {
 	if cap(e) == 0 {
 		return
 	}
-	clear(e)
 	k := bucketClass(e)
 	c.spare[k] = append(c.spare[k], e[:0])
 }
@@ -464,30 +449,19 @@ func (c *calendarQueue) push(ev event, now time.Duration) {
 // the width — take an insertion sort over sequential memory. Fuller ones
 // occur once the width bottoms out under timestamp-clustered bursts: two
 // delays of a step's table that fall in one 4 µs bucket interleave a few
-// hundred events, which insertion sort would pay for in O(k²) moves of
-// 56-byte events. Those sort compact (at, seq) keys in O(k log k)
-// instead and then move each event once, through a scratch copy. (A
-// single-timestamp burst arrives presorted and never gets here.) Seqs
-// are unique, so the three-way compare is strict and the unstable sort
-// yields the one (at, seq) order.
-func (c *calendarQueue) sortBucket(e []event) {
+// hundred events, which insertion sort would pay for in O(k²) moves.
+// Those sort in place in O(k log k). (A single-timestamp burst arrives
+// presorted and never gets here.) Seqs are unique, so the three-way
+// compare is strict and the unstable sort yields the one (at, seq)
+// order.
+func sortBucket(e []event) {
 	if len(e) > calMaxBucketLen {
-		keys := c.sortKeys[:0]
-		for i := range e {
-			keys = append(keys, sortKey{e[i].at, e[i].seq, i})
-		}
-		slices.SortFunc(keys, func(a, b sortKey) int {
+		slices.SortFunc(e, func(a, b event) int {
 			if a.at != b.at {
 				return cmp.Compare(a.at, b.at)
 			}
 			return cmp.Compare(a.seq, b.seq)
 		})
-		tmp := append(c.sortTmp[:0], e...)
-		for i, k := range keys {
-			e[i] = tmp[k.i]
-		}
-		clear(tmp) // release closure/payload references
-		c.sortKeys, c.sortTmp = keys, tmp[:0]
 		return
 	}
 	for i := 1; i < len(e); i++ {
@@ -528,7 +502,7 @@ func (c *calendarQueue) peekNear(now time.Duration) *event {
 				// Presorted buckets (the common case, tracked append by
 				// append) skip the verification walk.
 				if b.unsorted {
-					c.sortBucket(b.events)
+					sortBucket(b.events)
 					b.unsorted = false
 				}
 				b.sorted = true
@@ -617,8 +591,7 @@ func (c *calendarQueue) pop(now time.Duration) (event, bool) {
 	b := &c.near[c.cursor&c.nearMask]
 	b.next++
 	if int(b.next) == len(b.events) {
-		// Fully drained: release the closure/payload references in one
-		// bulk clear and hand the backing to whichever bucket fills next.
+		// Fully drained: hand the backing to whichever bucket fills next.
 		c.drop(b)
 	}
 	c.ring--

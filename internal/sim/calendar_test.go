@@ -39,13 +39,11 @@ func TestSameTimestampBurstFIFO(t *testing.T) {
 	e := NewEngine(1)
 	const n = 20_000
 	got := make([]int, 0, n)
-	record := func(arg int, _ any) { got = append(got, arg) }
+	e.SetHandler(func(arg, _ int32) { got = append(got, int(arg)) })
 	for i := 0; i < n; i++ {
-		e.ScheduleFn(time.Second, record, i, nil)
+		e.ScheduleFn(time.Second, int32(i), 0)
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("burst order[%d] = %d, want %d", i, v, i)
@@ -91,9 +89,7 @@ func TestRunUntilAcrossRungBoundaries(t *testing.T) {
 	}
 	want := len(got)
 	for e.Pending() > 0 {
-		if err := e.Run(e.Now() + 77*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+		e.Run(e.Now() + 77*time.Millisecond)
 	}
 	if len(got) == want {
 		t.Fatal("no events executed")
@@ -119,9 +115,7 @@ func TestCrowdedBucketRefinesWidth(t *testing.T) {
 		at = at % (1 << 17)
 		e.ScheduleAt(at, func() { got = append(got, e.Now()) })
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	if len(got) != n {
 		t.Fatalf("ran %d events, want %d", len(got), n)
 	}
@@ -187,12 +181,12 @@ func TestFarChainsInPushOrder(t *testing.T) {
 	e := NewEngine(1)
 	rng := NewRNG(1, "calendar.farchains")
 	var got []time.Duration
-	record := func(int, any) { got = append(got, e.Now()) }
+	e.SetHandler(func(int32, int32) { got = append(got, e.Now()) })
 	for i := 0; i < 40*calFarBlockLen; i++ {
-		e.ScheduleFn(time.Second+time.Duration(rng.Int63n(int64(3*time.Second))), record, 0, nil)
+		e.ScheduleFn(time.Second+time.Duration(rng.Int63n(int64(3*time.Second))), 0, 0)
 	}
 	for i := 0; i < 50; i++ {
-		e.ScheduleFn(50*time.Second+time.Duration(rng.Int63n(int64(10*time.Second))), record, 0, nil)
+		e.ScheduleFn(50*time.Second+time.Duration(rng.Int63n(int64(10*time.Second))), 0, 0)
 	}
 	c := &e.cal
 	checkFarChains(t, c)
@@ -204,9 +198,7 @@ func TestFarChainsInPushOrder(t *testing.T) {
 		t.Fatalf("post-hint: overflow holds %d events, want 0", len(c.overflow))
 	}
 	checkFarChains(t, c)
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	if len(got) != 40*calFarBlockLen+50 {
 		t.Fatalf("ran %d events", len(got))
 	}
@@ -221,12 +213,10 @@ func TestFarChainsInPushOrder(t *testing.T) {
 	e = NewEngine(1)
 	c = &e.cal
 	var order []int
-	mark := func(arg int, _ any) { order = append(order, arg) }
-	e.ScheduleFn(40*time.Second, mark, 1, nil) // beyond the ~34 s span
-	if err := e.Run(8 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	e.ScheduleFn(32*time.Second, mark, 2, nil) // same instant, now in range
+	e.SetHandler(func(arg, _ int32) { order = append(order, int(arg)) })
+	e.ScheduleFn(40*time.Second, 1, 0) // beyond the ~34 s span
+	e.Run(8 * time.Second)
+	e.ScheduleFn(32*time.Second, 2, 0) // same instant, now in range
 	if len(c.overflow) != 1 || c.farCount != 1 {
 		t.Fatalf("pre-hint: overflow=%d farCount=%d, want 1/1", len(c.overflow), c.farCount)
 	}
@@ -235,9 +225,7 @@ func TestFarChainsInPushOrder(t *testing.T) {
 		t.Fatalf("post-hint: overflow=%d farCount=%d, want the earlier push still in the heap", len(c.overflow), c.farCount)
 	}
 	checkFarChains(t, c)
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("same-instant pops ran %v, want [1 2]", order)
 	}
@@ -251,9 +239,9 @@ func TestMigratedBurstArrivesSorted(t *testing.T) {
 	const n = 20 * calFarBlockLen
 	const at = time.Second // beyond the direct-insert window: far ring
 	var got []int
-	record := func(arg int, _ any) { got = append(got, arg) }
+	e.SetHandler(func(arg, _ int32) { got = append(got, int(arg)) })
 	for i := 0; i < n; i++ {
-		e.ScheduleFn(at, record, i, nil)
+		e.ScheduleFn(at, int32(i), 0)
 	}
 	c := &e.cal
 	if c.farCount != n {
@@ -265,9 +253,7 @@ func TestMigratedBurstArrivesSorted(t *testing.T) {
 	if len(b.events) != n || b.unsorted {
 		t.Fatalf("migrated bucket: %d events, unsorted=%v; want %d presorted", len(b.events), b.unsorted, n)
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("burst order[%d] = %d, want %d", i, v, i)
@@ -289,23 +275,17 @@ func TestBurstCycleAllocFree(t *testing.T) {
 	for i := range picks {
 		picks[i] = rng.Intn(len(delays))
 	}
-	fn := func(int, any) {}
+	e.SetHandler(func(int32, int32) {})
 	cycle := func() {
 		day := time.Duration(1) << e.cal.farShift
-		if err := e.Run((e.Now()/day + 1) * day); err != nil {
-			t.Fatal(err)
-		}
+		e.Run((e.Now()/day + 1) * day)
 		for s := 0; s < steps; s++ {
 			for _, p := range picks[s*perStep : (s+1)*perStep] {
-				e.ScheduleFn(delays[p], fn, 0, nil)
+				e.ScheduleFn(delays[p], 0, 0)
 			}
-			if err := e.Run(e.Now() + 1300*time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
+			e.Run(e.Now() + 1300*time.Millisecond)
 		}
-		if err := e.Run(0); err != nil {
-			t.Fatal(err)
-		}
+		e.Run(0)
 	}
 	cycle() // grows the near ring, the spare lists and the block pool
 	if a := testing.AllocsPerRun(3, cycle); a != 0 {
@@ -335,14 +315,12 @@ func backings(c *calendarQueue) (live, spare map[*event]bool) {
 // bucket or a spare list, and Reset leaves them all spare.
 func TestResetAndResizeKeepSpares(t *testing.T) {
 	e := NewEngine(1)
-	fn := func(int, any) {}
+	e.SetHandler(func(int32, int32) {})
 	for i := 0; i < 400; i++ {
-		e.ScheduleFn(time.Duration(i%40)*time.Millisecond, fn, 0, nil)
+		e.ScheduleFn(time.Duration(i%40)*time.Millisecond, 0, 0)
 	}
 	// Drain half the buckets: their backings turn spare.
-	if err := e.Run(20 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(20 * time.Millisecond)
 	c := &e.cal
 	live, spare := backings(c)
 	if len(live) == 0 || len(spare) == 0 {

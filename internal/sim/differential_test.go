@@ -45,17 +45,21 @@ func (h *refHeap) Pop() any {
 // ScheduleAt and ScheduleFn apply the engine's clamping to the model's
 // copy, number pushes as the engine does, and wrap the event so that on
 // execution it checks it is the model's minimum at the engine's clock.
-// order logs executed events by push number.
+// order logs executed events by push number. The refEngine installs
+// itself as the engine's handler.
 type refEngine struct {
 	*Engine
 	t     *testing.T
 	ref   refHeap
 	seq   uint64
 	order []uint64
+	calls []refCall
 }
 
 func newRefEngine(t *testing.T, e *Engine) *refEngine {
-	return &refEngine{Engine: e, t: t}
+	r := &refEngine{Engine: e, t: t}
+	e.SetHandler(r.callFn)
+	return r
 }
 
 func (r *refEngine) push(at time.Duration) uint64 {
@@ -88,23 +92,30 @@ func (r *refEngine) ScheduleAt(at time.Duration, action Action) {
 	r.Engine.ScheduleAt(at, func() { r.ran(seq); action() })
 }
 
-// refCall carries a ScheduleFn event's model number and real target
-// through the engine's payload, keeping fn and arg on the pre-bound path.
+// refCall is one ScheduleFn event's model number, its caller's arg and
+// ref, and the target they go to. The engine event carries the caller's
+// arg and the call's index in calls as its ref, so it stays on the
+// ScheduleFn path while the caller's ref passes through the table.
 type refCall struct {
-	seq     uint64
-	fn      func(int, any)
-	payload any
+	seq      uint64
+	arg, ref int32
+	fn       func(arg, ref int32)
 }
 
-func (r *refEngine) callFn(arg int, p any) {
-	c := p.(refCall)
+func (r *refEngine) callFn(arg, i int32) {
+	r.t.Helper()
+	c := r.calls[i]
+	if arg != c.arg {
+		r.t.Fatalf("event %d ran with arg %d, scheduled with %d", c.seq, arg, c.arg)
+	}
 	r.ran(c.seq)
-	c.fn(arg, c.payload)
+	c.fn(c.arg, c.ref)
 }
 
-func (r *refEngine) ScheduleFn(delay time.Duration, fn func(int, any), arg int, payload any) {
+func (r *refEngine) ScheduleFn(delay time.Duration, fn func(arg, ref int32), arg, ref int32) {
 	seq := r.push(r.Now() + max(delay, 0))
-	r.Engine.ScheduleFn(delay, r.callFn, arg, refCall{seq: seq, fn: fn, payload: payload})
+	r.calls = append(r.calls, refCall{seq: seq, arg: arg, ref: ref, fn: fn})
+	r.Engine.ScheduleFn(delay, arg, int32(len(r.calls)-1))
 }
 
 // Run runs the engine and checks where it stopped: with a deadline, the
@@ -112,9 +123,7 @@ func (r *refEngine) ScheduleFn(delay time.Duration, fn func(int, any), arg int, 
 // engine and the model are empty.
 func (r *refEngine) Run(until time.Duration) {
 	r.t.Helper()
-	if err := r.Engine.Run(until); err != nil {
-		r.t.Fatal(err)
-	}
+	r.Engine.Run(until)
 	if r.Pending() != r.ref.Len() {
 		r.t.Fatalf("engine holds %d events, model %d", r.Pending(), r.ref.Len())
 	}
@@ -176,7 +185,7 @@ func schedule(e *refEngine, op *diffOp) {
 	}
 	switch {
 	case op.fn:
-		e.ScheduleFn(op.delay, func(int, any) { body() }, 0, nil)
+		e.ScheduleFn(op.delay, func(int32, int32) { body() }, 0, 0)
 	case op.absolute:
 		e.ScheduleAt(e.Now()+op.delay, body)
 	default:
@@ -275,13 +284,13 @@ func TestCalendarMatchesHeapFactorSwings(t *testing.T) {
 			var spawn func(depth int)
 			spawn = func(depth int) {
 				delay := factor * time.Duration(20+rng.Int63n(200)) * time.Millisecond / 4
-				e.ScheduleFn(delay, func(int, any) {
+				e.ScheduleFn(delay, func(int32, int32) {
 					if depth > 0 {
 						for i := 0; i < 3; i++ {
 							spawn(depth - 1)
 						}
 					}
-				}, 0, nil)
+				}, 0, 0)
 			}
 			for round := 0; round < 6; round++ {
 				if round == 2 {
@@ -343,11 +352,11 @@ func runMeanField(t *testing.T, seed int64) {
 	e := newRefEngine(t, NewEngine(1))
 	rng := NewRNG(seed, "differential.meanfield")
 	delays := meanFieldDelays(rng)
-	id := 0
-	var deliver func(arg int, payload any)
-	deliver = func(arg int, payload any) {
-		if payload.(int) != arg {
-			t.Fatalf("delivery %d received arg %d", payload.(int), arg)
+	id := int32(0)
+	var deliver func(arg, ref int32)
+	deliver = func(arg, ref int32) {
+		if ref != arg {
+			t.Fatalf("delivery %d received arg %d", ref, arg)
 		}
 		if arg > 0 && arg%16 == 0 {
 			e.ScheduleFn(time.Duration(rng.Int63n(int64(30*time.Millisecond))), deliver, -arg, -arg)

@@ -6,31 +6,28 @@
 package sim
 
 import (
-	"errors"
 	"hash/fnv"
 	"math/rand"
 	"time"
 )
 
-// ErrStopped is returned by Run when execution was halted via Stop.
-var ErrStopped = errors.New("sim: engine stopped")
-
 // Action is a unit of simulated work executed at its scheduled virtual time.
 type Action func()
 
-// event is one pending unit of work. Exactly one of action or fn is set:
-// action is the general closure form, fn+arg+payload is the pre-bound form
-// used by hot paths (gossip delivery) to avoid a closure allocation per
-// event. Events are stored by value in the queue slice, so steady-state
-// scheduling reuses the queue's capacity instead of boxing a heap node
-// per event.
+// event is one pending unit of work: 24 bytes and no pointers, so the
+// calendar queue moves plain integers and the garbage collector never
+// scans, write-barriers or clears queue memory. ref tells the two event
+// kinds apart: a closure scheduled with Schedule/ScheduleAt sits in the
+// engine's slot table and the event stores ^slot (negative); a delivery
+// scheduled with ScheduleFn stores the caller's ref (>= 0) and runs the
+// engine's one handler with (arg, ref). Events are stored by value in the
+// queue's slices, so steady-state scheduling reuses the queue's capacity
+// instead of boxing a heap node per event.
 type event struct {
-	at      time.Duration
-	seq     uint64
-	action  Action
-	fn      func(arg int, payload any)
-	arg     int
-	payload any
+	at  time.Duration
+	seq uint64
+	arg int32
+	ref int32
 }
 
 // before reports whether e precedes other in the engine's total event
@@ -97,7 +94,6 @@ func (q *eventQueue) pop() event {
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // drop closure/payload references
 	*q = h[:n]
 	(*q).siftDown(0)
 	return ev
@@ -112,15 +108,22 @@ func (q *eventQueue) pop() event {
 // (time, seq) order; the differential tests check that against a
 // reference heap.
 type Engine struct {
-	now     time.Duration
-	seq     uint64
-	cal     calendarQueue
-	stopped bool
-	seed    int64
-	steps   uint64
+	now   time.Duration
+	seq   uint64
+	cal   calendarQueue
+	seed  int64
+	steps uint64
 	// elided is the latest time of an event the caller elided instead of
 	// scheduling (see Elide); a drain ends with the clock there.
 	elided time.Duration
+	// actions holds the pending closures, one slot each; an event refers
+	// to its closure by slot. free lists the vacant slots, reused last in
+	// first out, so the table never outgrows the peak number of pending
+	// closures.
+	actions []Action
+	free    []int32
+	// handler runs every ScheduleFn event (see SetHandler).
+	handler func(arg, ref int32)
 }
 
 // NewEngine creates an engine whose random streams derive from seed.
@@ -137,15 +140,19 @@ func NewEngine(seed int64) *Engine {
 // blocks to its freelist. Pop order is strict (at, seq) independent of
 // geometry, so a recycled engine is output-identical to NewEngine(seed)
 // while skipping the calendar warm-up — the run-pool arenas lean on
-// that. Any still-queued events are dropped.
+// that. Any still-queued events are dropped, with their closures, and
+// the delivery handler is uninstalled.
 func (e *Engine) Reset(seed int64) {
 	e.now = 0
 	e.seq = 0
 	e.steps = 0
-	e.stopped = false
 	e.seed = seed
 	e.elided = 0
 	e.cal.reset()
+	clear(e.actions)
+	e.actions = e.actions[:0]
+	e.free = e.free[:0]
+	e.handler = nil
 }
 
 // HintHorizon tells the scheduler that hot-path events arrive at most
@@ -215,22 +222,38 @@ func (e *Engine) ScheduleAt(at time.Duration, action Action) {
 	if action == nil {
 		return
 	}
-	e.pushEvent(event{at: at, action: action})
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.actions[slot] = action
+	} else {
+		slot = int32(len(e.actions))
+		e.actions = append(e.actions, action)
+	}
+	e.pushEvent(event{at: at, ref: ^slot})
 }
 
-// ScheduleFn enqueues the pre-bound call fn(arg, payload) to run delay
-// after the current virtual time. It is the allocation-free counterpart
-// of Schedule for hot paths: fn is typically a callback stored once at
-// construction, so no closure is captured per event. Ordering semantics
-// are identical to Schedule.
-func (e *Engine) ScheduleFn(delay time.Duration, fn func(arg int, payload any), arg int, payload any) {
-	if fn == nil {
-		return
+// SetHandler installs the function every ScheduleFn event runs. An
+// engine has one handler — the network that gossips over it — and Reset
+// uninstalls it.
+func (e *Engine) SetHandler(fn func(arg, ref int32)) {
+	e.handler = fn
+}
+
+// ScheduleFn enqueues a call of the engine's handler with (arg, ref) to
+// run delay after the current virtual time. It is the allocation-free
+// counterpart of Schedule for hot paths: the event carries two integers
+// instead of a closure. ref must be non-negative. Ordering semantics are
+// identical to Schedule.
+func (e *Engine) ScheduleFn(delay time.Duration, arg, ref int32) {
+	if ref < 0 {
+		panic("sim: ScheduleFn with a negative ref")
 	}
 	if delay < 0 {
 		delay = 0
 	}
-	e.pushEvent(event{at: e.now + delay, fn: fn, arg: arg, payload: payload})
+	e.pushEvent(event{at: e.now + delay, arg: arg, ref: ref})
 }
 
 func (e *Engine) pushEvent(ev event) {
@@ -274,80 +297,49 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.at
 	e.steps++
-	if ev.action != nil {
-		ev.action()
-	} else {
-		ev.fn(ev.arg, ev.payload)
+	if ev.ref >= 0 {
+		e.handler(ev.arg, ev.ref)
+		return true
 	}
+	// Free the slot before the action runs, so whatever the action
+	// schedules can reuse it.
+	slot := ^ev.ref
+	action := e.actions[slot]
+	e.actions[slot] = nil
+	e.free = append(e.free, slot)
+	action()
 	return true
 }
 
-// Run executes events until the queue drains, until the clock passes
-// until (exclusive), or until Stop is called. A zero until means "no time
-// limit". It returns ErrStopped when halted via Stop, nil otherwise.
-// Whenever Run returns nil with a positive until, the clock has advanced
-// to until even if the queue drained before reaching it.
-func (e *Engine) Run(until time.Duration) error {
-	e.stopped = false
+// Run executes events until the queue drains or until the clock passes
+// until (exclusive). A zero until means "no time limit". With a positive
+// until, the clock ends at until even if the queue drained before
+// reaching it; without one, it ends at the last executed (or elided)
+// event.
+func (e *Engine) Run(until time.Duration) {
 	if until <= 0 {
-		// No deadline: drain without peeking ahead of every step. Stop
-		// semantics match the deadline path — ErrStopped only when events
-		// remain after the stopping event.
-		for {
-			if !e.Step() {
-				if e.now < e.elided {
-					e.now = e.elided
-				}
-				return nil
-			}
-			if e.stopped {
-				if e.Pending() > 0 {
-					return ErrStopped
-				}
-				return nil
-			}
+		// No deadline: drain without peeking ahead of every step.
+		for e.Step() {
 		}
+		if e.now < e.elided {
+			e.now = e.elided
+		}
+		return
 	}
 	for {
 		at, ok := e.peekAt()
 		if !ok {
 			break
 		}
-		if e.stopped {
-			return ErrStopped
-		}
 		if at >= until {
 			e.now = until
-			return nil
+			return
 		}
 		e.Step()
 	}
 	if e.now < until {
 		e.now = until
 	}
-	return nil
-}
-
-// Stop halts a Run in progress after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Every schedules action at fixed intervals starting one interval from
-// now, until the predicate keepGoing returns false (checked before each
-// execution) or the engine drains. It returns immediately; the chain of
-// events lives on the engine's queue.
-func (e *Engine) Every(interval time.Duration, keepGoing func() bool, action Action) {
-	if interval <= 0 || action == nil || keepGoing == nil {
-		return
-	}
-	var tick Action
-	tick = func() {
-		if !keepGoing() {
-			return
-		}
-		action()
-		e.Schedule(interval, tick)
-	}
-	e.Schedule(interval, tick)
 }
 
 // RNG returns a deterministic random stream for the given label. Streams

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -11,9 +15,7 @@ func TestScheduleOrdering(t *testing.T) {
 	e.Schedule(30*time.Millisecond, func() { order = append(order, 3) })
 	e.Schedule(10*time.Millisecond, func() { order = append(order, 1) })
 	e.Schedule(20*time.Millisecond, func() { order = append(order, 2) })
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("execution order = %v", order)
 	}
@@ -29,7 +31,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 		i := i
 		e.Schedule(time.Millisecond, func() { order = append(order, i) })
 	}
-	_ = e.Run(0)
+	e.Run(0)
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("tie order[%d] = %d, want %d", i, got, i)
@@ -46,7 +48,7 @@ func TestNestedScheduling(t *testing.T) {
 			hits = append(hits, e.Now())
 		})
 	})
-	_ = e.Run(0)
+	e.Run(0)
 	if len(hits) != 2 || hits[0] != time.Second || hits[1] != 2*time.Second {
 		t.Errorf("hits = %v", hits)
 	}
@@ -57,9 +59,7 @@ func TestRunUntil(t *testing.T) {
 	ran := 0
 	e.Schedule(time.Second, func() { ran++ })
 	e.Schedule(3*time.Second, func() { ran++ })
-	if err := e.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(2 * time.Second)
 	if ran != 1 {
 		t.Errorf("ran %d events before the deadline, want 1", ran)
 	}
@@ -76,16 +76,12 @@ func TestRunUntilAdvancesClockOnDrain(t *testing.T) {
 	// still pass until, as the doc promises.
 	e := NewEngine(1)
 	e.Schedule(time.Second, func() {})
-	if err := e.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(5 * time.Second)
 	if e.Now() != 5*time.Second {
 		t.Errorf("Now = %v after drain, want 5s", e.Now())
 	}
 	// An already-empty queue behaves the same.
-	if err := e.Run(7 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(7 * time.Second)
 	if e.Now() != 7*time.Second {
 		t.Errorf("Now = %v on empty queue, want 7s", e.Now())
 	}
@@ -93,9 +89,7 @@ func TestRunUntilAdvancesClockOnDrain(t *testing.T) {
 	// last event's timestamp.
 	e2 := NewEngine(1)
 	e2.Schedule(time.Second, func() {})
-	if err := e2.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e2.Run(0)
 	if e2.Now() != time.Second {
 		t.Errorf("Now = %v with no limit, want 1s", e2.Now())
 	}
@@ -107,9 +101,7 @@ func TestElideMovesDrainClock(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(time.Second, func() { e.Elide(2 * time.Second) })
 	e.Elide(500 * time.Millisecond) // earlier than the last event: no effect
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	if e.Now() != 3*time.Second {
 		t.Errorf("Now = %v after drain, want 3s", e.Now())
 	}
@@ -119,39 +111,20 @@ func TestElideMovesDrainClock(t *testing.T) {
 	// A deadline before the elided time stops the clock at the deadline;
 	// the next drain then reaches the elided time.
 	e.Elide(4 * time.Second) // at 7s
-	if err := e.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(5 * time.Second)
 	if e.Now() != 5*time.Second {
 		t.Errorf("Now = %v at deadline, want 5s", e.Now())
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	if e.Now() != 7*time.Second {
 		t.Errorf("Now = %v after second drain, want 7s", e.Now())
 	}
 	// Reset forgets elided events.
 	e.Elide(time.Second)
 	e.Reset(1)
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	e.Run(0)
 	if e.Now() != 0 {
 		t.Errorf("Now = %v after Reset and drain, want 0", e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	ran := 0
-	e.Schedule(time.Millisecond, func() { ran++; e.Stop() })
-	e.Schedule(2*time.Millisecond, func() { ran++ })
-	if err := e.Run(0); err != ErrStopped {
-		t.Errorf("Run error = %v, want ErrStopped", err)
-	}
-	if ran != 1 {
-		t.Errorf("ran = %d, want 1", ran)
 	}
 }
 
@@ -159,7 +132,7 @@ func TestNegativeDelayClamped(t *testing.T) {
 	e := NewEngine(1)
 	ran := false
 	e.Schedule(-time.Second, func() { ran = true })
-	_ = e.Run(0)
+	e.Run(0)
 	if !ran || e.Now() != 0 {
 		t.Errorf("negative delay: ran=%v now=%v", ran, e.Now())
 	}
@@ -171,7 +144,7 @@ func TestScheduleAtPastClamped(t *testing.T) {
 	e.Schedule(time.Second, func() {
 		e.ScheduleAt(0, func() { at = e.Now() })
 	})
-	_ = e.Run(0)
+	e.Run(0)
 	if at != time.Second {
 		t.Errorf("past event executed at %v, want 1s", at)
 	}
@@ -190,7 +163,7 @@ func TestStepCounting(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
-	_ = e.Run(0)
+	e.Run(0)
 	if got := e.SchedStats().Executed; got != 5 {
 		t.Errorf("Executed = %d, want 5", got)
 	}
@@ -236,17 +209,15 @@ func TestEngineRNGMatchesNewRNG(t *testing.T) {
 // the no-closure fast path cannot be allowed to perturb event ordering.
 func TestScheduleFnOrdersWithSchedule(t *testing.T) {
 	e := NewEngine(1)
-	var got []int
-	record := func(arg int, _ any) { got = append(got, arg) }
-	e.ScheduleFn(20*time.Millisecond, record, 3, nil)
+	var got []int32
+	e.SetHandler(func(arg, _ int32) { got = append(got, arg) })
+	e.ScheduleFn(20*time.Millisecond, 3, 0)
 	e.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	e.ScheduleFn(10*time.Millisecond, record, 2, nil) // same time: FIFO after the closure
+	e.ScheduleFn(10*time.Millisecond, 2, 0) // same time: FIFO after the closure
 	e.Schedule(30*time.Millisecond, func() { got = append(got, 4) })
-	e.ScheduleFn(-5*time.Millisecond, record, 0, nil) // negative delay clamps to now
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 2, 3, 4}
+	e.ScheduleFn(-5*time.Millisecond, 0, 0) // negative delay clamps to now
+	e.Run(0)
+	want := []int32{0, 1, 2, 3, 4}
 	if len(got) != len(want) {
 		t.Fatalf("executed %d events, want %d", len(got), len(want))
 	}
@@ -257,17 +228,84 @@ func TestScheduleFnOrdersWithSchedule(t *testing.T) {
 	}
 }
 
-// ScheduleFn passes its payload through untouched.
+// ScheduleFn passes its arg and ref through untouched, including the
+// extremes of both.
 func TestScheduleFnPayload(t *testing.T) {
 	e := NewEngine(1)
-	type box struct{ v int }
-	b := &box{v: 7}
-	var seen *box
-	e.ScheduleFn(0, func(_ int, p any) { seen = p.(*box) }, 0, b)
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
+	type call struct{ arg, ref int32 }
+	var seen []call
+	e.SetHandler(func(arg, ref int32) { seen = append(seen, call{arg, ref}) })
+	want := []call{{7, 42}, {math.MinInt32, 0}, {math.MaxInt32, math.MaxInt32}, {-1, 1}}
+	for _, c := range want {
+		e.ScheduleFn(0, c.arg, c.ref)
 	}
-	if seen != b {
-		t.Fatal("payload pointer did not round-trip")
+	e.Run(0)
+	if !slices.Equal(seen, want) {
+		t.Fatalf("handler saw %v, want %v", seen, want)
+	}
+}
+
+// TestEventLayout guards the scheduler's event: 24 bytes with no
+// pointer-bearing field, so queue memory is never scanned by the garbage
+// collector. Anything added to event must keep both.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Fatalf("event is %d bytes, want 24", n)
+	}
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Bool:
+		default:
+			t.Fatalf("event field %s has kind %v, which may hold a pointer", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestClosureSlotsRecycled pins the closure slot table: warm cycles of
+// timers — some scheduling a follow-up from inside their action — reuse
+// the slots earlier cycles freed, so the table never grows beyond the
+// peak number of pending closures.
+func TestClosureSlotsRecycled(t *testing.T) {
+	e := NewEngine(1)
+	const timers = 100
+	ran := 0
+	cycle := func() {
+		for i := 0; i < timers; i++ {
+			e.Schedule(time.Duration(i)*time.Millisecond, func() {
+				ran++
+				if i%2 == 0 {
+					// Step frees this timer's slot before running it, so
+					// the follow-up takes that slot back.
+					e.Schedule(time.Second, func() { ran++ })
+				}
+			})
+		}
+		if e.Pending() != timers || len(e.actions) > timers {
+			t.Fatalf("%d pending, closure table holds %d slots; want %d and at most %d",
+				e.Pending(), len(e.actions), timers, timers)
+		}
+		e.Run(0)
+	}
+	for c := 0; c < 5; c++ {
+		cycle()
+	}
+	if ran != 5*(timers+timers/2) {
+		t.Fatalf("ran %d actions, want %d", ran, 5*(timers+timers/2))
+	}
+	if len(e.actions) != timers || len(e.free) != timers {
+		t.Fatalf("closure table holds %d slots, %d free; want %d and %d", len(e.actions), len(e.free), timers, timers)
+	}
+	for _, a := range e.actions {
+		if a != nil {
+			t.Fatal("a drained engine still references a closure")
+		}
+	}
+	e.Reset(1)
+	if len(e.actions) != 0 || len(e.free) != 0 || e.handler != nil {
+		t.Fatalf("Reset left %d slots, %d free, handler set=%v", len(e.actions), len(e.free), e.handler != nil)
 	}
 }

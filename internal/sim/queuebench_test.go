@@ -15,14 +15,14 @@ func benchQueueChurn(b *testing.B, pending int) {
 	for i := range delays {
 		delays[i] = 20*time.Millisecond + time.Duration(rng.Int63n(int64(180*time.Millisecond)))
 	}
-	fn := func(int, any) {}
+	e.SetHandler(func(int32, int32) {})
 	for i := 0; i < pending; i++ {
-		e.ScheduleFn(delays[i%len(delays)], fn, 0, nil)
+		e.ScheduleFn(delays[i%len(delays)], 0, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
-		e.ScheduleFn(delays[i%len(delays)], fn, 0, nil)
+		e.ScheduleFn(delays[i%len(delays)], 0, 0)
 	}
 }
 
@@ -46,23 +46,20 @@ func BenchmarkQueueMeanFieldBurst(b *testing.B) {
 	for i := range picks {
 		picks[i] = delays[rng.Intn(len(delays))]
 	}
-	fn := func(int, any) {}
+	fn := func(int32, int32) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(1)
+		e.SetHandler(fn)
 		e.HintHorizon(3 * time.Second)
 		for s := 0; s < steps; s++ {
 			for _, d := range picks[s*perStep : (s+1)*perStep] {
-				e.ScheduleFn(d, fn, 0, nil)
+				e.ScheduleFn(d, 0, 0)
 			}
-			if err := e.Run(e.Now() + 1300*time.Millisecond); err != nil {
-				b.Fatal(err)
-			}
+			e.Run(e.Now() + 1300*time.Millisecond)
 		}
-		if err := e.Run(0); err != nil {
-			b.Fatal(err)
-		}
+		e.Run(0)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps*perStep), "ns/event")
 }

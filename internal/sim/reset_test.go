@@ -68,9 +68,7 @@ func TestResetMatchesFresh(t *testing.T) {
 func TestResetRNGStreams(t *testing.T) {
 	a := NewEngine(3)
 	a.Schedule(time.Second, func() {})
-	if err := a.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	a.Run(0)
 	a.Reset(17)
 	b := NewEngine(17)
 	ra, rb := a.RNG("protocol"), b.RNG("protocol")

@@ -569,6 +569,22 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestUnusableWeightsFailJob pins that a job whose weights parse but
+// break sortition (+Inf, NaN, and 1e200 churned to +Inf) fails with the
+// round check's error instead of completing as a grid of stalls.
+func TestUnusableWeightsFailJob(t *testing.T) {
+	_, _, client := startDaemon(t, "", 2)
+	for _, spec := range []string{"zipf:1.1:1e308", "zipf:-1e300", "zipf:1.1;churn@1:1:1e200,2:1:1e200"} {
+		st, _ := streamBytes(t, client, JobRequest{Kind: KindGrid, Grid: &GridJobSpec{
+			CommonSpec: CommonSpec{Weights: spec},
+			Scenarios:  []string{"honest_baseline"}, Seeds: 1, Nodes: 30, Rounds: 3,
+		}})
+		if st.State != JobFailed || !strings.Contains(st.Error, "weight") {
+			t.Errorf("weights %q: job ended %s (%q), want failed on a weight range error", spec, st.State, st.Error)
+		}
+	}
+}
+
 func TestSubmitRejectsOversizedBody(t *testing.T) {
 	daemon, ts, _ := startDaemon(t, "", 2)
 	// A well-formed grid request whose one scenario name pushes the body

@@ -158,6 +158,38 @@ func goldenCases() []goldenCase {
 			}
 			return res.Table(), nil
 		}},
+		// Costs is one run with no worker pool; its pooled task counters
+		// follow the per-round cost columns.
+		{name: "costs", run: func(int) (*stats.Table, error) {
+			res, err := RunCosts(DefaultCostsConfig())
+			if err != nil {
+				return nil, err
+			}
+			t := res.Table()
+			for _, c := range []struct {
+				name   string
+				counts protocol.TaskCounts
+			}{{"honest", res.HonestCounts}, {"selfish", res.SelfishCounts}} {
+				t.AddColumn(c.name+"_counts", []float64{
+					float64(c.counts.Verify), float64(c.counts.Seed), float64(c.counts.Sortition),
+					float64(c.counts.VerifyProof), float64(c.counts.Propose), float64(c.counts.Gossip),
+					float64(c.counts.SelectBlock), float64(c.counts.Vote), float64(c.counts.CountVotes),
+				})
+			}
+			return t, nil
+		}},
+		{name: "mixed", run: func(workers int) (*stats.Table, error) {
+			cfg := DefaultMixedConfig()
+			cfg.Nodes = 60
+			cfg.Runs = 2
+			cfg.Rounds = 4
+			cfg.Workers = workers
+			res, err := RunMixed(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		}},
 	}
 }
 

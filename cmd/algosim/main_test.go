@@ -78,6 +78,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"sparse frac taus": {"-sparse", "on", "-tauStep", "0.5"},
 		"NaN tauStep":      {"-nodes", "40", "-rounds", "2", "-runs", "1", "-tauStep", "NaN"},
 		"infinite tauStep": {"-nodes", "40", "-rounds", "2", "-runs", "1", "-tauStep", "+Inf"},
+		"negative loss":    {"-nodes", "40", "-rounds", "2", "-loss", "-0.1"},
+		"loss of 1":        {"-nodes", "40", "-rounds", "2", "-loss", "1"},
+		"loss above 1":     {"-nodes", "40", "-rounds", "2", "-loss", "1.5"},
+		"NaN loss":         {"-nodes", "40", "-rounds", "2", "-loss", "NaN"},
+		"negative nodes":   {"-nodes", "-5", "-rounds", "2"},
+		"negative rounds":  {"-nodes", "40", "-rounds", "-1"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -85,6 +91,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 				t.Fatalf("run(%v) succeeded, want error", args)
 			}
 		})
+	}
+}
+
+// TestRunLossZeroIsLossless: protocol.Config reads a zero LossProb as
+// DefaultLossProb, so -loss 0 must reach it as a negative value.
+func TestRunLossZeroIsLossless(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-nodes", "60", "-rounds", "3", "-loss", "0"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), " DroppedLoss:0 ") {
+		t.Fatalf("-loss 0 dropped pushes: %s", stderr.String())
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 
 	"github.com/dsn2020-algorand/incentives/internal/game"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
-	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -53,46 +53,36 @@ func RunCosts(cfg CostsConfig) (*CostsResult, error) {
 	if cfg.Nodes < 10 || cfg.Rounds < 1 {
 		return nil, errors.New("experiments: costs needs >=10 nodes and >=1 round")
 	}
-	rng := sim.NewRNG(cfg.Seed, "costs.setup")
-	pop, err := stake.SamplePopulation(stake.UniformInt{A: 1, B: 50}, cfg.Nodes, rng)
-	if err != nil {
-		return nil, err
-	}
-	behaviors := make([]protocol.Behavior, cfg.Nodes)
-	for i := range behaviors {
-		behaviors[i] = protocol.Honest
-	}
-	for _, idx := range rng.Perm(cfg.Nodes)[:int(cfg.Defection*float64(cfg.Nodes))] {
-		behaviors[idx] = protocol.Selfish
-	}
-	runner, err := protocol.NewRunner(protocol.Config{
-		Params:    protocol.DefaultParams(),
-		Stakes:    pop.Stakes,
-		Behaviors: behaviors,
-		Seed:      cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// A little transaction load so verification costs register.
-	for i := 0; i < 32; i++ {
-		from := rng.Intn(cfg.Nodes)
-		to := rng.Intn(cfg.Nodes)
-		if from != to {
-			runner.SubmitTransactionFee(from, to, 0.5, 0.01)
-		}
-	}
-	runner.RunRounds(cfg.Rounds)
-
 	res := &CostsResult{Config: cfg}
-	for i, counts := range runner.TaskCounts() {
-		if behaviors[i] == protocol.Selfish {
-			res.SelfishCounts.Add(counts)
-			res.selfishNodes++
-		} else {
-			res.HonestCounts.Add(counts)
-			res.honestNodes++
-		}
+	_, _, err := simulate(runSpec{
+		setup: "costs.setup", seed: cfg.Seed,
+		nodes: cfg.Nodes, rounds: cfg.Rounds, params: protocol.DefaultParams(),
+		stakes: stake.UniformInt{A: 1, B: 50}, mix: BehaviorMix{Selfish: cfg.Defection},
+		observe: func(r *protocol.Runner, setup *rand.Rand, done int) {
+			if done == 0 {
+				// A little transaction load so verification costs register.
+				for i := 0; i < 32; i++ {
+					from := setup.Intn(cfg.Nodes)
+					to := setup.Intn(cfg.Nodes)
+					if from != to {
+						r.SubmitTransactionFee(from, to, 0.5, 0.01)
+					}
+				}
+				return
+			}
+			for i, counts := range r.TaskCounts() {
+				if r.Behavior(i) == protocol.Selfish {
+					res.SelfishCounts.Add(counts)
+					res.selfishNodes++
+				} else {
+					res.HonestCounts.Add(counts)
+					res.honestNodes++
+				}
+			}
+		},
+	}, protocol.NewArena())
+	if err != nil {
+		return nil, err
 	}
 	perRound := float64(cfg.Rounds)
 	if res.honestNodes > 0 {
@@ -109,8 +99,7 @@ func (r *CostsResult) Table() *stats.Table {
 	t := &stats.Table{}
 	t.AddColumn("honest_microalgos_round", []float64{r.HonestPerRound / game.MicroAlgo})
 	t.AddColumn("selfish_microalgos_round", []float64{r.SelfishPerRound / game.MicroAlgo})
-	roles := game.RoleCosts{}
-	roles = r.Config.TaskCosts.Roles()
+	roles := r.Config.TaskCosts.Roles()
 	t.AddColumn("model_cK_microalgos", []float64{roles.Other / game.MicroAlgo})
 	t.AddColumn("model_cso_microalgos", []float64{roles.Sortition / game.MicroAlgo})
 	return t

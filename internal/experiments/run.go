@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
@@ -14,17 +15,23 @@ import (
 // BA* for rounds rounds over a sampled stake population in which mix
 // names the deviating nodes, optionally scripted by a scenario and
 // degraded by a forced weak-synchrony window. Every driver that
-// simulates the protocol (fig3, weaksync, mixed, the scenario sweep and
-// the grid) builds one per run and hands it to simulate.
+// simulates the protocol (fig3, weaksync, mixed, costs, the scenario
+// sweep, the grid and RunSim) builds one per run and hands it to
+// simulate.
 type runSpec struct {
 	setup                 string // labelled setup RNG stream: population, then misbehaving nodes
 	seed                  int64
 	nodes, rounds, fanout int
+	loss                  float64 // protocol.Config.LossProb: 0 is DefaultLossProb, negative lossless
 	params                protocol.Params
 	stakes                stake.Distribution
 	mix                   BehaviorMix
 	scenario              *adversary.Scenario // attached when non-nil; the audit is its report
 	windowFrom, windowTo  uint64              // forced weak-synchrony window, none when windowTo is 0
+	// observe, when set, sees the runner before round 1 (done 0, the
+	// setup stream after its last draw) and after the last round (done =
+	// rounds run, so zero rounds give done 0 twice).
+	observe func(r *protocol.Runner, setup *rand.Rand, done int)
 	// CommonConfig supplies the weight backend and profile, the round
 	// path and the trace; the driver owns Workers and Sink.
 	CommonConfig
@@ -59,6 +66,7 @@ func simulate(spec runSpec, arena *protocol.Arena) (GridCell, int, error) {
 		Stakes:        pop.Stakes,
 		Behaviors:     behaviors,
 		Fanout:        spec.fanout,
+		LossProb:      spec.loss,
 		Seed:          spec.seed,
 		Arena:         arena,
 		WeightBackend: spec.WeightBackend,
@@ -81,6 +89,9 @@ func simulate(spec runSpec, arena *protocol.Arena) (GridCell, int, error) {
 	if spec.windowTo > 0 {
 		runner.SetDegradedWindow(spec.windowFrom, spec.windowTo)
 	}
+	if spec.observe != nil {
+		spec.observe(runner, rng, 0)
+	}
 	n := spec.rounds
 	rows := make([]float64, 3*n)
 	out.Final, out.Tentative, out.None = rows[:n:n], rows[n:2*n:2*n], rows[2*n:]
@@ -95,6 +106,9 @@ func simulate(spec runSpec, arena *protocol.Arena) (GridCell, int, error) {
 	}
 	if err := runner.Err(); err != nil {
 		return out, 0, err
+	}
+	if spec.observe != nil {
+		spec.observe(runner, rng, n)
 	}
 	if eng != nil {
 		out.Audit = eng.Audit().Report()

@@ -109,10 +109,16 @@ func TestCostsExperiment(t *testing.T) {
 }
 
 func TestCostsValidation(t *testing.T) {
-	cfg := DefaultCostsConfig()
-	cfg.Nodes = 3
-	if _, err := RunCosts(cfg); err == nil {
-		t.Error("tiny network accepted")
+	for name, bad := range map[string]func(*CostsConfig){
+		"tiny network":       func(c *CostsConfig) { c.Nodes = 3 },
+		"negative defection": func(c *CostsConfig) { c.Defection = -0.1 },
+		"defection above 1":  func(c *CostsConfig) { c.Defection = 1.5 },
+	} {
+		cfg := DefaultCostsConfig()
+		bad(&cfg)
+		if _, err := RunCosts(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -263,7 +263,7 @@ func New(cfg Config, engine *sim.Engine, handler Handler) (*Network, error) {
 	if cfg.N < 2 || cfg.N > math.MaxInt32 || cfg.Fanout < 1 || cfg.Delay == nil || engine == nil || handler == nil {
 		return nil, ErrBadConfig
 	}
-	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
+	if !(cfg.LossProb >= 0 && cfg.LossProb < 1) { // NaN fails both
 		return nil, ErrBadConfig
 	}
 	if cfg.Fanout >= cfg.N {

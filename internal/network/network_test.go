@@ -45,6 +45,7 @@ func TestConfigValidation(t *testing.T) {
 		{N: 10, Fanout: 3},
 		{N: 10, Fanout: 3, Delay: UniformDelay{}, LossProb: 1},
 		{N: 10, Fanout: 3, Delay: UniformDelay{}, LossProb: -0.1},
+		{N: 10, Fanout: 3, Delay: UniformDelay{}, LossProb: math.NaN()},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg, engine, h); err == nil {

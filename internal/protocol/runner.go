@@ -88,8 +88,8 @@ type Config struct {
 	Behaviors []Behavior
 	Fanout    int
 	Delay     network.DelayModel
-	// LossProb is the per-hop gossip loss probability; negative selects
-	// the default (DefaultLossProb).
+	// LossProb is the per-hop gossip loss probability; zero selects the
+	// default (DefaultLossProb) and a negative value runs lossless.
 	LossProb float64
 	Seed     int64
 	Reward   RewardHook

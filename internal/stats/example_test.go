@@ -23,10 +23,9 @@ func ExampleTrimmedMean() {
 
 // ExampleTable_WriteCSV emits an experiment series as CSV.
 func ExampleTable_WriteCSV() {
-	t := stats.NewTable(
-		stats.Series{Name: "round", Values: []float64{1, 2}},
-		stats.Series{Name: "final_frac", Values: []float64{0.95, 0.91}},
-	)
+	t := &stats.Table{}
+	t.AddColumn("round", []float64{1, 2})
+	t.AddColumn("final_frac", []float64{0.95, 0.91})
 	if err := t.WriteCSV(os.Stdout); err != nil {
 		fmt.Println("error:", err)
 	}

@@ -22,11 +22,6 @@ type Table struct {
 	Columns []Series
 }
 
-// NewTable creates a table with the given columns.
-func NewTable(cols ...Series) *Table {
-	return &Table{Columns: cols}
-}
-
 // AddColumn appends a column to the table.
 func (t *Table) AddColumn(name string, values []float64) {
 	t.Columns = append(t.Columns, Series{Name: name, Values: values})

@@ -6,10 +6,10 @@ import (
 )
 
 func TestTableCSV(t *testing.T) {
-	tbl := NewTable(
-		Series{Name: "x", Values: []float64{1, 2, 3}},
-		Series{Name: "y", Values: []float64{10, 20}},
-	)
+	tbl := &Table{Columns: []Series{
+		{Name: "x", Values: []float64{1, 2, 3}},
+		{Name: "y", Values: []float64{10, 20}},
+	}}
 	var sb strings.Builder
 	if err := tbl.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestTableRows(t *testing.T) {
 }
 
 func TestTableText(t *testing.T) {
-	tbl := NewTable(Series{Name: "value", Values: []float64{1.5, 2.25}})
+	tbl := &Table{Columns: []Series{{Name: "value", Values: []float64{1.5, 2.25}}}}
 	var sb strings.Builder
 	if err := tbl.WriteText(&sb); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@
 // output. The flags fill an experiments.SimConfig, and RunSim simulates
 // through the run path every experiment driver shares.
 //
+// -fanout is the number of peers each node gossips to, at least 1.
 // -loss is the per-hop gossip loss probability, in [0, 1). The default
 // is protocol.DefaultLossProb (0.20), calibrated to the paper's Fig. 3;
 // -loss 0 runs lossless.
@@ -73,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		defect      = fs.Float64("defect", 0.10, "fraction of honest-but-selfish nodes that defect")
 		malicious   = fs.Float64("malicious", 0, "fraction of malicious nodes")
 		faulty      = fs.Float64("faulty", 0, "fraction of faulty (offline) nodes")
-		fanout      = fs.Int("fanout", 5, "gossip fan-out")
+		fanout      = fs.Int("fanout", 5, "gossip fan-out, at least 1")
 		loss        = fs.Float64("loss", protocol.DefaultLossProb, "per-hop gossip loss probability in [0, 1); 0 = lossless")
 		seed        = cliutil.Seed(fs, 1, "random seed")
 		asCSV       = fs.Bool("csv", false, "emit CSV instead of a text table")
@@ -108,6 +109,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if !mix.Valid() {
 		return fmt.Errorf("behaviour fractions -defect %v -malicious %v -faulty %v must each lie in [0, 1] and sum to at most 1",
 			*defect, *malicious, *faulty)
+	}
+	if *fanout < 1 {
+		return fmt.Errorf("-fanout %d must be at least 1", *fanout)
 	}
 	if !(*loss >= 0 && *loss < 1) {
 		return fmt.Errorf("-loss %v must lie in [0, 1)", *loss)

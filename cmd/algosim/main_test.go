@@ -82,6 +82,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"loss of 1":        {"-nodes", "40", "-rounds", "2", "-loss", "1"},
 		"loss above 1":     {"-nodes", "40", "-rounds", "2", "-loss", "1.5"},
 		"NaN loss":         {"-nodes", "40", "-rounds", "2", "-loss", "NaN"},
+		"zero fanout":      {"-nodes", "20", "-rounds", "2", "-fanout", "0"},
+		"negative fanout":  {"-nodes", "20", "-rounds", "2", "-fanout", "-1"},
 		"negative nodes":   {"-nodes", "-5", "-rounds", "2"},
 		"negative rounds":  {"-nodes", "40", "-rounds", "-1"},
 	} {

@@ -9,7 +9,7 @@
 //	         [-sparse auto|on|off] [-tauStep T] [-tauFinal T]
 //	         [-metricsAddr HOST:PORT] [-trace FILE] [name ...]
 //	scenario -all
-//	scenario -full [-fullNodes N] [-fullRounds N] [-fullSeeds N] [name ...]
+//	scenario -full [-fullNodes N] [-fullRounds N] [-fullSeeds N] [-resume] [name ...]
 //
 // With no names and no -all, the bundled eclipse_equivocation scenario
 // runs. Each scenario writes two CSVs to -out: scenario_<name>.csv with
@@ -48,25 +48,19 @@
 // per-column statistics. The grid streams every cell through the
 // experiments.Sink API in ascending cell order, so memory stays
 // O(in-flight cells) rather than O(grid), and appends each completed
-// cell to a checkpoint (full_grid_checkpoint_<i>of<n>.jsonl) as it
-// lands. The process exits non-zero if any cell's audit observes a
-// safety violation.
+// cell to one checkpoint, full_grid_checkpoint_0of1.jsonl, as it lands.
+// The process exits non-zero if any cell's audit observes a safety
+// violation.
 //
-// Grid runs are interruptible and partitionable:
+// A grid runs whole in one process, and an interrupted one continues
+// where it stopped:
 //
 //	scenario -full -resume             # continue an interrupted grid
-//	scenario -full -shard 1/3          # run only cells with index ≡ 1 (mod 3)
-//	scenario -full -mergeShards        # merge completed shard checkpoints
 //
-// -resume reloads the checkpoint (dropping a torn final line from a
-// killed process) and re-simulates only the missing cells; the merged
-// outputs are byte-identical to an uninterrupted run's. -shard i/n
-// deterministically assigns every cell to exactly one of n cooperating
-// processes sharing -out; each writes its own checkpoint and a partial
-// summary (full_grid_summary_<i>of<n>.csv). Once every shard finishes,
-// -mergeShards validates the checkpoint set covers each cell exactly
-// once and rebuilds full_grid_summary.csv and
-// full_grid_stream_summary.csv, byte-identical to an unsharded run.
+// -resume reloads the checkpoint and re-simulates only the cells it
+// does not record; the outputs are byte-identical to an uninterrupted
+// run's. A torn final line from a killed process is dropped, and a
+// checkpoint torn inside its header line resumes as a fresh start.
 package main
 
 import (
@@ -112,9 +106,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fullNodes   = fs.Int("fullNodes", 500, "-full: network size per grid cell")
 		fullRounds  = fs.Int("fullRounds", 12, "-full: rounds per grid cell")
 		fullSeeds   = fs.Int("fullSeeds", 3, "-full: number of seeds (1..N) forming the grid's second axis")
-		shardSpec   = fs.String("shard", "", "-full: run only this shard of the grid, as i/n (cells with index ≡ i mod n)")
-		resume      = fs.Bool("resume", false, "-full: resume from this shard's checkpoint, re-simulating only unrecorded cells")
-		mergeShards = fs.Bool("mergeShards", false, "-full: merge completed shard checkpoints in -out into the grid summaries instead of simulating")
+		resume      = fs.Bool("resume", false, "-full: resume from the grid's checkpoint, re-simulating only unrecorded cells")
 		weights     = cliutil.Weights(fs)
 		sparseFlags = cliutil.Sparse(fs)
 		obsFlags    = cliutil.Obs(fs)
@@ -150,14 +142,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	names := fs.Args()
 	if !*full {
-		// The grid-execution flags are meaningless for per-scenario
-		// sweeps; silently ignoring them would mislead worse than failing.
-		for name, set := range map[string]bool{
-			"shard": *shardSpec != "", "resume": *resume, "mergeShards": *mergeShards,
-		} {
-			if set {
-				return fmt.Errorf("-%s only applies to -full grids", name)
-			}
+		// Per-scenario sweeps keep no checkpoint; silently ignoring
+		// -resume would mislead worse than failing.
+		if *resume {
+			return errors.New("-resume only applies to -full grids")
 		}
 		if *all {
 			names = adversary.Names()
@@ -183,13 +171,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if conflict != nil {
 		return conflict
 	}
-	shard, err := experiments.ParseShard(*shardSpec)
-	if err != nil {
-		return err
-	}
-	if *mergeShards && (*shardSpec != "" || *resume) {
-		return errors.New("-mergeShards runs alone: it only reads completed shard checkpoints")
-	}
 	if len(names) == 0 {
 		names = adversary.Names()
 	}
@@ -198,11 +179,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		workers: *workers, outDir: *outDir,
 		backend: backend, profile: profile, weightsSpec: weights.Spec(),
 		sparse: sparse, params: params,
-		shard: shard, resume: *resume,
-		trace: sess.Trace(),
-	}
-	if *mergeShards {
-		return g.mergeShards(names, stdout)
+		resume: *resume, trace: sess.Trace(),
 	}
 	return g.run(names, stdout)
 }
@@ -217,7 +194,6 @@ type gridRun struct {
 	weightsSpec          string
 	sparse               protocol.SparseMode
 	params               protocol.Params
-	shard                experiments.ShardSpec
 	resume               bool
 	trace                *obs.Trace
 }
@@ -244,18 +220,9 @@ func (g gridRun) config(names []string) (experiments.ScenarioGridConfig, error) 
 	return cfg, nil
 }
 
-// summaryName is this shard's grid-summary filename (the whole grid
-// writes the canonical full_grid_summary.csv).
-func (g gridRun) summaryName() string {
-	if g.shard.Count > 1 {
-		return fmt.Sprintf("full_grid_summary_%dof%d.csv", g.shard.Index, g.shard.Count)
-	}
-	return "full_grid_summary.csv"
-}
-
-// run executes this shard of the grid through the streaming sink
-// stack: per-cell text lines and CSVs, the memory-bounded stream
-// summary, and a durable checkpoint every other sink feeds ahead of.
+// run executes the grid through the streaming sink stack: per-cell
+// text lines and CSVs, the memory-bounded stream summary, and a durable
+// checkpoint every other sink feeds ahead of.
 func (g gridRun) run(names []string, stdout io.Writer) error {
 	cfg, err := g.config(names)
 	if err != nil {
@@ -265,21 +232,21 @@ func (g gridRun) run(names []string, stdout io.Writer) error {
 		return err
 	}
 	fingerprint := experiments.GridFingerprint(cfg, g.weightsSpec)
-	ckptPath := filepath.Join(g.outDir, experiments.GridCheckpointName(g.shard))
+	ckptPath := filepath.Join(g.outDir, experiments.GridCheckpointName(experiments.ShardSpec{}))
 
 	var prior []experiments.GridCellRecord
 	if g.resume {
-		if prior, err = experiments.LoadGridCheckpoint(ckptPath, cfg, fingerprint, g.shard); err != nil {
+		if prior, err = experiments.LoadGridCheckpoint(ckptPath, cfg, fingerprint); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "==> full grid: %d scenarios x %d seeds at %d nodes, %d rounds/cell (shard %s, %d cells checkpointed)\n",
-		len(cfg.Scenarios), g.seeds, g.nodes, g.rounds, g.shard, len(prior))
+	fmt.Fprintf(stdout, "==> full grid: %d scenarios x %d seeds at %d nodes, %d rounds/cell (%d cells checkpointed)\n",
+		len(cfg.Scenarios), g.seeds, g.nodes, g.rounds, len(prior))
 
 	// Rewriting the checkpoint heals any torn tail; the in-order fold
 	// appends re-simulated cells behind the restored prefix, so the
 	// finished file is byte-identical to an uninterrupted run's.
-	ckpt, err := experiments.CreateGridCheckpoint(ckptPath, fingerprint, g.shard, prior)
+	ckpt, err := experiments.CreateGridCheckpoint(ckptPath, fingerprint, experiments.ShardSpec{}, prior)
 	if err != nil {
 		return err
 	}
@@ -288,14 +255,13 @@ func (g gridRun) run(names []string, stdout io.Writer) error {
 	for _, rec := range prior {
 		restored[rec.Index] = rec.Audit
 	}
-	csv := experiments.NewGridCSVSink(g.outDir, cfg, g.summaryName())
+	csv := experiments.NewGridCSVSink(g.outDir, cfg, "full_grid_summary.csv")
 	csv.SetLog(stdout)
 	summary := experiments.NewSummarySink(0)
 	summary.Restore(prior)
 	// Checkpoint last: a recorded cell implies every other sink consumed it.
 	sink := experiments.MultiSink(&experiments.GridTextSink{W: stdout}, csv, summary, experiments.NewCheckpointSink(ckpt, 0))
-	opt := experiments.StreamOptions{Shard: g.shard, Restored: restored}
-	if err := experiments.StreamScenarioGrid(cfg, sink, opt); err != nil {
+	if err := experiments.StreamScenarioGrid(cfg, sink, experiments.StreamOptions{Restored: restored}); err != nil {
 		return err
 	}
 	if err := ckpt.Close(); err != nil {
@@ -304,57 +270,16 @@ func (g gridRun) run(names []string, stdout io.Writer) error {
 	if err := csv.Close(); err != nil {
 		return err
 	}
-	if g.shard.Count <= 1 {
-		table, err := summary.Table()
-		if err != nil {
-			return err
-		}
-		if err := writeCSV(stdout, g.outDir, "full_grid_stream_summary.csv", table); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(stdout, "grid shard %s: %d cells done, safety violations %d\n",
-		g.shard, csv.CellsSeen(), csv.SafetyViolations())
-	if v := csv.SafetyViolations(); v > 0 {
-		return fmt.Errorf("safety audit failed: %d conflicting-finalisation round(s) across the grid", v)
-	}
-	return nil
-}
-
-// mergeShards rebuilds the whole-grid summaries from completed shard
-// checkpoints, byte-identical to an unsharded run's.
-func (g gridRun) mergeShards(names []string, stdout io.Writer) error {
-	cfg, err := g.config(names)
-	if err != nil {
-		return err
-	}
-	fingerprint := experiments.GridFingerprint(cfg, g.weightsSpec)
-	records, err := experiments.MergeGridCheckpoints(g.outDir, cfg, fingerprint)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV(stdout, g.outDir, "full_grid_summary.csv", experiments.GridSummaryFromRecords(cfg, records)); err != nil {
-		return err
-	}
-	summaries := make([]*experiments.CellSummary, 0, len(records))
-	violations := 0
-	for _, rec := range records {
-		violations += rec.Audit.SafetyViolations
-		if rec.Summary == nil {
-			return fmt.Errorf("cell %d checkpoint record carries no stream summary", rec.Index)
-		}
-		summaries = append(summaries, rec.Summary)
-	}
-	table, err := experiments.StreamSummaryTable(summaries)
+	table, err := summary.Table()
 	if err != nil {
 		return err
 	}
 	if err := writeCSV(stdout, g.outDir, "full_grid_stream_summary.csv", table); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "merged %d cells from shard checkpoints, safety violations %d\n", len(records), violations)
-	if violations > 0 {
-		return fmt.Errorf("safety audit failed: %d conflicting-finalisation round(s) across the grid", violations)
+	fmt.Fprintf(stdout, "grid: %d cells done, safety violations %d\n", csv.CellsSeen(), csv.SafetyViolations())
+	if v := csv.SafetyViolations(); v > 0 {
+		return fmt.Errorf("safety audit failed: %d conflicting-finalisation round(s) across the grid", v)
 	}
 	return nil
 }

@@ -20,20 +20,31 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"full conflicts nodes":  {"-full", "-nodes", "50"},
 		"full conflicts seed":   {"-full", "-seed", "9"},
 		"unknown scenario name": {"-out", t.TempDir(), "no_such_scenario"},
-		"shard without full":    {"-shard", "0/2"},
 		"resume without full":   {"-resume"},
-		"merge without full":    {"-mergeShards"},
-		"bad shard spec":        {"-full", "-shard", "2"},
-		"shard out of range":    {"-full", "-shard", "3/3"},
-		"merge mixes shard":     {"-full", "-mergeShards", "-shard", "0/2"},
-		"merge mixes resume":    {"-full", "-mergeShards", "-resume"},
-		"merge empty out dir":   {"-full", "-mergeShards", "-out", t.TempDir()},
 		"NaN tauStep":           {"-nodes", "40", "-rounds", "2", "-runs", "1", "-tauStep", "NaN", "-out", t.TempDir(), "honest_baseline"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if err := run(args, &stdout, &stderr); err == nil {
 				t.Fatalf("run(%v) succeeded, want error", args)
+			}
+		})
+	}
+}
+
+// TestRunRetiredShardFlags pins that the retired shard axis is gone from
+// the flag set rather than accepted and ignored: -shard and -mergeShards
+// fail as undefined flags.
+func TestRunRetiredShardFlags(t *testing.T) {
+	for name, args := range map[string][]string{
+		"shard":       {"-full", "-shard", "0/2"},
+		"mergeShards": {"-full", "-mergeShards"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run(args, &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+				t.Fatalf("run(%v): %v, want an undefined-flag error", args, err)
 			}
 		})
 	}
@@ -130,6 +141,8 @@ func readDirFiles(t *testing.T, dir string) map[string][]byte {
 // TestRunFullGridResume interrupts a -full grid by truncating its
 // checkpoint to one recorded cell, resumes it, and pins every output
 // file — checkpoint included — byte-identical to an uninterrupted run.
+// It then cuts the healed checkpoint inside its header line, which must
+// resume as a fresh start to the same files.
 func TestRunFullGridResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -169,38 +182,78 @@ func TestRunFullGridResume(t *testing.T) {
 	if !strings.Contains(out, "1 cells checkpointed") {
 		t.Fatalf("resume did not restore the checkpointed cell:\n%s", out)
 	}
-	got := readDirFiles(t, resumeDir)
-	for name, blob := range want {
-		if !bytes.Equal(got[name], blob) {
-			t.Fatalf("%s differs between uninterrupted and resumed runs", name)
-		}
+	checkSameFiles(t, want, resumeDir)
+
+	if err := os.WriteFile(ckpt, blob[:100], 0o644); err != nil {
+		t.Fatal(err)
 	}
+	out = runGrid(t, fullGridArgs(resumeDir, "-resume"))
+	if !strings.Contains(out, "0 cells checkpointed") {
+		t.Fatalf("a checkpoint torn inside its header did not resume as a fresh start:\n%s", out)
+	}
+	checkSameFiles(t, want, resumeDir)
 }
 
-// TestRunFullGridShardMerge runs the grid as two shards plus a merge
-// and pins the merged summaries byte-identical to an unsharded run's.
-func TestRunFullGridShardMerge(t *testing.T) {
+// TestRunFullGridResumeRefusesBadCheckpoint pins the checkpoints -resume
+// refuses instead of resuming from: records that skip a cell, a header
+// naming a shard of the grid, and a garbled header that ends in a
+// newline. Each fails before any cell runs and leaves the checkpoint as
+// it found it.
+func TestRunFullGridResumeRefusesBadCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	cleanDir := t.TempDir()
 	runGrid(t, fullGridArgs(cleanDir))
-	want := readDirFiles(t, cleanDir)
-
-	shardDir := t.TempDir()
-	runGrid(t, fullGridArgs(shardDir, "-shard", "0/2"))
-	runGrid(t, fullGridArgs(shardDir, "-shard", "1/2"))
-	if _, err := os.Stat(filepath.Join(shardDir, "full_grid_summary_0of2.csv")); err != nil {
-		t.Fatalf("shard 0/2 wrote no partial summary: %v", err)
+	blob, err := os.ReadFile(filepath.Join(cleanDir, "full_grid_checkpoint_0of1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	runGrid(t, fullGridArgs(shardDir, "-mergeShards"))
-	got := readDirFiles(t, shardDir)
+	// Line 0 is the header, line k+1 the record of cell k.
+	lines := bytes.SplitAfter(blob, []byte("\n"))
+	otherShard := bytes.Replace(lines[0], []byte(`"shard":"0/1"`), []byte(`"shard":"1/3"`), 1)
+	if bytes.Equal(otherShard, lines[0]) {
+		t.Fatalf("header names no whole-grid shard: %s", lines[0])
+	}
+	for _, tc := range []struct {
+		name    string
+		ckpt    []byte
+		wantErr string
+	}{
+		{"gapped", bytes.Join([][]byte{lines[0], lines[1], lines[3]}, nil), "line 3: cell 2 where cell 1 belongs"},
+		{"other shard", bytes.Join(append([][]byte{otherShard}, lines[1:]...), nil), "sharded grids are gone"},
+		{"garbled header", []byte("not a checkpoint\n"), "bad header"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckpt := filepath.Join(dir, "full_grid_checkpoint_0of1.jsonl")
+			if err := os.WriteFile(ckpt, tc.ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			err := run(fullGridArgs(dir, "-resume"), &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("-resume: %v, want an error saying %q", err, tc.wantErr)
+			}
+			got, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, tc.ckpt) {
+				t.Fatal("the refused checkpoint was rewritten")
+			}
+		})
+	}
+}
+
+// checkSameFiles fails unless dir holds every file of want, byte for
+// byte.
+func checkSameFiles(t *testing.T, want map[string][]byte, dir string) {
+	t.Helper()
+	got := readDirFiles(t, dir)
 	for name, blob := range want {
-		if name == "full_grid_checkpoint_0of1.jsonl" {
-			continue // shards checkpoint under their own names
-		}
 		if !bytes.Equal(got[name], blob) {
-			t.Fatalf("%s differs between unsharded and shard-merged runs", name)
+			t.Fatalf("%s differs between uninterrupted and resumed runs", name)
 		}
 	}
 }

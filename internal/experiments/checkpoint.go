@@ -4,27 +4,24 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/obs"
-	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
 
-// Grid checkpoints make an interrupted -full grid resumable and a
-// sharded grid mergeable: one JSON header line identifying the grid,
-// then one JSON line per completed cell, appended (and flushed) as the
-// in-order fold closes each cell. Because the fold emits cells in
-// ascending owned order, a checkpoint is always an order-preserving
-// prefix of the full record sequence — possibly ending in one torn
-// line if the process died mid-write, which the loader drops. Each
+// Grid checkpoints make an interrupted -full grid resumable: one JSON
+// header line identifying the grid, then one JSON line per completed
+// cell, appended (and flushed) as the in-order fold closes each cell.
+// Because the fold emits cells 0, 1, 2, … in order, a checkpoint is
+// always a prefix of the full record sequence — possibly ending in one
+// torn line if the process died mid-write, which the loader drops. Each
 // record carries the cell's audit (enough to rebuild
 // full_grid_summary.csv) and its CellSummary (enough to rebuild the
-// stream summary), so shard checkpoints double as the mergeable
-// partial summaries.
+// stream summary), so a resumed run's summaries cover the restored
+// cells without re-simulating them.
 
 // gridCheckpointVersion guards the record layout.
 const gridCheckpointVersion = 1
@@ -38,6 +35,11 @@ type GridCellRecord struct {
 	Summary  *CellSummary     `json:"summary,omitempty"`
 }
 
+// gridCheckpointShard is the shard field of every checkpoint header:
+// the whole grid, shard 0 of 1. Headers keep the field so a checkpoint
+// from when grids could be split fails loudly instead of resuming.
+const gridCheckpointShard = "0/1"
+
 // gridCheckpointHeader is the first line of a checkpoint file.
 type gridCheckpointHeader struct {
 	Version     int    `json:"version"`
@@ -46,11 +48,10 @@ type gridCheckpointHeader struct {
 }
 
 // GridFingerprint digests every config knob that shapes a grid's
-// results. A resume or shard merge refuses checkpoints whose
-// fingerprint differs — mixing results from different grids is the
-// checkpoint-format failure mode worth failing loudly on. weightsSpec
-// is the CLI's -weights string (profiles are functions and cannot be
-// digested directly).
+// results. A resume refuses checkpoints whose fingerprint differs —
+// mixing results from different grids is the checkpoint-format failure
+// mode worth failing loudly on. weightsSpec is the CLI's -weights
+// string (profiles are functions and cannot be digested directly).
 func GridFingerprint(cfg ScenarioGridConfig, weightsSpec string) string {
 	return fmt.Sprintf("v%d|scenarios=%s|seeds=%v|nodes=%d|rounds=%d|fanout=%d|params=%+v|stake=%+v|backend=%d|weights=%s|sparse=%d",
 		gridCheckpointVersion, strings.Join(cfg.Scenarios, ","), cfg.Seeds,
@@ -72,20 +73,25 @@ func GridCellFingerprint(cfg ScenarioGridConfig, weightsSpec, scenario string, s
 	return "cell|" + GridFingerprint(cfg, weightsSpec)
 }
 
-// GridCheckpointName is the checkpoint filename for one shard of the
-// grid ("full_grid_checkpoint_<i>of<n>.jsonl"; the whole grid is shard
-// 0 of 1).
-func GridCheckpointName(shard ShardSpec) string {
-	shard = shard.normalized()
-	return fmt.Sprintf("full_grid_checkpoint_%dof%d.jsonl", shard.Index, shard.Count)
-}
+// ShardSpec is what is left of the grid's retired shard axis: grids no
+// longer split across processes. The empty type stays only because the
+// benchmark module, whose sources are pinned, compiles against
+// GridCheckpointName and CreateGridCheckpoint, which take it.
+type ShardSpec struct{}
+
+// GridCheckpointName is the checkpoint filename. It takes a ShardSpec
+// only for the benchmark module's sake and always returns the one name
+// a grid's checkpoint has.
+func GridCheckpointName(ShardSpec) string { return "full_grid_checkpoint_0of1.jsonl" }
 
 // LoadGridCheckpoint reads a checkpoint file, validating its header
-// against the expected fingerprint and shard and every record against
-// cfg's grid (see checkRecord). A missing file is a fresh start (nil
-// records, no error); a torn final line — the signature of a killed
-// process — is dropped. Records are returned in file order.
-func LoadGridCheckpoint(path string, cfg ScenarioGridConfig, fingerprint string, shard ShardSpec) ([]GridCellRecord, error) {
+// against the expected fingerprint and every record against cfg's grid
+// (see checkRecord). A missing or empty file is a fresh start (nil
+// records, no error), and so is a file whose first line has no newline
+// and does not parse as a header: the signature of a process killed
+// while writing the header. A torn final record line is dropped the
+// same way. Records are returned in file order.
+func LoadGridCheckpoint(path string, cfg ScenarioGridConfig, fingerprint string) ([]GridCellRecord, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -94,14 +100,17 @@ func LoadGridCheckpoint(path string, cfg ScenarioGridConfig, fingerprint string,
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	if !sc.Scan() {
-		return nil, nil // empty file: treat as fresh
+	r := bufio.NewReader(f)
+	line, err := r.ReadBytes('\n')
+	if err != nil && err != io.EOF {
+		return nil, err
 	}
 	var hdr gridCheckpointHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("experiments: checkpoint %s: bad header: %w", path, err)
+	if jerr := json.Unmarshal(line, &hdr); jerr != nil {
+		if err == io.EOF {
+			return nil, nil // empty file or torn header: treat as fresh
+		}
+		return nil, fmt.Errorf("experiments: checkpoint %s: bad header: %w", path, jerr)
 	}
 	if hdr.Version != gridCheckpointVersion {
 		return nil, fmt.Errorf("experiments: checkpoint %s: version %d, want %d", path, hdr.Version, gridCheckpointVersion)
@@ -109,41 +118,36 @@ func LoadGridCheckpoint(path string, cfg ScenarioGridConfig, fingerprint string,
 	if hdr.Fingerprint != fingerprint {
 		return nil, fmt.Errorf("experiments: checkpoint %s was written by a different grid configuration; rerun without -resume or delete it", path)
 	}
-	if hdr.Shard != shard.String() {
-		return nil, fmt.Errorf("experiments: checkpoint %s covers shard %s, want %s", path, hdr.Shard, shard)
+	if hdr.Shard != gridCheckpointShard {
+		return nil, fmt.Errorf("experiments: checkpoint %s names shard %q, not the whole grid; sharded grids are gone, so rerun without -resume or delete it", path, hdr.Shard)
 	}
 	var records []GridCellRecord
-	next := 0
-	for line := 2; sc.Scan(); line++ {
+	for lineNo := 2; err != io.EOF; lineNo++ {
+		if line, err = r.ReadBytes('\n'); err != nil && err != io.EOF {
+			return nil, err
+		}
 		var rec GridCellRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		if json.Unmarshal(line, &rec) != nil {
 			break // torn final line from an interrupted write
 		}
-		if err := checkRecord(&cfg, shard, &rec, next); err != nil {
-			return nil, fmt.Errorf("experiments: checkpoint %s line %d: %w", path, line, err)
+		if cerr := checkRecord(&cfg, &rec, len(records)); cerr != nil {
+			return nil, fmt.Errorf("experiments: checkpoint %s line %d: %w", path, lineNo, cerr)
 		}
 		records = append(records, rec)
-		next = rec.Index + 1
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return records, nil
 }
 
 // checkRecord rejects a record the summaries cannot use: a cell outside
-// cfg's grid or naming another cell's scenario or seed, a cell the
-// shard does not own, a cell below next (records ascend strictly), or
-// a summary whose shape the merge cannot fold.
-func checkRecord(cfg *ScenarioGridConfig, shard ShardSpec, rec *GridCellRecord, next int) error {
+// cfg's grid or naming another cell's scenario or seed, any cell but
+// next (records are cells 0, 1, 2, … in order), or a summary whose
+// shape the merge cannot fold.
+func checkRecord(cfg *ScenarioGridConfig, rec *GridCellRecord, next int) error {
 	if err := checkGridCell(cfg, rec.Index, rec.Scenario, rec.Seed); err != nil {
 		return err
 	}
-	if !shard.Owns(rec.Index) {
-		return fmt.Errorf("cell %d is not owned by shard %s", rec.Index, shard)
-	}
-	if rec.Index < next {
-		return fmt.Errorf("cell %d follows cell %d", rec.Index, next-1)
+	if rec.Index != next {
+		return fmt.Errorf("cell %d where cell %d belongs", rec.Index, next)
 	}
 	if rec.Summary == nil {
 		return nil
@@ -167,14 +171,15 @@ type CheckpointWriter struct {
 
 // CreateGridCheckpoint (re)creates a checkpoint file: header first,
 // then any already-completed records (a resume rewrites the loaded
-// prefix, healing a torn tail in place).
-func CreateGridCheckpoint(path, fingerprint string, shard ShardSpec, records []GridCellRecord) (*CheckpointWriter, error) {
+// prefix, healing a torn tail in place). It ignores its ShardSpec,
+// which stays for the benchmark module's sake.
+func CreateGridCheckpoint(path, fingerprint string, _ ShardSpec, records []GridCellRecord) (*CheckpointWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	cw := &CheckpointWriter{f: f, w: bufio.NewWriter(f)}
-	hdr := gridCheckpointHeader{Version: gridCheckpointVersion, Fingerprint: fingerprint, Shard: shard.String()}
+	hdr := gridCheckpointHeader{Version: gridCheckpointVersion, Fingerprint: fingerprint, Shard: gridCheckpointShard}
 	if err := cw.writeLine(hdr); err != nil {
 		f.Close()
 		return nil, err
@@ -280,75 +285,4 @@ func (s *CheckpointSink) CellDone(cell Cell) error {
 	rec := GridCellRecord{Index: cell.Index, Scenario: cell.Name, Seed: cell.Seed, Audit: s.audit, Summary: s.cur}
 	s.cur = nil
 	return s.w.Record(rec)
-}
-
-// MergeGridCheckpoints discovers every shard checkpoint in dir,
-// validates the set is one complete n-way split of cfg's grid
-// (consistent headers, every shard file present, every record valid,
-// every cell recorded exactly once), and returns the records sorted by
-// cell index — the order every summary derives from, which is what
-// makes the merge shard-split-invariant.
-func MergeGridCheckpoints(dir string, cfg ScenarioGridConfig, fingerprint string) ([]GridCellRecord, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "full_grid_checkpoint_*of*.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("experiments: no grid checkpoints in %s", dir)
-	}
-	sort.Strings(matches)
-	count := -1
-	seenShards := map[int]bool{}
-	var all []GridCellRecord
-	for _, path := range matches {
-		var i, n int
-		if _, err := fmt.Sscanf(filepath.Base(path), "full_grid_checkpoint_%dof%d.jsonl", &i, &n); err != nil {
-			return nil, fmt.Errorf("experiments: unrecognised checkpoint name %s", path)
-		}
-		if count == -1 {
-			count = n
-		} else if n != count {
-			return nil, fmt.Errorf("experiments: %s mixes shard splits (%d-way and %d-way)", dir, count, n)
-		}
-		shard := ShardSpec{Index: i, Count: n}
-		if err := shard.Validate(); err != nil {
-			return nil, err
-		}
-		recs, err := LoadGridCheckpoint(path, cfg, fingerprint, shard)
-		if err != nil {
-			return nil, err
-		}
-		seenShards[i] = true
-		all = append(all, recs...)
-	}
-	for i := 0; i < count; i++ {
-		if !seenShards[i] {
-			return nil, fmt.Errorf("experiments: shard %d/%d checkpoint missing from %s", i, count, dir)
-		}
-	}
-	seen := make(map[int]bool, len(all))
-	for _, rec := range all {
-		if seen[rec.Index] {
-			return nil, fmt.Errorf("experiments: cell %d recorded twice across shard checkpoints", rec.Index)
-		}
-		seen[rec.Index] = true
-	}
-	if wantCells := len(cfg.Scenarios) * len(cfg.Seeds); len(all) != wantCells {
-		return nil, fmt.Errorf("experiments: shard checkpoints cover %d of %d cells; finish every shard before merging", len(all), wantCells)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Index < all[j].Index })
-	return all, nil
-}
-
-// GridSummaryFromRecords rebuilds the audit-counter grid summary
-// (full_grid_summary.csv) from checkpoint records, byte-identical to
-// the table an unsharded run writes.
-func GridSummaryFromRecords(cfg ScenarioGridConfig, records []GridCellRecord) *stats.Table {
-	cells := make([]int, len(records))
-	reports := make([]adversary.Report, len(records))
-	for i, rec := range records {
-		cells[i] = rec.Index
-		reports[i] = rec.Audit
-	}
-	return gridSummaryTable(cfg, cells, reports)
 }

@@ -180,10 +180,9 @@ func (c *GridCell) AuditTable() *stats.Table {
 }
 
 // gridSummaryTable renders grid cells as one row each: the scenario's
-// grid index, the seed, and the audit counters. cells carries global
-// cell indices (scenario-major × seed) so a shard's partial summary and
-// a merged full summary derive scenario_idx and seed identically to an
-// unsharded run; reports is aligned with cells.
+// grid index, the seed, and the audit counters. cells carries the cell
+// indices (scenario-major × seed) scenario_idx and seed derive from;
+// reports is aligned with cells.
 func gridSummaryTable(cfg ScenarioGridConfig, cells []int, reports []adversary.Report) *stats.Table {
 	t := &stats.Table{}
 	idx := make([]float64, len(cells))

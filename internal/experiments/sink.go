@@ -21,8 +21,7 @@ import (
 // Cell identifies one streamed unit of work.
 type Cell struct {
 	// Index is the cell's position on the driver's cell axis (grid
-	// cells: scenario-major × seed; sweeps: the run index). Sharded
-	// grids preserve the global index.
+	// cells: scenario-major × seed; sweeps: the run index).
 	Index int
 	// Name labels the cell (scenario name, panel label, ...).
 	Name string

@@ -36,9 +36,10 @@ type GridCSVSink struct {
 	peakRows int
 }
 
-// NewGridCSVSink writes into dir; summaryName is the summary file
-// ("full_grid_summary.csv" for a whole grid, a shard-suffixed name for
-// partial grids).
+// NewGridCSVSink writes into dir; summaryName is the summary file.
+// Every caller passes "full_grid_summary.csv" now that grids no longer
+// split into shards with suffixed summaries; the argument stays because
+// the benchmark module, whose sources are pinned, passes it.
 func NewGridCSVSink(dir string, cfg ScenarioGridConfig, summaryName string) *GridCSVSink {
 	return &GridCSVSink{dir: dir, cfg: cfg, summaryName: summaryName}
 }

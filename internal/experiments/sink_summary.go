@@ -12,10 +12,9 @@ import (
 // grid summary: per-column moment accumulators and quantile sketches
 // over the cell's rows. It is a pure, deterministic function of the
 // cell's row stream, and encoding/json round-trips every float64
-// exactly, so a summary restored from a checkpoint or shipped across a
-// shard boundary is bit-identical to one computed in process — the
-// property that makes the merged stream summary byte-identical at any
-// worker count, shard split, or interruption point.
+// exactly, so a summary restored from a checkpoint is bit-identical to
+// one computed in process — the property that makes the merged stream
+// summary byte-identical at any worker count or interruption point.
 type CellSummary struct {
 	Cell     int                     `json:"cell"`
 	Columns  []string                `json:"columns"`
@@ -129,45 +128,27 @@ func (s *SummarySink) CellDone(cell Cell) error {
 	return nil
 }
 
-// CellSummaries returns the accumulated summaries in ascending cell
-// order (the checkpoint sink's record payloads come from its own
-// identical accumulation; this accessor serves tests and merges).
-func (s *SummarySink) CellSummaries() []*CellSummary {
-	idx := make([]int, 0, len(s.cells))
-	for i := range s.cells {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	out := make([]*CellSummary, len(idx))
-	for j, i := range idx {
-		out[j] = s.cells[i]
-	}
-	return out
-}
-
 // streamSummaryColumns is the per-column statistic set Table renders.
 var streamSummaryColumns = []string{"column_idx", "rows", "mean", "ci95", "min", "p10", "p25", "p50", "p75", "p90", "max"}
 
 // Table folds every cell summary — ascending cell index, left to right
-// — and renders one row per outcome column. The fixed fold order makes
-// the output independent of worker count, shard split, and resume
-// history.
+// — and renders one row per outcome column: mean, CI and sketch
+// percentiles over every row of every cell. The fixed fold order makes
+// the output independent of worker count and resume history.
 func (s *SummarySink) Table() (*stats.Table, error) {
-	return StreamSummaryTable(s.CellSummaries())
-}
-
-// StreamSummaryTable merges per-cell summaries (ascending cell order,
-// left-fold) into the stream-summary table: one row per column with
-// mean, CI and sketch percentiles over every row of every cell.
-func StreamSummaryTable(cells []*CellSummary) (*stats.Table, error) {
-	if len(cells) == 0 {
+	if len(s.cells) == 0 {
 		return nil, fmt.Errorf("experiments: no cell summaries to merge")
 	}
-	sorted := append([]*CellSummary(nil), cells...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Cell < sorted[j].Cell })
-	columns := sorted[0].Columns
-	merged := newCellSummary(0, columns, sorted[0].Sketches[0].K)
-	for _, cs := range sorted {
+	idx := make([]int, 0, len(s.cells))
+	for cell := range s.cells {
+		idx = append(idx, cell)
+	}
+	sort.Ints(idx)
+	first := s.cells[idx[0]]
+	columns := first.Columns
+	merged := newCellSummary(0, columns, first.Sketches[0].K)
+	for _, cell := range idx {
+		cs := s.cells[cell]
 		if len(cs.Columns) != len(columns) {
 			return nil, fmt.Errorf("experiments: cell %d has %d columns, want %d", cs.Cell, len(cs.Columns), len(columns))
 		}

@@ -7,7 +7,7 @@
 //
 // Telemetry must never perturb a simulation: no instrumentation point
 // reads an RNG, schedules an event, or mutates protocol state, so every
-// output — golden figures, -full grid CSVs, checkpoint/shard/resume
+// output — golden figures, -full grid CSVs, checkpoint and resume
 // files — is byte-identical with telemetry enabled, disabled, or scraped
 // mid-run. Metrics are split into two classes at registration:
 //

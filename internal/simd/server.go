@@ -369,7 +369,7 @@ func (s *Server) executeGrid(job *Job, workers int) error {
 	var err error
 	persist := s.cfg.DataDir != ""
 	if persist && job.resume {
-		prior, err = experiments.LoadGridCheckpoint(s.ckptPath(fingerprint), cfg, fingerprint, experiments.ShardSpec{})
+		prior, err = experiments.LoadGridCheckpoint(s.ckptPath(fingerprint), cfg, fingerprint)
 		if err != nil {
 			return err
 		}

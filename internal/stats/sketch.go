@@ -11,17 +11,17 @@ import (
 // memory-bounded summary sink folds rows into (see
 // experiments.SummarySink): an exact-moment accumulator and a
 // deterministic KLL-style quantile sketch. Both are plain exported
-// structs so shard processes can serialise partial summaries as JSON
-// and a merge step can combine them; both are deterministic functions
-// of their observation sequence (no randomness, no clocks), which is
-// what keeps streamed summaries reproducible under the run pool's
-// fixed fold order.
+// structs so a grid checkpoint can serialise per-cell summaries as JSON
+// and a resumed run can merge them with freshly computed ones; both are
+// deterministic functions of their observation sequence (no randomness,
+// no clocks), which is what keeps streamed summaries reproducible under
+// the run pool's fixed fold order.
 
 // Moments is a mergeable first/second-moment accumulator: mean,
 // variance and normal-approximation confidence intervals without
 // retaining observations. Merging two accumulators sums their counters,
-// so a sharded computation reaches the same statistics as a single
-// pass up to float addition order (counts are exact).
+// so a split computation reaches the same statistics as a single pass
+// up to float addition order (counts are exact).
 type Moments struct {
 	N     uint64  `json:"n"`
 	Sum   float64 `json:"sum"`
@@ -112,7 +112,7 @@ const DefaultSketchK = 256
 // level so compaction error cancels instead of accumulating. Unlike
 // textbook KLL the surviving parity is a deterministic counter, not a
 // coin flip, so the sketch is a pure function of its observation
-// sequence — the property the shard-merge determinism tests pin.
+// sequence — the property the stream-summary determinism tests pin.
 //
 // Count, Min and Max are tracked exactly; Quantile(0) and Quantile(1)
 // are always exact. Interior quantiles carry rank error O(log(n/k)/k).

@@ -140,8 +140,8 @@ func TestQuantileSketchRankError(t *testing.T) {
 
 // TestQuantileSketchDeterministic pins that the sketch is a pure
 // function of its observation sequence: identical sequences produce
-// deeply-equal internal state, the property shard-merge byte-identity
-// rests on.
+// deeply-equal internal state, the property the stream summary's byte
+// identity rests on.
 func TestQuantileSketchDeterministic(t *testing.T) {
 	data := randomData(20000, 7)
 	a, b := NewQuantileSketch(64), NewQuantileSketch(64)
@@ -196,7 +196,8 @@ func TestQuantileSketchMergeProperties(t *testing.T) {
 }
 
 // TestQuantileSketchJSONRoundTrip pins that a serialised partial
-// summary deserialises to an equivalent sketch — the shard handoff.
+// summary deserialises to an equivalent sketch — the checkpoint
+// handoff.
 func TestQuantileSketchJSONRoundTrip(t *testing.T) {
 	data := randomData(10000, 11)
 	s := NewQuantileSketch(64)

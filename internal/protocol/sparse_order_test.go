@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -91,15 +92,11 @@ func installPinHooks(r *Runner, n int) {
 	})
 }
 
-// sparseOrderDigest runs a traced SparseOn population and hashes every
-// observable of the delivery order: the reports, the task counters, and
-// each trace event's phase, timestamp, duration and track, in recording
-// order. Every node is in the trace panel, so every delivery is an
-// instant. Instant names are left out on purpose: they label the payload
-// kind, which the digest does not need to pin the order.
-func sparseOrderDigest(t *testing.T, n int, hooked bool, maxBinary int) string {
+// pinnedRunner builds the SparseOn population the sparse pins run: every
+// ninth node selfish, taus 25/35, weak synchrony in three rounds of ten,
+// and installPinHooks when hooked.
+func pinnedRunner(t *testing.T, n int, hooked bool, maxBinary int, trace *obs.Trace) *Runner {
 	t.Helper()
-	stakes := testStakes(n)
 	behaviors := behaviorsOf(n, Honest)
 	for i := 0; i < n; i += 9 {
 		behaviors[i] = Selfish
@@ -109,10 +106,9 @@ func sparseOrderDigest(t *testing.T, n int, hooked bool, maxBinary int) string {
 	params.TauFinal = 35
 	params.AsyncProb = 0.3
 	params.MaxBinarySteps = maxBinary
-	trace := obs.NewTrace(n)
 	r, err := NewRunner(Config{
 		Params:    params,
-		Stakes:    stakes,
+		Stakes:    testStakes(n),
 		Behaviors: behaviors,
 		Fanout:    5,
 		Seed:      97,
@@ -125,10 +121,28 @@ func sparseOrderDigest(t *testing.T, n int, hooked bool, maxBinary int) string {
 	if hooked {
 		installPinHooks(r, n)
 	}
+	return r
+}
+
+// digestReport writes one round's report to h.
+func digestReport(h io.Writer, rep RoundReport) {
+	fmt.Fprintf(h, "%d:%d/%d/%d:%x:%v:%v:%v:%d;", rep.Round, rep.FinalCount, rep.TentativeCount,
+		rep.NoneCount, rep.CanonicalHash, rep.CanonicalEmpty, rep.Decided, rep.Degraded, rep.Desynced)
+}
+
+// sparseOrderDigest runs a traced SparseOn population and hashes every
+// observable of the delivery order: the reports, the task counters, and
+// each trace event's phase, timestamp, duration and track, in recording
+// order. Every node is in the trace panel, so every delivery is an
+// instant. Instant names are left out on purpose: they label the payload
+// kind, which the digest does not need to pin the order.
+func sparseOrderDigest(t *testing.T, n int, hooked bool, maxBinary int) string {
+	t.Helper()
+	trace := obs.NewTrace(n)
+	r := pinnedRunner(t, n, hooked, maxBinary, trace)
 	h := sha256.New()
 	for _, rep := range r.RunRounds(4) {
-		fmt.Fprintf(h, "%d:%d/%d/%d:%x:%v:%v:%v:%d;", rep.Round, rep.FinalCount, rep.TentativeCount,
-			rep.NoneCount, rep.CanonicalHash, rep.CanonicalEmpty, rep.Decided, rep.Degraded, rep.Desynced)
+		digestReport(h, rep)
 	}
 	fmt.Fprintf(h, "counts=%v;", r.TaskCounts())
 
@@ -149,32 +163,65 @@ func sparseOrderDigest(t *testing.T, n int, hooked bool, maxBinary int) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestSparseDeliveryOrderPinned pins the sparse path's delivery order,
-// delivery for delivery, to digests recorded when every mean-field
-// delivery was its own scheduler event. The delivery logs that replaced
-// those events are exact only because a delivery reads state that just
-// the phase timers change; a change that breaks that (or reorders RNG
-// draws at emission) moves these digests. In the short variant (one
-// BinaryBA* step), finalizeRoundSparse casts final votes after the
-// round's drain, outside any event; their deliveries run in the next
-// round.
-func TestSparseDeliveryOrderPinned(t *testing.T) {
+// sparseRunDigest runs the pinned population with the trace panel cut to
+// its first panel nodes (0: untraced) and hashes each round's report and
+// the engine clock after it, the run's task counters and, when traced,
+// every trace event.
+func sparseRunDigest(t *testing.T, n int, hooked bool, panel int) string {
+	t.Helper()
+	var trace *obs.Trace
+	if panel > 0 {
+		trace = obs.NewTrace(panel)
+	}
+	r := pinnedRunner(t, n, hooked, 11, trace)
+	h := sha256.New()
+	for i := 0; i < 4; i++ {
+		reps := r.RunRounds(1)
+		if len(reps) != 1 {
+			t.Fatalf("n=%d: round %d did not run: %v", n, i+1, r.Err())
+		}
+		digestReport(h, reps[0])
+		fmt.Fprintf(h, "clock=%v;", r.engine.Now())
+	}
+	fmt.Fprintf(h, "counts=%v;", r.TaskCounts())
+	if trace != nil {
+		events := traceEvents(t, trace)
+		if len(events) >= 1<<19 {
+			t.Fatalf("n=%d: trace truncated at %d events", n, len(events))
+		}
+		for _, ev := range events {
+			fmt.Fprintf(h, "%s:%s@%v+%v#%d;", ev.Name, ev.Ph, ev.Ts, ev.Dur, ev.Tid)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestSparseRunsPinned pins sparse runs whose receivers mostly lie
+// outside the trace panel, untraced and traced on 40 nodes: the reports,
+// the engine clock after each round (a drain ends at its latest
+// arrival, traced or not), the task counters and the trace.
+// TestSparseDeliveryOrderPinned traces every node, so it cannot see how
+// deliveries to untraced receivers are applied.
+func TestSparseRunsPinned(t *testing.T) {
 	cases := []struct {
-		n         int
-		hooked    bool
-		maxBinary int
-		want      string
+		n      int
+		hooked bool
+		panel  int
+		want   string
 	}{
-		{300, false, 11, "f5abacf1211c37dc25c9a4f443116446a9e721e631ded3f6d146b9837c0eb1d2"},
-		{300, true, 11, "d1f64cbfd667d2544eb5d3d2db41ede62f868d6809e45046c6f42eca51c316cd"},
-		{1200, false, 11, "996d659b331aba4c9e05607a2b19c363f4a7703e36468ff90ae16b28e7a4ae3a"},
-		{1200, true, 11, "04b2ec870ccb0b99665b4f0d1a33f95d552a0e80ad0f84bb7dd102f7b6e35415"},
-		{1200, false, 1, "62bbd5e39233f19d5d9a6d34a42aa87c5ca57095ddf7e2e7d5aae2b6a17272c4"},
+		{300, false, 0, "72aa134bcf3d1a0403b083032bd077c36c79e481da8826ed5fd1a4d6d303c895"},
+		{300, false, 40, "ae41ffc7d9a22b20c56421eb96cdbda08a1a0002ee9f200b81e274fe55946428"},
+		{300, true, 0, "b7c1c8ca3cf522f8c666e0f60dc0909751ac4ed80c71ee14cda76c7b7b917da5"},
+		{300, true, 40, "ae122d2caa51472e0d5723ec5e00f5cfc8fb86d26308516403cce5fc232be39b"},
+		{3000, false, 0, "283cbbdc67169988a8f7a44ce281b12fb851bf69d1a82ac8d425620a2e20fb9a"},
+		{3000, false, 40, "d05ac12af06f8dcb0f2e95a9ebe9ff88c556e9407784fe5cf9da0958ef9f2f55"},
+		{3000, true, 0, "94622dccd375f2ded1859b2d5069458a4fc68ca5802a86d88e482ee7712c3550"},
+		{3000, true, 40, "b00543e42a4cb9a68a4da12d2ea653d0d6a3558249942c06a93ae5430894b1c7"},
 	}
 	for _, c := range cases {
-		got := sparseOrderDigest(t, c.n, c.hooked, c.maxBinary)
+		got := sparseRunDigest(t, c.n, c.hooked, c.panel)
 		if got != c.want {
-			t.Errorf("n=%d hooked=%v maxBinary=%d: digest %s, want %s", c.n, c.hooked, c.maxBinary, got, c.want)
+			t.Errorf("n=%d hooked=%v panel=%d: digest %s, want %s", c.n, c.hooked, c.panel, got, c.want)
 		}
 	}
 }

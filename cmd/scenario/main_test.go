@@ -195,10 +195,10 @@ func TestRunFullGridResume(t *testing.T) {
 }
 
 // TestRunFullGridResumeRefusesBadCheckpoint pins the checkpoints -resume
-// refuses instead of resuming from: records that skip a cell, a header
-// naming a shard of the grid, and a garbled header that ends in a
-// newline. Each fails before any cell runs and leaves the checkpoint as
-// it found it.
+// refuses instead of resuming from: records that skip a cell, a garbled
+// record that complete records follow, a header naming a shard of the
+// grid, and a garbled header that ends in a newline. Each fails before
+// any cell runs and leaves the checkpoint as it found it.
 func TestRunFullGridResumeRefusesBadCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -221,6 +221,8 @@ func TestRunFullGridResumeRefusesBadCheckpoint(t *testing.T) {
 		wantErr string
 	}{
 		{"gapped", bytes.Join([][]byte{lines[0], lines[1], lines[3]}, nil), "line 3: cell 2 where cell 1 belongs"},
+		{"corrupt record", bytes.Join([][]byte{lines[0], lines[1], []byte("garbled record\n"), lines[3]}, nil),
+			"line 3: bad record"},
 		{"other shard", bytes.Join(append([][]byte{otherShard}, lines[1:]...), nil), "sharded grids are gone"},
 		{"garbled header", []byte("not a checkpoint\n"), "bad header"},
 	} {

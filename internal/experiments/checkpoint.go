@@ -89,8 +89,10 @@ func GridCheckpointName(ShardSpec) string { return "full_grid_checkpoint_0of1.js
 // (see checkRecord). A missing or empty file is a fresh start (nil
 // records, no error), and so is a file whose first line has no newline
 // and does not parse as a header: the signature of a process killed
-// while writing the header. A torn final record line is dropped the
-// same way. Records are returned in file order.
+// while writing the header. A torn final record line, one without a
+// newline, is dropped the same way; any other line that does not parse
+// is an error naming it, since complete records may follow it. Records
+// are returned in file order.
 func LoadGridCheckpoint(path string, cfg ScenarioGridConfig, fingerprint string) ([]GridCellRecord, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -127,8 +129,11 @@ func LoadGridCheckpoint(path string, cfg ScenarioGridConfig, fingerprint string)
 			return nil, err
 		}
 		var rec GridCellRecord
-		if json.Unmarshal(line, &rec) != nil {
-			break // torn final line from an interrupted write
+		if jerr := json.Unmarshal(line, &rec); jerr != nil {
+			if err == io.EOF {
+				break // torn final line from an interrupted write
+			}
+			return nil, fmt.Errorf("experiments: checkpoint %s line %d: bad record: %w", path, lineNo, jerr)
 		}
 		if cerr := checkRecord(&cfg, &rec, len(records)); cerr != nil {
 			return nil, fmt.Errorf("experiments: checkpoint %s line %d: %w", path, lineNo, cerr)

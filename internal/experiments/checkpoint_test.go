@@ -32,21 +32,23 @@ func TestLoadGridCheckpointRejectsBadRecords(t *testing.T) {
 	cases := []struct {
 		name    string
 		records []GridCellRecord
+		garble  int // a line to overwrite with a non-record; 0 for none
 	}{
-		{"negative index", []GridCellRecord{cell(0), cell(-1)}},
-		{"index past the grid", []GridCellRecord{cell(3)}},
-		{"descending", []GridCellRecord{cell(1), cell(0)}},
-		{"repeated", []GridCellRecord{cell(0), cell(0)}},
-		{"not starting at cell 0", []GridCellRecord{cell(1)}},
-		{"gapped", []GridCellRecord{cell(0), cell(2)}},
-		{"foreign scenario", []GridCellRecord{{Index: 0, Scenario: "crash_churn", Seed: 1}}},
-		{"foreign seed", []GridCellRecord{cell(0), {Index: 1, Scenario: adversary.HonestBaseline, Seed: 1}}},
-		{"summary without columns", []GridCellRecord{withSummary(cell(0), &CellSummary{Cell: 0})}},
-		{"summary of another cell", []GridCellRecord{withSummary(cell(0), summary(1))}},
+		{"negative index", []GridCellRecord{cell(0), cell(-1)}, 0},
+		{"index past the grid", []GridCellRecord{cell(3)}, 0},
+		{"descending", []GridCellRecord{cell(1), cell(0)}, 0},
+		{"repeated", []GridCellRecord{cell(0), cell(0)}, 0},
+		{"not starting at cell 0", []GridCellRecord{cell(1)}, 0},
+		{"gapped", []GridCellRecord{cell(0), cell(2)}, 0},
+		{"foreign scenario", []GridCellRecord{{Index: 0, Scenario: "crash_churn", Seed: 1}}, 0},
+		{"foreign seed", []GridCellRecord{cell(0), {Index: 1, Scenario: adversary.HonestBaseline, Seed: 1}}, 0},
+		{"summary without columns", []GridCellRecord{withSummary(cell(0), &CellSummary{Cell: 0})}, 0},
+		{"summary of another cell", []GridCellRecord{withSummary(cell(0), summary(1))}, 0},
 		{"summary short of sketches", []GridCellRecord{withSummary(cell(0), &CellSummary{
 			Cell: 0, Columns: outcomeColumns, Moments: make([]stats.Moments, 3), Sketches: summary(0).Sketches[:2],
-		})}},
-		{"summary with a nil sketch", []GridCellRecord{withSummary(cell(0), nilSketch)}},
+		})}, 0},
+		{"summary with a nil sketch", []GridCellRecord{withSummary(cell(0), nilSketch)}, 0},
+		{"garbled record before complete ones", []GridCellRecord{cell(0), cell(1), cell(2)}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +59,17 @@ func TestLoadGridCheckpointRejectsBadRecords(t *testing.T) {
 			}
 			if err := cw.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if tc.garble > 0 {
+				blob, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines := strings.SplitAfter(string(blob), "\n")
+				lines[tc.garble-1] = "garbled record\n"
+				if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			_, err = LoadGridCheckpoint(path, cfg, fp)
 			if err == nil {
@@ -101,6 +114,8 @@ func FuzzLoadGridCheckpoint(f *testing.F) {
 	f.Add([]byte(header + "\n" + `{"index":0,"scenario":"honest_baseline","seed":1,"audit":{},"summary":{"cell":0}}` + "\n"))
 	f.Add([]byte(header + "\n" + `{"index":1,"scenario":"crash_churn","seed":1,"audit":{}}` + "\n"))
 	f.Add([]byte(header[:len(header)/2]))
+	lines := strings.SplitAfter(string(ckpt), "\n")
+	f.Add([]byte(lines[0] + "garbled record\n" + strings.Join(lines[2:], "")))
 
 	// Each fuzz worker runs this setup once and its inputs one at a
 	// time, so one scratch file per worker serves every input.

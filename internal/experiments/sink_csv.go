@@ -21,14 +21,15 @@ import (
 // the interrupted run) but still contribute to the summary. File names
 // come from the cell identity, so CellStart refuses any cell that is
 // not the config's next grid cell: a replayed stream cannot steer a
-// write outside dir.
+// write outside dir. Close refuses a grid that ended before its last
+// cell, so a stream that drops its tail writes no summary.
 type GridCSVSink struct {
 	dir         string
 	cfg         ScenarioGridConfig
 	summaryName string
 	logf        func(format string, args ...any)
 
-	// next is the lowest cell index CellStart still accepts.
+	// next is the cell index CellStart accepts next.
 	next     int
 	cur      GridCell
 	cells    []int
@@ -58,8 +59,8 @@ func (s *GridCSVSink) CellStart(cell Cell, columns []string) error {
 	if len(columns) != 3 {
 		return fmt.Errorf("experiments: grid CSV sink expects 3 outcome columns, got %d", len(columns))
 	}
-	if cell.Index < s.next {
-		return fmt.Errorf("experiments: grid CSV sink: cell %d arrived after cell %d", cell.Index, s.next-1)
+	if cell.Index != s.next {
+		return fmt.Errorf("experiments: grid CSV sink: cell %d arrived where cell %d belongs", cell.Index, s.next)
 	}
 	if err := checkGridCell(&s.cfg, cell.Index, cell.Name, cell.Seed); err != nil {
 		return fmt.Errorf("experiments: grid CSV sink: %w", err)
@@ -104,10 +105,16 @@ func (s *GridCSVSink) CellDone(cell Cell) error {
 	return s.writeCSV(base+"_audit.csv", s.cur.AuditTable())
 }
 
-// Close writes the grid summary over every audited cell. It is not part
-// of the Sink contract — the driver owning the sink calls it once the
-// stream ends.
+// Close writes the grid summary over every audited cell. It fails
+// without writing it when the stream ended after its first cell but
+// before its last; a sink that saw no cell writes the empty summary, as
+// the benchmark's set-up timing expects when it builds a sink stack and
+// releases it unused. It is not part of the Sink contract — the driver
+// owning the sink calls it once the stream ends.
 func (s *GridCSVSink) Close() error {
+	if n, want := len(s.cells), len(s.cfg.Scenarios)*len(s.cfg.Seeds); n > 0 && n != want {
+		return fmt.Errorf("experiments: grid CSV sink: %d of the grid's %d cells arrived", n, want)
+	}
 	return s.writeCSV(s.summaryName, gridSummaryTable(s.cfg, s.cells, s.reports))
 }
 

@@ -34,10 +34,11 @@ type tallyEntry struct {
 // That rule is the only one arrival order reaches. Weights are whole
 // seat counts, so sums are exact in any order, and a tally's slot
 // layout, which follows the order values first arrive in, is invisible
-// to leader and evaluateBinaryTally. The sparse path's delivery logs
-// rely on this: they sort a receiver's deliveries into arrival order
-// only while an equivocal vote or a proposal is among them (see
-// flushLogs).
+// to leader and evaluateBinaryTally. The sparse path relies on this: a
+// plain vote reaches a receiver as part of a per-window seat sum, which
+// adds to the tally once per (step, value) (see sparseGossip), and only
+// the logged deliveries, equivocal votes among them, apply in arrival
+// order (see flushLogs).
 type stepTally struct {
 	slots        []tallyEntry
 	n            int // live slot count

@@ -614,9 +614,11 @@ func (r *Runner) runRound() RoundReport {
 	}
 	timer := func(at time.Duration, phase func()) {
 		if r.sparse != nil {
-			// Sparse deliveries wait in their receivers' logs; a phase
-			// first applies those due before it.
-			r.engine.ScheduleAt(at, func() { r.flushDue(); phase() })
+			// Sparse deliveries wait in their receivers' logs or in the
+			// sums of the timer window they arrive in; a phase first
+			// applies those due before it.
+			k := r.sparse.addTimer(at)
+			r.engine.ScheduleAt(at, func() { r.flushDue(k); phase() })
 			return
 		}
 		r.engine.ScheduleAt(at, phase)

@@ -196,12 +196,25 @@ type sparseState struct {
 	// the freelist of log blocks; due and traced are flush scratch.
 	logs    []recvLog
 	orphans []recvLog
-	msgs    []logMsg
+	msgs    []any
 	base    time.Duration
 	carry   int
 	freeBlk *logBlock
 	due     []uint64
 	traced  []tracedKey
+
+	// Folded votes (see sparseGossip). timers are the offsets from base of
+	// the phase timers the running round scheduled, empty from its drain
+	// until the next round schedules them; next is the index of the next
+	// timer to fire. folds[k] sums the plain votes due at timer k, and
+	// folds[len(timers)] those due at the drain. groupOf is emission
+	// scratch: the emitted vote's group in each window, -1 until its first
+	// delivery there. seatPool holds cleared group seat arrays.
+	timers   []time.Duration
+	next     int
+	folds    []foldWindow
+	groupOf  []int
+	seatPool [][]int64
 
 	// scratch buffers reused across rounds.
 	idScratch  []int
@@ -235,20 +248,28 @@ type logBlock struct {
 
 // recvLog is one receiver's pending deliveries: a chain of blocks, each
 // full but the tail, which holds n keys (head is nil when the log is
-// empty). sens counts the pending entries whose apply order is
-// observable: proposals, of which equivocal variants share a priority,
-// and equivocal votes, which count first-arrival-wins.
+// empty).
 type recvLog struct {
 	head, tail *logBlock
 	n          int32
-	sens       int32
 	id         int32
 }
 
-// logMsg is one logged payload and whether its apply order matters.
-type logMsg struct {
-	payload any
-	sens    bool
+// foldWindow sums the plain votes due at one phase timer (or the drain):
+// count[i] is the number delivered to actors[i], and each group sums the
+// seats of one (step, value) pair per actor.
+type foldWindow struct {
+	count  []int32
+	groups []foldGroup
+}
+
+// foldGroup is the votes of one window for one (step or final, value)
+// pair: seats[i] sums the seats of those delivered to actors[i].
+type foldGroup struct {
+	final bool
+	step  uint64
+	value ledger.Hash
+	seats []int64
 }
 
 // tracedKey is a flushed delivery to a node of the trace panel.
@@ -259,7 +280,9 @@ type tracedKey struct {
 
 // SparseRangeError stops a sparse run (see Runner.Err) with a delivery
 // the delivery logs cannot key: one arriving logSpan or more after its
-// round starts, or one more payload than logMaxMsgs in a round.
+// round starts, or one more logged payload than logMaxMsgs in a round.
+// Every delivery is checked for its arrival, folded votes included; only
+// payloads with a logged delivery count towards the limit.
 type SparseRangeError struct {
 	// Arrival is the offending arrival offset (logSpan when its delay
 	// alone reaches the span); zero for a payload count.
@@ -270,7 +293,7 @@ type SparseRangeError struct {
 
 func (e *SparseRangeError) Error() string {
 	if e.Payloads > 0 {
-		return fmt.Sprintf("protocol: Sparse: %d payloads gossiped in one round; sparse delivery logs index at most %d",
+		return fmt.Sprintf("protocol: Sparse: %d payloads logged in one round; sparse delivery logs index at most %d",
 			e.Payloads, logMaxMsgs)
 	}
 	return fmt.Sprintf("protocol: Sparse: a delivery arrives %v after its round starts; sparse delivery logs hold arrivals below %v",
@@ -314,6 +337,7 @@ func (s *sparseState) adopt(rng *rand.Rand) {
 	clear(s.msgs)
 	s.msgs = s.msgs[:0]
 	s.base, s.carry = 0, 0
+	s.timers, s.next = s.timers[:0], 0
 }
 
 // takeCommittee returns a cleared committee from the pool.
@@ -639,10 +663,21 @@ func (s *sparseState) placeLogs(ids []int, carried []recvLog) {
 // probability, after a delay drawn from the round's path-delay table.
 // The real network still carries topology, online/relay state and the
 // fault overlay — sparseGossip consults all three — but no per-hop push
-// fans out, so gossip work is O(materialized), not O(N·fanout). Each
-// delivery is appended to its receiver's log, to be applied by the first
-// phase timer after its arrival (see flushLogs); the scheduler sees none
-// of them.
+// fans out, so gossip work is O(materialized), not O(N·fanout). The
+// scheduler sees none of the deliveries: each one waits for the first
+// phase timer after its arrival (or the drain), which applies it before
+// its phase runs.
+//
+// A plain (not equivocal) vote that a phase timer emits reaches an
+// untraced receiver as two sums of the window it arrives in: the
+// receiver's delivery count and its seats for the vote's (step, value).
+// Sparse votes ship pre-verified, for the running round and with at
+// least one seat (see emitVote), so each receiver counts such a vote in
+// full, and tally sums are exact in any order: nothing observes when
+// within its window it arrived. Every other delivery is appended to its
+// receiver's log (see flushLogs): proposals, equivocal votes, payloads
+// emitted after a drain, which the next round applies, and deliveries
+// to the trace panel, whose arrival times the trace records.
 //
 // Unmaterialized nodes receive nothing: they hold no tallies to update.
 // Their sortition/seed costs accrue in the flat meter passes and their
@@ -662,18 +697,20 @@ func (r *Runner) sparseGossip(origin int, msg network.Message) {
 	if r.err != nil {
 		return
 	}
-	sens := false
-	switch p := msg.Payload.(type) {
-	case *proposalPayload:
-		sens = true
-	case *votePayload:
-		sens = p.equivocal
+	// Only a phase timer's emission has its windows laid out (timers).
+	vote, fold := msg.Payload.(*votePayload)
+	fold = fold && !vote.equivocal && len(s.timers) > 0
+	if fold {
+		for k := range s.groupOf {
+			s.groupOf[k] = -1
+		}
 	}
+	panel := r.trace.Panel()
 	factor := r.net.DelayFactor()
 	now := r.engine.Now() - s.base
 	idx := uint64(len(s.msgs))
-	logged := false
-	var last time.Duration // the latest arrival offset logged
+	delivered, logged := false, false
+	var last time.Duration // the latest arrival offset
 	for i := range s.logs {
 		l := &s.logs[i] // actors[i]'s log, which holds its id
 		v := int(l.id)
@@ -709,25 +746,81 @@ func (r *Runner) sparseGossip(origin int, msg network.Message) {
 			r.fail(&SparseRangeError{Arrival: at})
 			return
 		}
+		delivered = true
+		last = max(last, at)
+		if fold && v >= panel {
+			s.foldVote(i, at, vote)
+			continue
+		}
 		if !logged {
 			if idx >= logMaxMsgs {
 				r.fail(&SparseRangeError{Payloads: len(s.msgs) + 1})
 				return
 			}
-			s.msgs = append(s.msgs, logMsg{payload: msg.Payload, sens: sens})
+			s.msgs = append(s.msgs, msg.Payload)
 			logged = true
 		}
 		s.push(l, uint64(at)<<logIdxBits|idx)
-		if sens {
-			l.sens++
-		}
-		last = max(last, at)
 	}
-	if logged {
+	if delivered {
 		// A drain still ends at the latest arrival, as if each delivery
 		// had been an event.
 		r.engine.Elide(last - now)
 	}
+}
+
+// foldVote adds v's delivery to actors[i] at arrival offset at to the
+// window of the first timer above the arrival, or the drain's. An
+// arrival at a timer's instant folds into the next window: a timer
+// applies only the deliveries emitted before the round scheduled it.
+func (s *sparseState) foldVote(i int, at time.Duration, v *votePayload) {
+	k := s.next
+	for k < len(s.timers) && s.timers[k] <= at {
+		k++
+	}
+	w := &s.folds[k]
+	g := s.groupOf[k]
+	if g < 0 {
+		g = s.groupFor(w, v)
+		s.groupOf[k] = g
+	}
+	w.count[i]++
+	w.groups[g].seats[i] += int64(v.Credential.SubUsers)
+}
+
+// groupFor returns the index of v's (step, value) group in w, adding it
+// when absent.
+func (s *sparseState) groupFor(w *foldWindow, v *votePayload) int {
+	for g := range w.groups {
+		if e := &w.groups[g]; e.final == v.Final && e.step == v.Step && e.value == v.Value {
+			return g
+		}
+	}
+	var seats []int64
+	if n := len(s.seatPool); n > 0 {
+		seats, s.seatPool = s.seatPool[n-1], s.seatPool[:n-1]
+	}
+	seats = slices.Grow(seats, len(s.actors))[:len(s.actors)]
+	w.groups = append(w.groups, foldGroup{final: v.Final, step: v.Step, value: v.Value, seats: seats})
+	return len(w.groups) - 1
+}
+
+// addTimer records a phase timer the round schedules at instant at and
+// returns its index, readying its window and the next one, which is the
+// drain's until a later timer is added.
+func (s *sparseState) addTimer(at time.Duration) int {
+	k := len(s.timers)
+	s.timers = append(s.timers, at-s.base)
+	for len(s.folds) < k+2 {
+		s.folds = append(s.folds, foldWindow{})
+	}
+	for j := k; j < k+2; j++ {
+		w := &s.folds[j]
+		w.count = slices.Grow(w.count[:0], len(s.actors))[:len(s.actors)]
+		clear(w.count)
+	}
+	s.groupOf = slices.Grow(s.groupOf[:0], k+2)[:k+2]
+	return k
 }
 
 // push appends key to l.
@@ -760,14 +853,17 @@ func (s *sparseState) freeLog(l *recvLog) {
 	*l = recvLog{id: l.id}
 }
 
-// flushDue is the sparse half of every phase timer: before the phase
-// runs, it applies each logged delivery that one scheduler event per
-// delivery would have run first. That is every arrival strictly before
-// the timer, plus the arrivals at its instant emitted before the round
-// scheduled its timers (after the previous drain, see carry); an entry
-// the round emitted for the timer's instant runs after it.
-func (r *Runner) flushDue() {
+// flushDue is the sparse half of phase timer k: before the phase runs,
+// it applies the votes folded into its window and each logged delivery
+// that one scheduler event per delivery would have run first. That is
+// every arrival strictly before the timer, plus the arrivals at its
+// instant emitted before the round scheduled its timers (after the
+// previous drain, see carry); an entry the round emitted for the timer's
+// instant runs after it.
+func (r *Runner) flushDue(k int) {
 	s := r.sparse
+	s.next = k + 1
+	r.applyFold(k)
 	lim := uint64(math.MaxUint64)
 	if off := r.engine.Now() - s.base; off < logSpan {
 		lim = uint64(off)<<logIdxBits | uint64(s.carry)
@@ -775,29 +871,61 @@ func (r *Runner) flushDue() {
 	r.flushLogs(lim)
 }
 
-// drainLogs ends a sparse round's drain: it applies every delivery still
-// logged, then rebases the logs on the drained clock, the next round's
-// start. Deliveries emitted from here on (final votes cast during
-// finalizeRoundSparse) run in the next round.
+// drainLogs ends a sparse round's drain: it applies the drain's window
+// and every delivery still logged, then rebases the logs on the drained
+// clock, the next round's start. Deliveries emitted from here on (final
+// votes cast during finalizeRoundSparse) are logged and run in the next
+// round.
 func (r *Runner) drainLogs() {
 	s := r.sparse
+	r.applyFold(len(s.timers))
 	r.flushLogs(math.MaxUint64)
+	s.timers, s.next = s.timers[:0], 0
 	clear(s.msgs)
 	s.msgs = s.msgs[:0]
 	s.base = r.engine.Now()
 }
 
+// applyFold applies window k's folded votes, actor by actor: a receiver
+// that handles them (see sparseReceiver) verifies and counts each one and
+// adds each group's seats to its tally. Then it empties the window.
+func (r *Runner) applyFold(k int) {
+	s := r.sparse
+	w := &s.folds[k]
+	for i, c := range w.count {
+		if c == 0 {
+			continue
+		}
+		w.count[i] = 0
+		nd := r.sparseReceiver(s.actors[i].id, int(c))
+		if nd == nil {
+			continue
+		}
+		meter := r.meter.of(nd.id)
+		meter.VerifyProof += uint64(c)
+		meter.CountVotes += uint64(c)
+		for g := range w.groups {
+			e := &w.groups[g]
+			if e.seats[i] == 0 {
+				continue
+			}
+			t := nd.finalTally
+			if !e.final {
+				t = nd.tally(e.step)
+			}
+			t.slotFor(e.value).w += float64(e.seats[i])
+		}
+	}
+	for _, e := range w.groups {
+		clear(e.seats)
+		s.seatPool = append(s.seatPool, e.seats)
+	}
+	w.groups = w.groups[:0]
+}
+
 // flushLogs applies every logged delivery whose key is below lim,
-// receiver by receiver, so each receiver's tallies stay in cache while
-// they fill.
-//
-// A receiver's order is that of its keys, (arrival, emission), but only
-// entries whose order is observable need it. Other due entries commute:
-// seat weights are integers, so tally sums are exact in any order, and
-// tally leaders are picked by a total order over (weight, hash), so a
-// tally's slot layout is invisible. They apply in emission order, and a
-// receiver's due entries are sorted only while it holds an
-// order-sensitive one (see recvLog.sens).
+// receiver by receiver, in (arrival, emission) order, the order one
+// scheduler event per delivery would run them in.
 func (r *Runner) flushLogs(lim uint64) {
 	s := r.sparse
 	for i := range s.logs {
@@ -820,7 +948,6 @@ func (r *Runner) flushLog(l *recvLog, lim uint64) {
 	s := r.sparse
 	due := s.due[:0]
 	wb, wn := l.head, 0 // write cursor: it never passes the read cursor
-	sens := int32(0)
 	for b := l.head; b != nil; b = b.next {
 		n := logBlockLen
 		if b == l.tail {
@@ -836,18 +963,13 @@ func (r *Runner) flushLog(l *recvLog, lim uint64) {
 			}
 			wb.keys[wn] = k
 			wn++
-			if l.sens > 0 && s.msgs[k&logIdxMask].sens {
-				sens++
-			}
 		}
 	}
 	if len(due) == 0 {
 		s.due = due
 		return
 	}
-	if l.sens > 0 {
-		slices.Sort(due)
-	}
+	slices.Sort(due)
 	free, last := wb.next, l.tail
 	if wn == 0 {
 		free, l.head, l.tail, l.n = l.head, nil, nil, 0
@@ -859,41 +981,53 @@ func (r *Runner) flushLog(l *recvLog, lim uint64) {
 		last.next = s.freeBlk
 		s.freeBlk = free
 	}
-	l.sens = sens
 	r.sparseDeliver(int(l.id), due)
 	s.due = due
 }
 
-// sparseDeliver hands one receiver's due deliveries to the protocol
-// handler in order, as the network's delivery callback would one at a
-// time. The receiver's online, relay and behaviour state change only at
-// phase timers, so they are read once. Kind/ID are irrelevant past this
-// point (no dedup layer: each pair gets at most one delivery per message
-// by construction), so log entries carry only the payload.
-func (r *Runner) sparseDeliver(id int, due []uint64) {
+// sparseReceiver meters n deliveries to id and returns the node that
+// handles them, or nil. The receiver's online, relay and behaviour state
+// change only at phase timers, so a flush reads them once: an offline
+// receiver drops the deliveries, and only a materialized one that is not
+// a defector handles them.
+func (r *Runner) sparseReceiver(id, n int) *node {
 	if !r.net.Online(id) {
-		return
+		return nil
 	}
-	s := r.sparse
 	if r.net.Relaying(id) {
 		// The receiver forwards each message onward (its fan-out is already
 		// folded into the mean-field coverage); the relay task is metered at
 		// delivery time, when the node's live relay status is known.
-		r.meter.of(id).Gossip += uint64(len(due))
-	}
-	if id < r.trace.Panel() {
-		for _, k := range due {
-			s.traced = append(s.traced, tracedKey{key: k, id: int32(id)})
-		}
+		r.meter.of(id).Gossip += uint64(n)
 	}
 	nd := r.nodes[id]
 	if nd == nil || nd.behavior == Selfish || nd.behavior == Faulty {
 		// Unmaterialized nodes hold no protocol state; defectors skip
 		// verification, block selection and vote counting.
+		return nil
+	}
+	return nd
+}
+
+// sparseDeliver hands one receiver's due logged deliveries to the
+// protocol handler in order, as the network's delivery callback would
+// one at a time, and stages those to the trace panel for tracing.
+// Kind/ID are irrelevant past this point (no dedup layer: each pair gets
+// at most one delivery per message by construction), so log entries
+// carry only the payload.
+func (r *Runner) sparseDeliver(id int, due []uint64) {
+	s := r.sparse
+	if id < r.trace.Panel() && r.net.Online(id) {
+		for _, k := range due {
+			s.traced = append(s.traced, tracedKey{key: k, id: int32(id)})
+		}
+	}
+	nd := r.sparseReceiver(id, len(due))
+	if nd == nil {
 		return
 	}
 	for _, k := range due {
-		switch p := s.msgs[k&logIdxMask].payload.(type) {
+		switch p := s.msgs[k&logIdxMask].(type) {
 		case *proposalPayload:
 			r.handleProposal(nd, p)
 		case *votePayload:
@@ -915,7 +1049,7 @@ func (r *Runner) traceDeliveries() {
 		return cmp.Compare(a.id, b.id)
 	})
 	for _, t := range s.traced {
-		r.traceGossip(int(t.id), s.msgs[t.key&logIdxMask].payload, s.base+time.Duration(t.key>>logIdxBits))
+		r.traceGossip(int(t.id), s.msgs[t.key&logIdxMask], s.base+time.Duration(t.key>>logIdxBits))
 	}
 	s.traced = s.traced[:0]
 }

@@ -339,6 +339,18 @@ type refRound struct {
 	got      map[int]nodeView
 }
 
+// refTimer is one phase timer of a logHarness run: the round's events
+// (seq above from) ordered before (at, seq) are those it has applied, and
+// got holds every actor's tallies and best proposal after its phase.
+type refTimer struct {
+	round uint64
+	from  int
+	at    time.Duration
+	seq   int
+	step  int
+	got   map[int]nodeView
+}
+
 // nodeView is the order-sensitive protocol state of one node: its
 // tallies by step (final votes under finalVoteStep) and its best
 // proposal. equivocal lists the equivocators the reference has counted.
@@ -353,24 +365,28 @@ type equivocation struct {
 	voter int
 }
 
-// logHarness drives emissions into a sparse runner's delivery logs from
-// its phase timers (the StepDone hook) and after its drains (the
-// RoundEnd hook), and records the schedule of the reference model, in
-// which every delivery is one engine event taking the next seq when it
-// is emitted. The runner's own proposals and votes are silenced, so the
-// harness's emissions are the only gossip.
+// logHarness drives emissions into a sparse runner from its phase
+// timers (the StepDone hook) and after its drains (the RoundEnd hook),
+// and records the schedule of the reference model, in which every
+// delivery is one engine event taking the next seq when it is emitted.
+// The runner's own proposals and votes are silenced, so the harness's
+// emissions are the only gossip. The runner traces its first panel
+// nodes; plain votes a timer emits to the others fold into window sums,
+// and every other delivery is logged.
 type logHarness struct {
 	r        *Runner
 	rng      *rand.Rand
+	panel    int
 	seq, sub int
 	timerSeq []int
 	events   []refDelivery
 	rounds   []refRound
+	timers   []refTimer
 	round    uint64
 	values   [4]ledger.Hash
 }
 
-func newLogHarness(t *testing.T, seed int64, ar *Arena) *logHarness {
+func newLogHarness(t *testing.T, seed int64, ar *Arena, panel int) *logHarness {
 	t.Helper()
 	const n = 300 // beyond the 256-node panel, so some receivers are not materialized
 	params := DefaultParams()
@@ -379,19 +395,19 @@ func newLogHarness(t *testing.T, seed int64, ar *Arena) *logHarness {
 	params.MaxBinarySteps = 1
 	r, err := NewRunner(Config{
 		Params: params, Stakes: testStakes(n), Behaviors: behaviorsOf(n, Honest),
-		Seed: seed, Sparse: SparseOn, Trace: obs.NewTrace(n), Arena: ar,
+		Seed: seed, Sparse: SparseOn, Trace: obs.NewTrace(panel), Arena: ar,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &logHarness{r: r, rng: rand.New(rand.NewSource(seed))}
+	h := &logHarness{r: r, rng: rand.New(rand.NewSource(seed)), panel: panel}
 	for i := range h.values {
 		h.values[i][0], h.values[i][1] = 0xee, byte(i)
 	}
 	r.Network().SetOverlay(logOverlay{}, 2)
 	r.SetHooks(Hooks{
 		RoundStart: h.roundStart,
-		StepDone:   func(round, step uint64, _ []int) { h.emitSome(int(step)) },
+		StepDone:   h.stepDone,
 		RoundEnd:   h.roundEnd,
 		VoteValues: func(int, uint64, uint64, bool, ledger.Hash, ledger.Hash) ([]ledger.Hash, bool) {
 			return nil, true
@@ -412,19 +428,37 @@ func (h *logHarness) roundStart(round uint64) {
 	}
 }
 
+// stepDone snapshots every actor's view after the phase of the timer of
+// step, then emits from that timer.
+func (h *logHarness) stepDone(round, step uint64, _ []int) {
+	h.timers = append(h.timers, refTimer{round: round, from: h.roundFrom(), at: h.r.engine.Now(),
+		seq: h.timerSeq[step], step: int(step), got: h.views()})
+	h.emitSome(int(step))
+}
+
 // roundEnd snapshots every actor's view, closes the round's seq range,
 // then emits after the drain: those deliveries run in the next round.
 func (h *logHarness) roundEnd(round uint64, _ RoundReport) {
-	from := 0
+	h.rounds = append(h.rounds, refRound{num: round, from: h.roundFrom(), to: h.seq, got: h.views()})
+	h.emitSome(-1)
+}
+
+// roundFrom is the last seq of the previous round, after which the
+// running round's events start.
+func (h *logHarness) roundFrom() int {
 	if k := len(h.rounds); k > 0 {
-		from = h.rounds[k-1].to
+		return h.rounds[k-1].to
 	}
+	return 0
+}
+
+// views snapshots every actor's view.
+func (h *logHarness) views() map[int]nodeView {
 	got := make(map[int]nodeView)
 	for _, nd := range h.r.sparse.actors {
 		got[nd.id] = viewOf(nd)
 	}
-	h.rounds = append(h.rounds, refRound{num: round, from: from, to: h.seq, got: got})
-	h.emitSome(-1)
+	return got
 }
 
 func viewOf(nd *node) nodeView {
@@ -529,7 +563,8 @@ func (h *logHarness) emit(step, origin int, d time.Duration, payload any) {
 
 // check compares the run with the reference model: the global order of
 // traced gossip instants (a delivery emitted after the last drain never
-// runs) and, round by round, every actor's order-sensitive state.
+// runs) and every actor's order-sensitive state after each phase timer
+// and at each round's end.
 func (h *logHarness) check(t *testing.T, label string) {
 	t.Helper()
 	ref := slices.Clone(h.events)
@@ -545,7 +580,7 @@ func (h *logHarness) check(t *testing.T, label string) {
 	last := h.rounds[len(h.rounds)-1].to
 	var want []tracedEvent
 	for _, e := range ref {
-		if e.self || e.seq <= last {
+		if e.node < h.panel && (e.self || e.seq <= last) {
 			want = append(want, tracedEvent{Name: payloadName(e.payload), Ph: "i", Ts: float64(e.at) / 1e3, Tid: e.node})
 		}
 	}
@@ -567,31 +602,45 @@ func (h *logHarness) check(t *testing.T, label string) {
 		}
 	}
 
+	for _, tm := range h.timers {
+		compareViews(t, fmt.Sprintf("%s: round %d timer %d", label, tm.round, tm.step), ref, tm.round, tm.from, tm.got,
+			func(e refDelivery) bool { return e.at < tm.at || e.at == tm.at && e.seq < tm.seq })
+	}
 	for _, rd := range h.rounds {
-		views := map[int]*nodeView{}
-		for _, e := range ref {
-			if e.seq <= rd.from || e.seq > rd.to || e.inert {
-				continue
-			}
-			if _, materialized := rd.got[e.node]; !materialized {
-				continue
-			}
-			v := views[e.node]
-			if v == nil {
-				v = &nodeView{tallies: map[uint64]map[ledger.Hash]float64{}}
-				views[e.node] = v
-			}
-			v.apply(e.payload, rd.num)
+		compareViews(t, fmt.Sprintf("%s: round %d end", label, rd.num), ref, rd.num, rd.from, rd.got,
+			func(e refDelivery) bool { return e.seq <= rd.to })
+	}
+}
+
+// compareViews applies, in order, the reference events of round num
+// (seq above from) that ran before a snapshot to their receivers' views
+// and compares the result with got, the snapshot of every actor.
+func compareViews(t *testing.T, label string, ref []refDelivery, num uint64, from int, got map[int]nodeView,
+	before func(refDelivery) bool) {
+	t.Helper()
+	views := map[int]*nodeView{}
+	for _, e := range ref {
+		if e.seq <= from || e.inert || !before(e) {
+			continue
 		}
-		for id, got := range rd.got {
-			want := views[id]
-			if want == nil {
-				want = &nodeView{tallies: map[uint64]map[ledger.Hash]float64{}}
-			}
-			if got.best != want.best || !reflect.DeepEqual(got.tallies, want.tallies) {
-				t.Fatalf("%s: round %d node %d holds %v (best %p), reference %v (best %p)",
-					label, rd.num, id, got.tallies, got.best, want.tallies, want.best)
-			}
+		if _, materialized := got[e.node]; !materialized {
+			continue
+		}
+		v := views[e.node]
+		if v == nil {
+			v = &nodeView{tallies: map[uint64]map[ledger.Hash]float64{}}
+			views[e.node] = v
+		}
+		v.apply(e.payload, num)
+	}
+	for id, g := range got {
+		want := views[id]
+		if want == nil {
+			want = &nodeView{tallies: map[uint64]map[ledger.Hash]float64{}}
+		}
+		if g.best != want.best || !reflect.DeepEqual(g.tallies, want.tallies) {
+			t.Fatalf("%s: node %d holds %v (best %p), reference %v (best %p)",
+				label, id, g.tallies, g.best, want.tallies, want.best)
 		}
 	}
 }
@@ -633,26 +682,30 @@ func payloadName(p any) string {
 	return "vote"
 }
 
-// TestDeliveryLogsMatchPerDeliveryOrder checks the delivery logs
-// against the schedule they replace, one engine event per delivery run
-// in (at, seq) order: the traced gossip instants must follow that order
-// globally, and each receiver's tallies and best proposal must be what
-// it yields. Emissions come from every phase timer and after every
+// TestDeliveryLogsMatchPerDeliveryOrder checks the delivery logs and
+// the folded vote sums against the schedule they replace, one engine
+// event per delivery run in (at, seq) order: the traced gossip instants
+// must follow that order globally, and each receiver's tallies and best
+// proposal must be what it yields after every phase timer and at every
+// round's end. Emissions come from every phase timer and after every
 // drain (MaxBinarySteps 1, so the round's last timer is close to its
 // drain). They share arrival instants, use zero delays, land exactly on
 // later timers, and include equivocal votes and proposal variants whose
-// arrival order is not their emission order. A second run on the same
-// arena follows a run that ended with deliveries pending; none of them
-// may reach it.
+// arrival order is not their emission order. With every node traced,
+// every delivery is logged; with 100 traced, plain votes to the rest
+// fold. A second run on the same arena follows a run that ended with
+// deliveries pending; none of them may reach it.
 func TestDeliveryLogsMatchPerDeliveryOrder(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		ar := NewArena()
-		for run := 0; run < 2; run++ {
-			h := newLogHarness(t, seed, ar)
-			if reps := h.r.RunRounds(3); len(reps) != 3 {
-				t.Fatalf("seed %d: %d rounds ran, want 3 (%v)", seed, len(reps), h.r.Err())
+	for _, panel := range []int{300, 100} {
+		for seed := int64(1); seed <= 4; seed++ {
+			ar := NewArena()
+			for run := 0; run < 2; run++ {
+				h := newLogHarness(t, seed, ar, panel)
+				if reps := h.r.RunRounds(3); len(reps) != 3 {
+					t.Fatalf("panel %d seed %d: %d rounds ran, want 3 (%v)", panel, seed, len(reps), h.r.Err())
+				}
+				h.check(t, fmt.Sprintf("panel %d seed %d run %d", panel, seed, run))
 			}
-			h.check(t, fmt.Sprintf("seed %d run %d", seed, run))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package simd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -142,6 +143,9 @@ func WriteGridOutputs(stream io.Reader, spec GridJobSpec, dir string, logw io.Wr
 	restored := &restoredCounter{}
 	if err := experiments.ReplayWire(stream, experiments.MultiSink(csv, summary, restored)); err != nil {
 		return 0, err
+	}
+	if csv.CellsSeen() == 0 {
+		return 0, errors.New("simd: the grid stream holds no cell")
 	}
 	if err := csv.Close(); err != nil {
 		return 0, err

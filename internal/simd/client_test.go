@@ -2,11 +2,15 @@ package simd
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/experiments"
 )
 
@@ -62,6 +66,71 @@ func TestWriteGridOutputsRejectsForeignCells(t *testing.T) {
 				t.Fatalf("wrote outside %s: %v", dir, stray)
 			}
 		})
+	}
+}
+
+// dropCell forwards a grid stream to Sink without the events of cell
+// drop.
+type dropCell struct {
+	experiments.Sink
+	drop int
+}
+
+func (d dropCell) CellStart(cell experiments.Cell, columns []string) error {
+	if cell.Index == d.drop {
+		return nil
+	}
+	return d.Sink.CellStart(cell, columns)
+}
+
+func (d dropCell) Row(cell experiments.Cell, row experiments.Row) error {
+	if cell.Index == d.drop {
+		return nil
+	}
+	return d.Sink.Row(cell, row)
+}
+
+func (d dropCell) AuditEvent(cell experiments.Cell, report adversary.Report) error {
+	if cell.Index == d.drop {
+		return nil
+	}
+	return d.Sink.AuditEvent(cell, report)
+}
+
+func (d dropCell) CellDone(cell experiments.Cell) error {
+	if cell.Index == d.drop {
+		return nil
+	}
+	return d.Sink.CellDone(cell)
+}
+
+// TestWriteGridOutputsRejectsMissingCells replays the stream of a 2×2
+// grid with one cell left out, in the middle (cell 1) or at the end
+// (cell 3), and an empty stream: each must fail and write no grid
+// summary.
+func TestWriteGridOutputsRejectsMissingCells(t *testing.T) {
+	spec := GridJobSpec{Scenarios: []string{"honest_baseline", "crash_churn"}, Seeds: 2, Nodes: 20, Rounds: 2}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string][]byte{"no cell": nil}
+	for _, drop := range []int{1, 3} {
+		var stream bytes.Buffer
+		if err := experiments.StreamScenarioGrid(cfg, dropCell{experiments.NewWireSink(&stream), drop},
+			experiments.StreamOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		streams[fmt.Sprintf("cell %d dropped", drop)] = stream.Bytes()
+	}
+	for name, stream := range streams {
+		dir := t.TempDir()
+		if _, err := WriteGridOutputs(bytes.NewReader(stream), spec, dir, nil); err == nil {
+			t.Errorf("%s: the stream was accepted", name)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "full_grid_summary.csv")); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: full_grid_summary.csv was written (stat: %v)", name, err)
+		}
 	}
 }
 

@@ -163,6 +163,36 @@ func sparseOrderDigest(t *testing.T, n int, hooked bool, maxBinary int) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// TestSparseDeliveryOrderPinned pins the sparse path's delivery order,
+// delivery for delivery, to digests recorded when every mean-field
+// delivery was its own scheduler event. The delivery logs that replaced
+// those events are exact only because a delivery reads state that just
+// the phase timers change; a change that breaks that (or reorders RNG
+// draws at emission) moves these digests. In the short variant (one
+// BinaryBA* step), finalizeRoundSparse casts final votes after the
+// round's drain, outside any event; their deliveries run in the next
+// round.
+func TestSparseDeliveryOrderPinned(t *testing.T) {
+	cases := []struct {
+		n         int
+		hooked    bool
+		maxBinary int
+		want      string
+	}{
+		{300, false, 11, "f5abacf1211c37dc25c9a4f443116446a9e721e631ded3f6d146b9837c0eb1d2"},
+		{300, true, 11, "d1f64cbfd667d2544eb5d3d2db41ede62f868d6809e45046c6f42eca51c316cd"},
+		{1200, false, 11, "996d659b331aba4c9e05607a2b19c363f4a7703e36468ff90ae16b28e7a4ae3a"},
+		{1200, true, 11, "04b2ec870ccb0b99665b4f0d1a33f95d552a0e80ad0f84bb7dd102f7b6e35415"},
+		{1200, false, 1, "62bbd5e39233f19d5d9a6d34a42aa87c5ca57095ddf7e2e7d5aae2b6a17272c4"},
+	}
+	for _, c := range cases {
+		got := sparseOrderDigest(t, c.n, c.hooked, c.maxBinary)
+		if got != c.want {
+			t.Errorf("n=%d hooked=%v maxBinary=%d: digest %s, want %s", c.n, c.hooked, c.maxBinary, got, c.want)
+		}
+	}
+}
+
 // sparseRunDigest runs the pinned population with the trace panel cut to
 // its first panel nodes (0: untraced) and hashes each round's report and
 // the engine clock after it, the run's task counters and, when traced,

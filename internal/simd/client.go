@@ -3,7 +3,6 @@ package simd
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -144,8 +143,8 @@ func WriteGridOutputs(stream io.Reader, spec GridJobSpec, dir string, logw io.Wr
 	if err := experiments.ReplayWire(stream, experiments.MultiSink(csv, summary, restored)); err != nil {
 		return 0, err
 	}
-	if csv.CellsSeen() == 0 {
-		return 0, errors.New("simd: the grid stream holds no cell")
+	if n, want := csv.CellsSeen(), len(cfg.Scenarios)*len(cfg.Seeds); n != want {
+		return 0, fmt.Errorf("simd: the grid stream holds %d of the grid's %d cells", n, want)
 	}
 	if err := csv.Close(); err != nil {
 		return 0, err

@@ -3,7 +3,6 @@ package simd
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -70,10 +69,10 @@ func TestWriteGridOutputsRejectsForeignCells(t *testing.T) {
 }
 
 // dropCell forwards a grid stream to Sink without the events of cell
-// drop.
+// drop and with the audit of cell twice sent twice.
 type dropCell struct {
 	experiments.Sink
-	drop int
+	drop, twice int
 }
 
 func (d dropCell) CellStart(cell experiments.Cell, columns []string) error {
@@ -94,6 +93,11 @@ func (d dropCell) AuditEvent(cell experiments.Cell, report adversary.Report) err
 	if cell.Index == d.drop {
 		return nil
 	}
+	if cell.Index == d.twice {
+		if err := d.Sink.AuditEvent(cell, report); err != nil {
+			return err
+		}
+	}
 	return d.Sink.AuditEvent(cell, report)
 }
 
@@ -106,8 +110,8 @@ func (d dropCell) CellDone(cell experiments.Cell) error {
 
 // TestWriteGridOutputsRejectsMissingCells replays the stream of a 2×2
 // grid with one cell left out, in the middle (cell 1) or at the end
-// (cell 3), and an empty stream: each must fail and write no grid
-// summary.
+// (cell 3), with cell 3 left out and cell 2's audit sent twice, and an
+// empty stream: each must fail and write no grid summary.
 func TestWriteGridOutputsRejectsMissingCells(t *testing.T) {
 	spec := GridJobSpec{Scenarios: []string{"honest_baseline", "crash_churn"}, Seeds: 2, Nodes: 20, Rounds: 2}
 	cfg, err := spec.Config()
@@ -115,13 +119,20 @@ func TestWriteGridOutputsRejectsMissingCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := map[string][]byte{"no cell": nil}
-	for _, drop := range []int{1, 3} {
+	for _, c := range []struct {
+		name        string
+		drop, twice int
+	}{
+		{"cell 1 dropped", 1, -1},
+		{"cell 3 dropped", 3, -1},
+		{"cell 2 audited twice, cell 3 dropped", 3, 2},
+	} {
 		var stream bytes.Buffer
-		if err := experiments.StreamScenarioGrid(cfg, dropCell{experiments.NewWireSink(&stream), drop},
+		if err := experiments.StreamScenarioGrid(cfg, dropCell{experiments.NewWireSink(&stream), c.drop, c.twice},
 			experiments.StreamOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		streams[fmt.Sprintf("cell %d dropped", drop)] = stream.Bytes()
+		streams[c.name] = stream.Bytes()
 	}
 	for name, stream := range streams {
 		dir := t.TempDir()

@@ -180,8 +180,7 @@ func finishParams(in Inputs, gamma, minB, aL, aM, kL, kM float64) (Params, error
 
 // GridMinimize scans an (α, β) grid with the given resolution and returns
 // the best feasible point. It is the brute-force comparator for the
-// closed-form optimiser (ablation 2 in DESIGN.md) and the generator of the
-// Fig. 5 surface.
+// closed-form optimiser (TestGridMinimizeAgreesWithAnalytic).
 func GridMinimize(in Inputs, steps int) (Params, error) {
 	if err := in.Validate(); err != nil {
 		return Params{}, err

@@ -9,11 +9,11 @@ import (
 
 // Arena is a per-worker construction pool that amortises Runner setup
 // across the runs of a sweep. Building a Runner from scratch allocates
-// the node table (each node carrying tally tables, block maps and a
-// ledger view), the key table, the cost meter, and a cold sortition
-// cache; a sweep at -full scale pays that hundreds of times. An Arena
-// recycles those structures between consecutive runs of one run-pool
-// worker: pass it via Config.Arena, typically from a
+// the node table (each node carrying tally tables, an accepted-proposal
+// list and a ledger view), the key table, the cost meter, and a cold
+// sortition cache; a sweep at -full scale pays that hundreds of times. An
+// Arena recycles those structures between consecutive runs of one
+// run-pool worker: pass it via Config.Arena, typically from a
 // runpool.SweepWithState worker-state hook.
 //
 // The arena is semantically transparent — results are bit-for-bit
@@ -68,7 +68,7 @@ func NewArena() *Arena {
 }
 
 // takeNodes returns n recycled node structs, fully reset except for
-// their retained containers (tally tables, block maps, vote-dedup maps),
+// their retained containers (tally tables, accepted-proposal list),
 // which the per-round reset machinery clears before first use.
 func (a *Arena) takeNodes(n int) []*node {
 	if cap(a.nodes) < n {
@@ -83,10 +83,10 @@ func (a *Arena) takeNodes(n int) []*node {
 			continue
 		}
 		// Preserve the allocated containers, drop everything else. The
-		// maps still hold the previous run's entries; beginRound clears
-		// them (and resets the pooled tallies) before any read.
+		// tallies still hold the previous run's entries; beginRound resets
+		// them before any read.
 		*nd = node{
-			blocks:     nd.blocks,
+			accepted:   nd.accepted[:0],
 			tallies:    nd.tallies,
 			finalTally: nd.finalTally,
 		}

@@ -151,26 +151,104 @@ func TestProposalAndVoteIDsDistinct(t *testing.T) {
 }
 
 func TestNodeObserveProposalKeepsHighestPriority(t *testing.T) {
+	r := &Runner{}
 	nd := &node{}
 	nd.beginRound(1)
 	low := &proposalPayload{
+		Block:      ledger.Block{Round: 1, Proposer: 1},
 		BlockHash:  ledger.Hash{1},
 		Credential: sortition.Result{Priority: sortition.Priority{0: 1}},
 		Proposer:   1,
 	}
 	high := &proposalPayload{
+		Block:      ledger.Block{Round: 1, Proposer: 2},
 		BlockHash:  ledger.Hash{2},
 		Credential: sortition.Result{Priority: sortition.Priority{0: 9}},
 		Proposer:   2,
 	}
-	nd.observeProposal(low)
-	nd.observeProposal(high)
-	nd.observeProposal(low) // lower priority again: must not displace
+	observe := func(p *proposalPayload) { nd.observeProposal(p, r.accept(p)) }
+	observe(low)
+	observe(high)
+	observe(low) // lower priority again: must not displace, nor add an entry
 	if nd.bestProposal.Proposer != 2 {
 		t.Errorf("best proposal from %d, want 2", nd.bestProposal.Proposer)
 	}
-	if len(nd.blocks) != 2 {
-		t.Errorf("retained %d block bodies, want 2", len(nd.blocks))
+	if len(nd.accepted) != 2 || len(r.props) != 2 {
+		t.Errorf("node accepted %d entries of a %d-entry table, want 2 of 2", len(nd.accepted), len(r.props))
+	}
+	for _, p := range []*proposalPayload{low, high} {
+		if b, ok := r.blockFor(nd, p.BlockHash); !ok || b.Proposer != p.Proposer {
+			t.Errorf("hash %x resolves to %+v (%v), want proposer %d's block", p.BlockHash[:1], b, ok, p.Proposer)
+		}
+	}
+	if _, ok := r.blockFor(nd, ledger.Hash{3}); ok {
+		t.Error("a hash the node never accepted resolves")
+	}
+}
+
+// A payload's stored table index is trusted only while the entry it
+// names is that payload: an index left from an earlier round, or one
+// that names another payload, registers the payload afresh.
+func TestProposalTableRegistersStaleIndexAfresh(t *testing.T) {
+	r := &Runner{}
+	a := &proposalPayload{BlockHash: ledger.Hash{1}}
+	b := &proposalPayload{BlockHash: ledger.Hash{2}, slot: 0} // names a's entry
+	c := &proposalPayload{BlockHash: ledger.Hash{3}, slot: 7} // past the table's end
+	if got := r.accept(a); got != 0 {
+		t.Fatalf("first payload registered at %d, want 0", got)
+	}
+	if got := r.accept(b); got != 1 || r.props[1] != b {
+		t.Fatalf("payload whose index names another registered at %d, want 1", got)
+	}
+	if got := r.accept(c); got != 2 || r.props[2] != c {
+		t.Fatalf("payload with an index past the table registered at %d, want 2", got)
+	}
+	if r.accept(a) != 0 || r.accept(b) != 1 || r.accept(c) != 2 || len(r.props) != 3 {
+		t.Fatalf("accepting registered payloads again changed the table: %d entries", len(r.props))
+	}
+}
+
+// A proposal a node accepted in one round does not resolve after the
+// next round's reset, on either path: the next round here withholds
+// every proposal, so its table and every node's accepted list must be
+// empty, and no index from the earlier round may survive.
+func TestProposalTableResetsEachRound(t *testing.T) {
+	for _, mode := range []SparseMode{SparseOff, SparseOn} {
+		cfg := sparseTestConfig(200, 3, mode)
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withhold := false
+		r.SetHooks(Hooks{ProposalFan: func(int, uint64) int {
+			if withhold {
+				return 0
+			}
+			return 1
+		}})
+		r.RunRounds(1)
+		held := map[int]ledger.Hash{}
+		for _, nd := range r.roundNodes() {
+			if len(nd.accepted) > 0 {
+				held[nd.id] = r.props[nd.accepted[0]].BlockHash
+			}
+		}
+		if len(held) == 0 {
+			t.Fatalf("mode %v: no node accepted a proposal in round 1", mode)
+		}
+		withhold = true
+		r.RunRounds(1)
+		if len(r.props) != 0 {
+			t.Errorf("mode %v: round 2 withheld every proposal but its table holds %d", mode, len(r.props))
+		}
+		for _, nd := range r.roundNodes() {
+			if len(nd.accepted) != 0 {
+				t.Fatalf("mode %v: node %d kept %d accepted entries into round 2", mode, nd.id, len(nd.accepted))
+			}
+			if h, ok := held[nd.id]; ok && r.proposalFor(nd, h) != nil {
+				t.Fatalf("mode %v: node %d resolves its round-1 proposal in round 2", mode, nd.id)
+			}
+		}
 	}
 }
 

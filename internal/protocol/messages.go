@@ -31,6 +31,9 @@ type proposalPayload struct {
 	Credential sortition.Result
 	Proposer   int
 	verdict    verifyMemo
+	// slot is the payload's index in the round's proposal table once a
+	// node has accepted it (see Runner.accept); it may be stale.
+	slot int32
 }
 
 func proposalID(round uint64, proposer int) [32]byte {

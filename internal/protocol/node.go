@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"github.com/dsn2020-algorand/incentives/internal/ledger"
 	"github.com/dsn2020-algorand/incentives/internal/sortition"
@@ -174,12 +175,14 @@ type node struct {
 	ledger   *ledger.Ledger
 	synced   bool
 
-	// Per-round state. beginRound resets values but retains the maps and
-	// tallies, so steady-state rounds run allocation-lean.
+	// Per-round state. beginRound resets values but retains the list
+	// and tallies, so steady-state rounds run allocation-lean. accepted
+	// holds the indices in Runner.props of the proposals this node
+	// accepted this round (see Runner.accept).
 	round        uint64
 	bestPriority sortition.Priority
 	bestProposal *proposalPayload
-	blocks       map[ledger.Hash]ledger.Block
+	accepted     []int32
 	tallies      []*stepTally // indexed by step; nil until first used
 	finalTally   *stepTally
 	value        ledger.Hash // current BinaryBA* value
@@ -195,11 +198,7 @@ func (nd *node) beginRound(round uint64) {
 	nd.round = round
 	nd.bestPriority = sortition.Priority{}
 	nd.bestProposal = nil
-	if nd.blocks == nil {
-		nd.blocks = make(map[ledger.Hash]ledger.Block)
-	} else {
-		clear(nd.blocks)
-	}
+	nd.accepted = nd.accepted[:0]
 	for _, t := range nd.tallies {
 		if t != nil {
 			t.reset()
@@ -241,11 +240,13 @@ func (nd *node) tally(step uint64) *stepTally {
 	return t
 }
 
-// observeProposal records a proposal if it beats the current best
-// priority; the block body is retained so the node can commit it on
-// consensus.
-func (nd *node) observeProposal(p *proposalPayload) {
-	nd.blocks[p.BlockHash] = p.Block
+// observeProposal records that the node accepted p, the entry at slot
+// of the round's proposal table, so it can commit p's block on
+// consensus, and keeps p if it beats the current best priority.
+func (nd *node) observeProposal(p *proposalPayload, slot int32) {
+	if !slices.Contains(nd.accepted, slot) {
+		nd.accepted = append(nd.accepted, slot)
+	}
 	if nd.bestProposal == nil || nd.bestPriority.Less(p.Credential.Priority) {
 		nd.bestProposal = p
 		nd.bestPriority = p.Credential.Priority

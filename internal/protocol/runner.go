@@ -190,6 +190,10 @@ type Runner struct {
 	// rewound at the top of each round.
 	votePool slab[votePayload]
 	propPool slab[proposalPayload]
+	// props is the round's proposal table: every payload some node
+	// accepted, in first-acceptance order, which node.accepted indexes.
+	// It empties with propPool.
+	props []*proposalPayload
 
 	// outcomeSlab carves the per-report Outcomes slices from large
 	// chunks. Reports own disjoint sub-slices — callers may retain them —
@@ -581,6 +585,7 @@ func (r *Runner) runRound() RoundReport {
 	// can be re-issued.
 	r.votePool.reset()
 	r.propPool.reset()
+	r.props = r.props[:0]
 
 	// Adversary phase transitions happen here, before nodes derive seeds
 	// or pay sortition costs, so behaviour flips and crash churn apply to
@@ -1088,8 +1093,8 @@ func (r *Runner) maliciousValue(nd *node, honest ledger.Hash) ledger.Hash {
 	}
 	var best ledger.Hash
 	found := false
-	for h := range nd.blocks {
-		if !found || hashLess(h, best) {
+	for _, i := range nd.accepted {
+		if h := r.props[i].BlockHash; !found || hashLess(h, best) {
 			best, found = h, true
 		}
 	}
@@ -1157,7 +1162,31 @@ func (r *Runner) handleProposal(nd *node, p *proposalPayload) {
 	if nd.synced && nd.ledger.ValidateBlock(p.Block) != nil {
 		return
 	}
-	nd.observeProposal(p)
+	nd.observeProposal(p, r.accept(p))
+}
+
+// accept returns p's index in the round's proposal table, adding p the
+// first time any node accepts it this round. The index p stores may be
+// left over from an earlier round (payload slots are reused), so it
+// counts only while the table entry it names is still p.
+func (r *Runner) accept(p *proposalPayload) int32 {
+	if int(p.slot) < len(r.props) && r.props[p.slot] == p {
+		return p.slot
+	}
+	p.slot = int32(len(r.props))
+	r.props = append(r.props, p)
+	return p.slot
+}
+
+// proposalFor returns the proposal for the block with the given hash
+// among those nd accepted this round, or nil.
+func (r *Runner) proposalFor(nd *node, hash ledger.Hash) *proposalPayload {
+	for _, i := range nd.accepted {
+		if p := r.props[i]; p.BlockHash == hash {
+			return p
+		}
+	}
+	return nil
 }
 
 func (r *Runner) handleVote(nd *node, v *votePayload) {
@@ -1236,7 +1265,7 @@ func (r *Runner) finalizeRound(round uint64, lastStep int) RoundReport {
 			default:
 				outcome = OutcomeTentative
 			}
-			if _, has := nd.blocks[hash]; !has && hash != nd.emptyHash() {
+			if hash != nd.emptyHash() && r.proposalFor(nd, hash) == nil {
 				// Knows the winning hash but never received the block body.
 				outcome = OutcomeNone
 			}
@@ -1285,8 +1314,8 @@ func (r *Runner) finalizeRound(round uint64, lastStep int) RoundReport {
 }
 
 // pickCanonical selects the network-wide agreed block: the plurality
-// decision among nodes, falling back to the empty block when nobody
-// decided anything.
+// decision among the round's nodes (the materialized set in sparse
+// mode), falling back to the empty block when nobody decided anything.
 func (r *Runner) pickCanonical(round uint64, decisions map[ledger.Hash]int) (ledger.Block, bool) {
 	empty := ledger.EmptyBlock(round, r.canonical.Tip(), ledger.NextSeed(r.canonical.Seed(), round))
 	var bestHash ledger.Hash
@@ -1302,9 +1331,9 @@ func (r *Runner) pickCanonical(round uint64, decisions map[ledger.Hash]int) (led
 	if bestHash == empty.Hash() {
 		return empty, true
 	}
-	for _, nd := range r.nodes {
-		if b, ok := nd.blocks[bestHash]; ok {
-			return b, true
+	for _, nd := range r.roundNodes() {
+		if p := r.proposalFor(nd, bestHash); p != nil {
+			return p.Block, true
 		}
 	}
 	return empty, false
@@ -1314,8 +1343,10 @@ func (r *Runner) blockFor(nd *node, hash ledger.Hash) (ledger.Block, bool) {
 	if hash == nd.emptyHash() {
 		return ledger.EmptyBlock(nd.round, nd.ledger.Tip(), ledger.NextSeed(nd.ledger.Seed(), nd.round)), true
 	}
-	b, ok := nd.blocks[hash]
-	return b, ok
+	if p := r.proposalFor(nd, hash); p != nil {
+		return p.Block, true
+	}
+	return ledger.Block{}, false
 }
 
 func (r *Runner) removePending(committed []ledger.Transaction) {

@@ -466,7 +466,7 @@ func (s *sparseState) takeNode() *node {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		*nd = node{
-			blocks:     nd.blocks,
+			accepted:   nd.accepted[:0],
 			tallies:    nd.tallies,
 			finalTally: nd.finalTally,
 		}
@@ -1096,7 +1096,7 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 			default:
 				outcome = OutcomeTentative
 			}
-			if _, has := nd.blocks[hash]; !has && hash != nd.emptyHash() {
+			if hash != nd.emptyHash() && r.proposalFor(nd, hash) == nil {
 				outcome = OutcomeNone
 			}
 		}
@@ -1157,7 +1157,7 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	report.NoneCount += int(rest-restFinal-restTentative) +
 		(n - totalParticipants) - (len(s.actors) - materializedParticipants)
 
-	canonicalBlock, decided := r.pickCanonicalSparse(round, decisions)
+	canonicalBlock, decided := r.pickCanonical(round, decisions)
 	report.Decided = decided
 	if decided {
 		report.CanonicalEmpty = canonicalBlock.Empty
@@ -1255,38 +1255,16 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	return report
 }
 
-// pickCanonicalSparse is pickCanonical over the materialized set.
-func (r *Runner) pickCanonicalSparse(round uint64, decisions map[ledger.Hash]int) (ledger.Block, bool) {
-	empty := ledger.EmptyBlock(round, r.canonical.Tip(), ledger.NextSeed(r.canonical.Seed(), round))
-	var bestHash ledger.Hash
-	bestCount := 0
-	for h, c := range decisions {
-		if c > bestCount || (c == bestCount && hashLess(h, bestHash)) {
-			bestHash, bestCount = h, c
-		}
-	}
-	if bestCount == 0 {
-		return empty, false
-	}
-	if bestHash == empty.Hash() {
-		return empty, true
-	}
-	for _, nd := range r.sparse.actors {
-		if b, ok := nd.blocks[bestHash]; ok {
-			return b, true
-		}
-	}
-	return empty, false
-}
-
 // blockForSparse resolves the block a materialized node committed to; it
 // never touches per-node ledgers (there are none).
 func (r *Runner) blockForSparse(nd *node, hash ledger.Hash) (ledger.Block, bool) {
 	if hash == nd.emptyHash() {
 		return ledger.EmptyBlock(nd.round, r.canonical.Tip(), ledger.NextSeed(r.canonical.Seed(), nd.round)), true
 	}
-	b, ok := nd.blocks[hash]
-	return b, ok
+	if p := r.proposalFor(nd, hash); p != nil {
+		return p.Block, true
+	}
+	return ledger.Block{}, false
 }
 
 // catchUpSparse resynchronises lagging nodes by shrinking the desynced

@@ -3,15 +3,15 @@ package sortition
 import "github.com/dsn2020-algorand/incentives/internal/vrf"
 
 // SelectBernoulli is the whole-node lottery some early PoS designs used
-// and the ablation comparator for the binomial sub-user scheme (DESIGN.md
-// ablation 1): the node is selected all-or-nothing with probability
-// min(1, stake·τ/W), and a selected node carries its entire stake as
-// weight. The scheme has two defects the sub-user design fixes, and the
-// ablation benchmark quantifies both: (i) with heterogeneous stakes the
-// expected selected stake is (τ/W)·Σs² > τ (rich accounts are double
-// counted — once in the probability and once in the weight), and (ii)
-// committee stake arrives in whole-account lumps, so its variance is far
-// higher than the per-stake-unit lottery's.
+// and the comparator for the binomial sub-user scheme: the node is
+// selected all-or-nothing with probability min(1, stake·τ/W), and a
+// selected node carries its entire stake as weight. The scheme has two
+// defects the sub-user design fixes, and TestBernoulliDefectsVsBinomial
+// measures both: (i) with heterogeneous stakes the expected selected
+// stake is (τ/W)·Σs² > τ (rich accounts are double counted — once in
+// the probability and once in the weight), and (ii) committee stake
+// arrives in whole-account lumps, so its variance is far higher than the
+// per-stake-unit lottery's.
 func SelectBernoulli(key vrf.PrivateKey, stake float64, p Params) (Result, error) {
 	if p.Tau <= 0 || p.TotalStake <= 0 {
 		return Result{}, ErrInvalidParams

@@ -5,7 +5,7 @@
 // (key, message) pair, which is the only property sortition's selection
 // statistics depend on.
 //
-// Substitution note (see DESIGN.md): the "public key" of a simulated
+// Substitution note: the "public key" of a simulated
 // keypair carries enough material for verification by recomputation. This
 // would be insecure in a real deployment but is behaviourally equivalent
 // inside a trusted simulator: proofs are unforgeable within the simulation

@@ -54,6 +54,7 @@ func RunCosts(cfg CostsConfig) (*CostsResult, error) {
 		return nil, errors.New("experiments: costs needs >=10 nodes and >=1 round")
 	}
 	res := &CostsResult{Config: cfg}
+	arena := arenaPool.Get().(*protocol.Arena)
 	_, _, err := simulate(runSpec{
 		setup: "costs.setup", seed: cfg.Seed,
 		nodes: cfg.Nodes, rounds: cfg.Rounds, params: protocol.DefaultParams(),
@@ -80,7 +81,8 @@ func RunCosts(cfg CostsConfig) (*CostsResult, error) {
 				}
 			}
 		},
-	}, protocol.NewArena())
+	}, arena)
+	arenaPool.Put(arena) // never deferred: see arenaLease.release
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
-	"github.com/dsn2020-algorand/incentives/internal/runpool"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -145,7 +144,7 @@ func fig3RunSeed(cfg Fig3Config, rate float64, run int) int64 {
 // runFig3Rate runs one panel: cfg.Runs simulations with a rate share of
 // selfish defectors, each streamed as one cell, then trimmed-averaged.
 func runFig3Rate(cfg Fig3Config, scn *adversary.Scenario, rateIdx int, rate float64) (Fig3Series, error) {
-	runs, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena,
+	runs, err := sweepArenas(cfg.Runs, cfg.Workers,
 		func(run int, arena *protocol.Arena) (GridCell, error) {
 			// Random uniform choice of defectors, as in the paper.
 			spec := runSpec{

@@ -81,13 +81,16 @@ func StreamScenarioGrid(cfg ScenarioGridConfig, sink Sink, opt StreamOptions) er
 	if err != nil {
 		return err
 	}
-	return runpool.SweepFold(len(cfg.Scenarios)*len(cfg.Seeds), cfg.Workers, newArena,
+	var lease arenaLease
+	err = runpool.SweepFold(len(cfg.Scenarios)*len(cfg.Seeds), cfg.Workers, lease.take,
 		func(cell int, arena *protocol.Arena) (gridCellOut, error) {
 			return runGridCell(cfg, scenarios, cell, arena, opt)
 		},
 		func(cell int, out gridCellOut) error {
 			return emitGridCell(sink, Cell{Index: cell, Name: out.cell.Scenario, Seed: out.cell.Seed, Restored: out.restored}, &out.cell)
 		})
+	lease.release()
+	return err
 }
 
 // runGridCell computes one cell, or replays it without simulating: a

@@ -118,7 +118,7 @@ func RunMixed(cfg MixedConfig) (*MixedResult, error) {
 	cfg.Sink = instrumentSink(cfg.Sink)
 	res := &MixedResult{Config: cfg}
 	for mi, mix := range cfg.Mixes {
-		runs, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena, func(run int, arena *protocol.Arena) (mixedRun, error) {
+		runs, err := sweepArenas(cfg.Runs, cfg.Workers, func(run int, arena *protocol.Arena) (mixedRun, error) {
 			c, decided, err := simulate(runSpec{
 				setup: "mixed.setup", seed: cfg.Seed + int64(mi)*104729 + int64(run)*7919,
 				nodes: cfg.Nodes, rounds: cfg.Rounds, params: cfg.Params,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
@@ -116,10 +117,47 @@ func simulate(spec runSpec, arena *protocol.Arena) (GridCell, int, error) {
 	return out, decided, nil
 }
 
-// newArena is the run pool's per-worker state for simulate: each worker
-// reuses one protocol.Arena across its runs, which changes no output
-// bit (see the arena contract and the golden tests).
-func newArena(int) *protocol.Arena { return protocol.NewArena() }
+// arenaPool holds protocol arenas between sweeps, so an arena outlives
+// the sweep that grew it: the next rate of a fig3 sweep, the next
+// benchgen target and the next simd job start from its pools instead of
+// building their own. protocol.NewArena runs only on a miss. Reuse
+// changes no output bit (see the arena contract and the golden tests),
+// and the GC drops arenas that stay unused for two cycles.
+var arenaPool = sync.Pool{New: func() any { return protocol.NewArena() }}
+
+// arenaLease is one sweep's share of arenaPool: take is the sweep's
+// per-worker state hook and release puts every arena taken back.
+type arenaLease struct {
+	mu    sync.Mutex
+	taken []*protocol.Arena
+}
+
+func (l *arenaLease) take(int) *protocol.Arena {
+	a := arenaPool.Get().(*protocol.Arena)
+	l.mu.Lock()
+	l.taken = append(l.taken, a)
+	l.mu.Unlock()
+	return a
+}
+
+// release is called once the sweep has returned, error or not, but never
+// from a defer: an arena that a panicking run left half-updated must not
+// reach another sweep.
+func (l *arenaLease) release() {
+	for _, a := range l.taken {
+		arenaPool.Put(a)
+	}
+	l.taken = nil
+}
+
+// sweepArenas is runpool.SweepWithState with one pooled arena per
+// worker.
+func sweepArenas[T any](runs, workers int, fn func(run int, arena *protocol.Arena) (T, error)) ([]T, error) {
+	var lease arenaLease
+	out, err := runpool.SweepWithState(runs, workers, lease.take, fn)
+	lease.release()
+	return out, err
+}
 
 // emitRunCells streams each run as one row-only cell (no audit event),
 // run i as cell first+i named name.

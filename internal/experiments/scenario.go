@@ -7,7 +7,6 @@ import (
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
-	"github.com/dsn2020-algorand/incentives/internal/runpool"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
@@ -107,7 +106,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena,
+	cells, err := sweepArenas(cfg.Runs, cfg.Workers,
 		func(run int, arena *protocol.Arena) (GridCell, error) {
 			return simulateGridCell(grid, scenarios, run, arena)
 		})

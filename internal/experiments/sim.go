@@ -56,7 +56,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	// Each run writes only its own entry of res.runs; the pool returns
 	// after every run has finished.
 	res := &SimResult{Config: cfg, runs: make([]simRun, cfg.Runs)}
-	cells, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena,
+	cells, err := sweepArenas(cfg.Runs, cfg.Workers,
 		func(run int, arena *protocol.Arena) (GridCell, error) {
 			out := &res.runs[run]
 			spec := runSpec{

@@ -67,7 +67,7 @@ func RunWeakSync(cfg WeakSyncConfig) (*WeakSyncResult, error) {
 	if cfg.WindowFrom < 2 || cfg.WindowTo >= uint64(cfg.Rounds) || cfg.WindowFrom > cfg.WindowTo {
 		return nil, errors.New("experiments: window must sit strictly inside the run")
 	}
-	runs, err := runpool.SweepWithState(cfg.Runs, cfg.Workers, newArena,
+	runs, err := sweepArenas(cfg.Runs, cfg.Workers,
 		func(run int, arena *protocol.Arena) (GridCell, error) {
 			c, _, err := simulate(runSpec{
 				setup: "weaksync.setup", seed: cfg.Seed + int64(run)*7919,

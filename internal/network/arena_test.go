@@ -2,6 +2,7 @@ package network
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -35,6 +36,31 @@ func TestArenaTopologyBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(fresh.Peers(i), recycled.Peers(i)) {
 			t.Fatalf("node %d peers diverge: fresh %v, recycled %v", i, fresh.Peers(i), recycled.Peers(i))
 		}
+	}
+}
+
+// TestArenaNewAllocatesNoTables pins that a network built on a warm
+// arena takes its relay and online tables and its topology from the
+// arena alone: at 20k nodes and fanout 5, building any of them afresh
+// allocates at least 20 KB (the four together ≈1.3 MB), while the rest of
+// New (two RNG streams, the Network itself) takes about 11 KB.
+func TestArenaNewAllocatesNoTables(t *testing.T) {
+	const n = 20_000
+	cfg := Config{N: n, Fanout: 5, Delay: UniformDelay{Min: time.Millisecond, Max: 10 * time.Millisecond}, Arena: &Arena{}}
+	h := func(int, Message) {}
+	engine := sim.NewEngine(1)
+	if _, err := New(cfg, engine, h); err != nil {
+		t.Fatal(err)
+	}
+	engine.Reset(2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := New(cfg, engine, h); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= n {
+		t.Errorf("New on a warm arena allocated %d bytes at n=%d; want under %d", got, n, n)
 	}
 }
 

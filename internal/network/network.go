@@ -148,8 +148,8 @@ type Config struct {
 	Arena *Arena
 }
 
-// Arena is a per-worker pool recycling a Network's construction-time
-// allocations between the runs of a sweep: the peer-list backing store
+// Arena is a pool recycling a Network's construction-time allocations
+// between runs (protocol.Arena holds one): the peer-list backing store
 // (one flat slab instead of N small slices) and the relay/online tables.
 // It is semantically transparent — every recycled buffer is fully
 // overwritten before first read, and topology generation consumes the
@@ -270,11 +270,13 @@ func New(cfg Config, engine *sim.Engine, handler Handler) (*Network, error) {
 		cfg.Fanout = cfg.N - 1
 	}
 	rng := engine.RNG("network.topology")
-	relay := make([]bool, cfg.N)
-	online := make([]bool, cfg.N)
+	var relay, online []bool
 	if ar := cfg.Arena; ar != nil {
 		relay = takeBools(&ar.relay, cfg.N)
 		online = takeBools(&ar.online, cfg.N)
+	} else {
+		relay = make([]bool, cfg.N)
+		online = make([]bool, cfg.N)
 	}
 	n := &Network{
 		cfg:          cfg,
@@ -329,8 +331,8 @@ func (n *Network) hintHorizon() {
 // version did, so topologies are bit-identical across both versions and
 // with or without an arena.
 func buildTopology(n, fanout int, rng *rand.Rand, ar *Arena) [][]int {
-	peers := make([][]int, n)
-	flat := make([]int, 0, n*fanout)
+	var peers [][]int
+	var flat []int
 	if ar != nil {
 		if cap(ar.peers) < n {
 			ar.peers = make([][]int, n)
@@ -340,6 +342,9 @@ func buildTopology(n, fanout int, rng *rand.Rand, ar *Arena) [][]int {
 			ar.flat = make([]int, 0, n*fanout)
 		}
 		flat = ar.flat[:0]
+	} else {
+		peers = make([][]int, n)
+		flat = make([]int, 0, n*fanout)
 	}
 	for i := range peers {
 		start := len(flat)

@@ -7,18 +7,22 @@ import (
 	"github.com/dsn2020-algorand/incentives/internal/vrf"
 )
 
-// Arena is a per-worker construction pool that amortises Runner setup
-// across the runs of a sweep. Building a Runner from scratch allocates
-// the node table (each node carrying tally tables, an accepted-proposal
-// list and a ledger view), the key table, the cost meter, and a cold
-// sortition cache; a sweep at -full scale pays that hundreds of times. An
-// Arena recycles those structures between consecutive runs of one
-// run-pool worker: pass it via Config.Arena, typically from a
-// runpool.SweepWithState worker-state hook.
+// Arena is a construction pool that amortises Runner setup across
+// runs. Building a Runner from scratch allocates the node table (each
+// node carrying tally tables, an accepted-proposal list and a ledger
+// view), the key table, the cost meter, the engine's calendar, the
+// gossip topology and dedup tables, and a cold sortition cache; a sweep
+// at -full scale pays that hundreds of times. An Arena recycles those
+// structures between consecutive runs: pass it via Config.Arena. The
+// experiment drivers keep arenas in one process-wide pool and hand one
+// to each run-pool worker, so an arena outlives the sweep that grew it
+// and carries runs of any shape in turn — dense and sparse, traced or
+// not, at any population size, fanout or loss rate.
 //
 // The arena is semantically transparent — results are bit-for-bit
-// identical with and without one, which the golden figure tests and the
-// cross-worker determinism tests pin. Two rules make that hold:
+// identical with and without one, whatever runs it carried before,
+// which the golden figure tests, the cross-worker determinism tests and
+// TestArenaRunnersMatchFreshRunners pin. Two rules make that hold:
 //
 //   - Recycled memory is fully re-initialised before reuse (takeNodes
 //     resets every node, counters are zeroed, behaviour buffers are
@@ -29,8 +33,9 @@ import (
 //
 // An Arena is owned by one goroutine at a time: a Runner built from it
 // borrows its storage, so the arena must not be handed to a second
-// Runner until the first is done. One arena per run-pool worker (never
-// shared across workers) satisfies both.
+// Runner until the first is done. A sweep gives each worker an arena of
+// its own and puts the arenas back only after every worker has exited,
+// which satisfies both.
 type Arena struct {
 	cache     *sortition.Cache
 	nodes     []*node
@@ -151,9 +156,9 @@ func (a *Arena) takeMeter(n int) *costMeter {
 // sampling stake populations into (stake.SamplePopulationInto) instead
 // of allocating a fresh vector per run. NewRunner never retains
 // Config.Stakes — Genesis copies the values into ledger accounts — so
-// the buffer is free again once the runner is built; with one arena per
-// sweep worker and runs strictly sequential per worker, handing the same
-// buffer to every cell is safe.
+// the buffer is free again once the runner is built; with one owner at a
+// time and its runs strictly sequential, handing the same buffer to
+// every run is safe.
 func (a *Arena) StakeBuf(n int) []float64 {
 	if cap(a.stakes) < n {
 		a.stakes = make([]float64, n)

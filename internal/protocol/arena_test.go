@@ -4,15 +4,21 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/dsn2020-algorand/incentives/internal/obs"
 )
 
 // runReportsDigest runs rounds and summarises every observable of the
-// reports plus the runner's cost counters.
-func runReportsDigest(t *testing.T, cfg Config, rounds int) string {
+// reports plus the runner's cost counters; setup, when set, installs
+// hooks on the runner before the first round.
+func runReportsDigest(t *testing.T, cfg Config, rounds int, setup func(*Runner)) string {
 	t.Helper()
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(r)
 	}
 	out := ""
 	for _, rep := range r.RunRounds(rounds) {
@@ -23,42 +29,130 @@ func runReportsDigest(t *testing.T, cfg Config, rounds int) string {
 	return out
 }
 
-// TestArenaRunnersMatchFreshRunners pins the arena's transparency
-// contract: a Runner built from a warm arena — one that already carried
-// a different run, with a populated sortition cache and dirty recycled
-// node state — must produce bit-identical reports to a fresh build.
-func TestArenaRunnersMatchFreshRunners(t *testing.T) {
-	mkCfg := func(n int, seed int64) Config {
-		stakes := make([]float64, n)
-		behaviors := make([]Behavior, n)
-		for i := range stakes {
-			stakes[i] = float64(1 + i%50)
-			behaviors[i] = Honest
-			if i%9 == 0 {
+// arenaShape is one kind of run an arena may carry. cfg returns a new
+// config on every call, so a traced shape never shares its recorder.
+type arenaShape struct {
+	name   string
+	rounds int
+	cfg    func() Config
+	setup  func(*Runner)
+}
+
+// arenaShapes are the run shapes of TestArenaRunnersMatchFreshRunners:
+// dense populations of two sizes and seeds, the sparse pin population
+// untraced and with a trace panel, another fanout and loss rate, and a
+// dense run whose nodes go offline mid-round.
+func arenaShapes() map[string]arenaShape {
+	dense := func(n int, seed int64) func() Config {
+		return func() Config {
+			stakes := make([]float64, n)
+			behaviors := make([]Behavior, n)
+			for i := range stakes {
+				stakes[i] = float64(1 + i%50)
+				behaviors[i] = Honest
+				if i%9 == 0 {
+					behaviors[i] = Selfish
+				}
+			}
+			return Config{Params: DefaultParams(), Stakes: stakes, Behaviors: behaviors, Seed: seed}
+		}
+	}
+	// sparse is pinnedRunner's population without its hooks.
+	sparse := func(panel int) func() Config {
+		return func() Config {
+			const n = 300
+			behaviors := behaviorsOf(n, Honest)
+			for i := 0; i < n; i += 9 {
 				behaviors[i] = Selfish
 			}
-		}
-		return Config{Params: DefaultParams(), Stakes: stakes, Behaviors: behaviors, Seed: seed}
-	}
-
-	fresh := map[string]string{}
-	for _, n := range []int{40, 60} {
-		for seed := int64(1); seed <= 3; seed++ {
-			fresh[fmt.Sprintf("%d/%d", n, seed)] = runReportsDigest(t, mkCfg(n, seed), 4)
-		}
-	}
-
-	// One arena carries every run back to back, including population-size
-	// changes mid-stream (the grid driver does exactly this).
-	ar := NewArena()
-	for _, n := range []int{60, 40} { // reversed order: maximally stale reuse
-		for seed := int64(3); seed >= 1; seed-- {
-			cfg := mkCfg(n, seed)
-			cfg.Arena = ar
-			got := runReportsDigest(t, cfg, 4)
-			if want := fresh[fmt.Sprintf("%d/%d", n, seed)]; got != want {
-				t.Fatalf("arena runner diverged from fresh runner at n=%d seed=%d\narena: %s\nfresh: %s", n, seed, got, want)
+			params := DefaultParams()
+			params.TauStep, params.TauFinal, params.AsyncProb = 25, 35, 0.3
+			cfg := Config{Params: params, Stakes: testStakes(n), Behaviors: behaviors, Fanout: 5, Seed: 97, Sparse: SparseOn}
+			if panel > 0 {
+				cfg.Trace = obs.NewTrace(panel)
 			}
+			return cfg
+		}
+	}
+	// offline takes the first two nodes each step reveals offline until
+	// the next round starts.
+	offline := func(r *Runner) {
+		var down []int
+		r.SetHooks(Hooks{
+			RoundStart: func(uint64) {
+				for _, id := range down {
+					r.Network().SetOnline(id, true)
+				}
+				down = down[:0]
+			},
+			StepDone: func(_, _ uint64, revealed []int) {
+				for _, id := range revealed[:min(2, len(revealed))] {
+					r.Network().SetOnline(id, false)
+					down = append(down, id)
+				}
+			},
+		})
+	}
+	shapes := map[string]arenaShape{}
+	for _, sh := range []arenaShape{
+		{name: "dense 40/1", rounds: 4, cfg: dense(40, 1)},
+		{name: "dense 40/2", rounds: 4, cfg: dense(40, 2)},
+		{name: "dense 60/3", rounds: 4, cfg: dense(60, 3)},
+		{name: "sparse 300", rounds: 3, cfg: sparse(0)},
+		{name: "sparse 300 traced", rounds: 3, cfg: sparse(40)},
+		{name: "fanout 8 loss 0.05", rounds: 4, cfg: func() Config {
+			cfg := dense(60, 4)()
+			cfg.Fanout, cfg.LossProb = 8, 0.05
+			return cfg
+		}},
+		{name: "offline mid-round", rounds: 4, cfg: dense(60, 5), setup: offline},
+	} {
+		shapes[sh.name] = sh
+	}
+	return shapes
+}
+
+// digest runs one shape, through ar when it is non-nil, and adds the
+// trace's events to the report digest of a traced shape.
+func (sh arenaShape) digest(t *testing.T, ar *Arena) string {
+	t.Helper()
+	cfg := sh.cfg()
+	cfg.Arena = ar
+	out := runReportsDigest(t, cfg, sh.rounds, sh.setup)
+	if cfg.Trace != nil {
+		events := traceEvents(t, cfg.Trace)
+		if len(events) == 0 {
+			t.Fatalf("%s: empty trace", sh.name)
+		}
+		out += fmt.Sprintf(" trace=%v", events)
+	}
+	return out
+}
+
+// TestArenaRunnersMatchFreshRunners pins the arena's transparency
+// contract: a Runner built from a warm arena — one that already carried
+// runs of other shapes, with a populated sortition cache and dirty
+// recycled node state — must produce bit-identical reports to a fresh
+// build. Arenas outlive their sweep, so one arena alternates between
+// dense and sparse runs, traced and untraced ones, other fanouts and loss
+// rates, and runs whose hooks take nodes offline mid-round.
+func TestArenaRunnersMatchFreshRunners(t *testing.T) {
+	shapes := arenaShapes()
+	fresh := map[string]string{}
+	for name, sh := range shapes {
+		fresh[name] = sh.digest(t, nil)
+	}
+
+	// One arena carries every run back to back, population sizes and
+	// round paths changing mid-stream, then the first shapes again.
+	ar := NewArena()
+	for _, name := range []string{
+		"dense 60/3", "dense 40/1", "sparse 300", "fanout 8 loss 0.05",
+		"sparse 300 traced", "offline mid-round",
+		"dense 60/3", "sparse 300", "dense 40/2", "sparse 300 traced", "dense 40/1",
+	} {
+		if got, want := shapes[name].digest(t, ar), fresh[name]; got != want {
+			t.Fatalf("arena runner diverged from fresh runner on %s\narena: %s\nfresh: %s", name, got, want)
 		}
 	}
 }

@@ -69,14 +69,18 @@ func Sweep[T any](runs, workers int, fn func(run int) (T, error)) ([]T, error) {
 // SweepWithState is Sweep with a per-worker state hook: newState is
 // invoked once per worker (with the worker's index) and its value is
 // threaded into every fn call that worker executes. Experiment drivers
-// use it to hold a reusable arena — memory and memoisation pools that
-// amortise per-run setup across the hundreds of runs of a sweep.
+// use it to hand each worker a reusable arena — memory and memoisation
+// pools that amortise per-run setup — which they take from a
+// process-wide pool and put back once the sweep returns, so the state
+// may carry runs of earlier and later sweeps too.
 //
 // The determinism contract is unchanged and puts one obligation on the
 // state: runs are distributed to workers dynamically, so the state must
 // be semantically transparent — recycled buffers fully overwritten,
-// caches pure — or results would depend on which worker ran which run.
-// A nil newState supplies the zero value.
+// caches pure — or results would depend on which worker ran which run,
+// or on what ran before the sweep. Each state has one owner at a time:
+// its worker, until SweepWithState returns after every worker has
+// exited. A nil newState supplies the zero value.
 func SweepWithState[T, S any](runs, workers int, newState func(worker int) S, fn func(run int, state S) (T, error)) ([]T, error) {
 	if runs < 0 {
 		return nil, fmt.Errorf("runpool: negative run count %d", runs)

@@ -82,7 +82,7 @@ func RunCosts(cfg CostsConfig) (*CostsResult, error) {
 			}
 		},
 	}, arena)
-	arenaPool.Put(arena) // never deferred: see arenaLease.release
+	putArena(arena) // never deferred: see arenaLease.release
 	if err != nil {
 		return nil, err
 	}

@@ -145,9 +145,17 @@ func (l *arenaLease) take(int) *protocol.Arena {
 // reach another sweep.
 func (l *arenaLease) release() {
 	for _, a := range l.taken {
-		arenaPool.Put(a)
+		putArena(a)
 	}
 	l.taken = nil
+}
+
+// putArena returns an arena to arenaPool once its last run is done,
+// first dropping what it still references of that run, so an idle arena
+// keeps its buffers but not the run's Runner, ledger and trace.
+func putArena(a *protocol.Arena) {
+	a.Release()
+	arenaPool.Put(a)
 }
 
 // sweepArenas is runpool.SweepWithState with one pooled arena per

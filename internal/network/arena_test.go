@@ -64,6 +64,36 @@ func TestArenaNewAllocatesNoTables(t *testing.T) {
 	}
 }
 
+// TestReleasedArenaHoldsNoPayload pins Arena.Release: the message table
+// keeps the last network's payloads reachable until Release empties it.
+func TestReleasedArenaHoldsNoPayload(t *testing.T) {
+	ar := &Arena{}
+	collected := make(chan struct{}, 1)
+	func() {
+		engine := sim.NewEngine(3)
+		net, err := New(Config{N: 40, Fanout: 5, Delay: UniformDelay{Min: time.Millisecond, Max: 10 * time.Millisecond}, Arena: ar},
+			engine, func(int, Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := &[8]int64{}
+		runtime.SetFinalizer(payload, func(*[8]int64) { collected <- struct{}{} })
+		net.Gossip(0, Message{ID: [32]byte{1}, Payload: payload})
+		engine.Run(time.Second)
+	}()
+	ar.Release()
+	for tries := 0; tries < 50; tries++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(ar)
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("a released arena still holds its last network's payload")
+}
+
 // TestArenaSeenRecycleBitIdentical pins the dedup-table recycling: one
 // arena alternating between populations on either side of the 512-node
 // inline-bitmap window (where the per-slot stride changes and the table

@@ -171,6 +171,14 @@ type Arena struct {
 	seen deliveredSet
 }
 
+// Release empties the message table, whose payloads belong to the last
+// network the arena backed; the topology and dedup buffers stay.
+func (a *Arena) Release() {
+	clear(a.msgs.msgs)
+	a.msgs.msgs = a.msgs.msgs[:0]
+	a.msgs.inflight = 0
+}
+
 // takeBools returns a length-n buffer from store, growing it as needed.
 // Contents are unspecified: callers overwrite every slot.
 func takeBools(store *[]bool, n int) []bool {

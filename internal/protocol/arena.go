@@ -47,10 +47,10 @@ type Arena struct {
 	stakes []float64
 	// engine is the recycled simulation engine: the first run through the
 	// arena stashes its engine here, later runs rewind it with
-	// sim.Engine.Reset instead of re-growing the calendar queue from
-	// scratch. Reset keeps the ring geometry and the pooled event storage
-	// (spare bucket backings, far blocks) but pops in the same strict
-	// (time, seq) order, so recycling is output-invisible.
+	// sim.Engine.Reset instead of re-allocating the calendar queue from
+	// scratch. Reset keeps the pooled event storage (near rings, spare
+	// bucket backings, far blocks) and pops in the same strict (time,
+	// seq) order, so recycling is output-invisible.
 	engine *sim.Engine
 	// net recycles the gossip layer's topology slab and node tables; see
 	// network.Arena.
@@ -87,16 +87,33 @@ func (a *Arena) takeNodes(n int) []*node {
 			a.nodes[i] = &node{}
 			continue
 		}
-		// Preserve the allocated containers, drop everything else. The
-		// tallies still hold the previous run's entries; beginRound resets
-		// them before any read.
-		*nd = node{
-			accepted:   nd.accepted[:0],
-			tallies:    nd.tallies,
-			finalTally: nd.finalTally,
-		}
+		nd.recycle()
 	}
 	return a.nodes
+}
+
+// Release drops every reference the arena still holds into the last run
+// it backed — the engine's delivery handler and pending closures, the
+// recycled nodes' ledger views and proposals, the sparse path's run
+// state and the network's message table — and keeps every buffer. An
+// arena waiting in a pool then holds its pools alone, not the last
+// run's Runner, ledger, hooks and trace. NewRunner re-initialises all of
+// it anyway, so a released arena builds the same runners as one that
+// was not released.
+func (a *Arena) Release() {
+	if a.engine != nil {
+		a.engine.Reset(0)
+	}
+	for _, nd := range a.nodes[:cap(a.nodes)] {
+		if nd != nil {
+			nd.recycle()
+		}
+	}
+	clear(a.nilNodes[:cap(a.nilNodes)])
+	if a.sparse != nil {
+		a.sparse.release()
+	}
+	a.net.Release()
 }
 
 // takeNodesNil returns an all-nil node table of length n for the sparse

@@ -3,7 +3,9 @@ package protocol
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/dsn2020-algorand/incentives/internal/obs"
 )
@@ -39,9 +41,9 @@ type arenaShape struct {
 }
 
 // arenaShapes are the run shapes of TestArenaRunnersMatchFreshRunners:
-// dense populations of two sizes and seeds, the sparse pin population
-// untraced and with a trace panel, another fanout and loss rate, and a
-// dense run whose nodes go offline mid-round.
+// dense populations of 40 and 60 nodes at seeds 1–3, the sparse pin
+// population untraced and with a trace panel, another fanout and loss
+// rate, and a dense run whose nodes go offline mid-round.
 func arenaShapes() map[string]arenaShape {
 	dense := func(n int, seed int64) func() Config {
 		return func() Config {
@@ -94,10 +96,13 @@ func arenaShapes() map[string]arenaShape {
 		})
 	}
 	shapes := map[string]arenaShape{}
+	for _, n := range []int{40, 60} {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("dense %d/%d", n, seed)
+			shapes[name] = arenaShape{name: name, rounds: 4, cfg: dense(n, seed)}
+		}
+	}
 	for _, sh := range []arenaShape{
-		{name: "dense 40/1", rounds: 4, cfg: dense(40, 1)},
-		{name: "dense 40/2", rounds: 4, cfg: dense(40, 2)},
-		{name: "dense 60/3", rounds: 4, cfg: dense(60, 3)},
 		{name: "sparse 300", rounds: 3, cfg: sparse(0)},
 		{name: "sparse 300 traced", rounds: 3, cfg: sparse(40)},
 		{name: "fanout 8 loss 0.05", rounds: 4, cfg: func() Config {
@@ -143,18 +148,89 @@ func TestArenaRunnersMatchFreshRunners(t *testing.T) {
 		fresh[name] = sh.digest(t, nil)
 	}
 
-	// One arena carries every run back to back, population sizes and
-	// round paths changing mid-stream, then the first shapes again.
+	// One arena carries every run back to back: first the dense shapes
+	// in reverse (maximally stale reuse, population sizes changing
+	// mid-stream as in a grid sweep), then the round paths changing
+	// between runs, then the first shapes again.
 	ar := NewArena()
 	for _, name := range []string{
-		"dense 60/3", "dense 40/1", "sparse 300", "fanout 8 loss 0.05",
-		"sparse 300 traced", "offline mid-round",
+		"dense 60/3", "dense 60/2", "dense 60/1", "dense 40/3", "dense 40/2", "dense 40/1",
+		"sparse 300", "fanout 8 loss 0.05", "sparse 300 traced", "offline mid-round",
 		"dense 60/3", "sparse 300", "dense 40/2", "sparse 300 traced", "dense 40/1",
 	} {
 		if got, want := shapes[name].digest(t, ar), fresh[name]; got != want {
 			t.Fatalf("arena runner diverged from fresh runner on %s\narena: %s\nfresh: %s", name, got, want)
 		}
 	}
+}
+
+// TestReleasedArenaHoldsNoRun pins Arena.Release: once an arena that
+// carried a run is released, nothing of that run stays reachable through
+// it — neither the Runner (through the engine's handler and pending
+// closures) nor its ledger (through pooled nodes) — and the next runner
+// it builds still equals a fresh one.
+func TestReleasedArenaHoldsNoRun(t *testing.T) {
+	shapes := arenaShapes()
+	ar := NewArena()
+	for _, name := range []string{"dense 60/1", "sparse 300 traced", "offline mid-round"} {
+		sh := shapes[name]
+		// collected fires once for the runner's hooks, which only the
+		// runner references, and once for its canonical ledger.
+		collected := make(chan string, 2)
+		func() {
+			cfg := sh.cfg()
+			cfg.Arena = ar
+			r, err := NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh.setup != nil {
+				sh.setup(r)
+			}
+			type sentinel struct{ n [8]int64 }
+			s := &sentinel{}
+			runtime.SetFinalizer(s, func(*sentinel) { collected <- "runner" })
+			roundStart := r.hooks.RoundStart
+			r.hooks.RoundStart = func(round uint64) {
+				s.n[0]++
+				if roundStart != nil {
+					roundStart(round)
+				}
+			}
+			runtime.SetFinalizer(r.Canonical(), func(any) { collected <- "ledger" })
+			for range r.RunRounds(2) {
+			}
+		}()
+		ar.Release()
+		for _, nd := range append(ar.nodes[:cap(ar.nodes)], sparseFree(ar)...) {
+			if nd != nil && (nd.ledger != nil || nd.bestProposal != nil) {
+				t.Fatalf("%s: a released arena's pooled node still holds its run's ledger or proposal", name)
+			}
+		}
+		got := map[string]bool{}
+		for tries := 0; len(got) < 2 && tries < 50; tries++ {
+			runtime.GC()
+			select {
+			case what := <-collected:
+				got[what] = true
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		if !got["runner"] || !got["ledger"] {
+			t.Fatalf("%s: a released arena still reaches its last run (collected: %v)", name, got)
+		}
+	}
+	if got, want := shapes["dense 40/1"].digest(t, ar), shapes["dense 40/1"].digest(t, nil); got != want {
+		t.Fatalf("released arena built a runner unlike a fresh one\narena: %s\nfresh: %s", got, want)
+	}
+}
+
+// sparseFree is the sparse path's pool of node structs, if ar has one.
+func sparseFree(ar *Arena) []*node {
+	if ar.sparse == nil {
+		return nil
+	}
+	return ar.sparse.free
 }
 
 // TestArenaBuffersReinitialised pins the helper-buffer contract: buffers

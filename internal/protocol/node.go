@@ -200,6 +200,18 @@ type node struct {
 	outcomeHash  ledger.Hash
 }
 
+// recycle readies a pooled node struct for another run: it keeps the
+// allocated containers (accepted list, tallies) and zeroes everything
+// else. The tallies still hold the previous run's entries; beginRound
+// resets them before any read.
+func (nd *node) recycle() {
+	*nd = node{
+		accepted:   nd.accepted[:0],
+		tallies:    nd.tallies,
+		finalTally: nd.finalTally,
+	}
+}
+
 func (nd *node) beginRound(round uint64) {
 	nd.round = round
 	nd.bestPriority = sortition.Priority{}

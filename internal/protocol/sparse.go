@@ -340,6 +340,16 @@ func (s *sparseState) adopt(rng *rand.Rand) {
 	s.timers, s.next = s.timers[:0], 0
 }
 
+// release drops what a pooled sparseState still references of its last
+// run (see Arena.Release): the run's RNG, weight index and payloads, and
+// the ledger and proposal of every pooled node.
+func (s *sparseState) release() {
+	s.adopt(nil)
+	for _, nd := range s.free {
+		nd.recycle()
+	}
+}
+
 // takeCommittee returns a cleared committee from the pool.
 func (s *sparseState) takeCommittee() *sparseCommittee {
 	if n := len(s.comPool); n > 0 {
@@ -465,11 +475,7 @@ func (s *sparseState) takeNode() *node {
 		nd := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*nd = node{
-			accepted:   nd.accepted[:0],
-			tallies:    nd.tallies,
-			finalTally: nd.finalTally,
-		}
+		nd.recycle()
 		return nd
 	}
 	return &node{}

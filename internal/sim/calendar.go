@@ -117,6 +117,12 @@ type calendarQueue struct {
 	// population and growing it never copies a block.
 	freeBlk *farBlock
 
+	// rings holds the empty near rings a resize replaced, by size:
+	// rings[k] has calNearBuckets<<k buckets. reset goes back to the
+	// initial ring, so a recycled calendar halves its width again as its
+	// run demands, taking each finer ring from here instead of allocating.
+	rings [calNearClasses][]calBucket
+
 	// spare holds idle near-bucket backings by capacity class:
 	// spare[k] backings hold calBucketMin<<(2k) events. Drained buckets
 	// file their backing here and filling buckets take one, so near
@@ -166,6 +172,8 @@ const (
 	// it up to calMaxNearBuckets while keeping the near span constant.
 	calNearBuckets    = 2048
 	calMaxNearBuckets = 1 << 16
+	// calNearClasses counts the near ring sizes, 2048 to 1<<16.
+	calNearClasses = 6
 	// calNearShift gives 2^17 ns ≈ 131 µs near buckets: a 268 ms near
 	// span, matching the simulator's densest delay windows.
 	calNearShift = 17
@@ -219,14 +227,22 @@ func (c *calendarQueue) init() {
 func (c *calendarQueue) len() int { return c.ring + c.farCount + len(c.overflow) }
 
 // reset empties the calendar back to its post-init state while keeping
-// every allocation and the current geometry: near-bucket backings go to
-// the spare lists, far blocks to the freelist, and ring sizes/widths
-// stay where resizes left them. Pop order is strict (at, seq)
-// regardless of geometry, so a reset calendar schedules identically to
-// a fresh one — it just skips the warm-up growth.
+// every allocation: near-bucket backings go to the spare lists, far
+// blocks to the freelist, and a finer near ring to rings. The near ring
+// goes back to init's size and width, so a run halves it only as its own
+// density demands, not at the finest width an earlier run needed; the
+// far ring keeps its size. Pop order is strict (at, seq) regardless of
+// geometry, so a reset calendar schedules identically to a fresh one —
+// it just skips the allocations of the warm-up growth.
 func (c *calendarQueue) reset() {
 	for i := range c.near {
 		c.drop(&c.near[i])
+	}
+	if len(c.near) != calNearBuckets {
+		c.putRing(c.near)
+		c.near = c.takeRing(calNearBuckets)
+		c.nearShift = calNearShift
+		c.nearMask = calNearBuckets - 1
 	}
 	c.cursor = 0
 	c.ring = 0
@@ -621,13 +637,13 @@ func (c *calendarQueue) hintHorizon(horizon time.Duration) {
 }
 
 // resizeNear rebuilds the near ring with a finer bucket width at
-// constant span, redistributing the pending near events and filing the
-// old buckets' backings as spares. Width only shrinks, geometrically, so
-// total resize work is O(population) per halving and halvings are
-// bounded.
+// constant span, redistributing the pending near events, filing the
+// old buckets' backings as spares and the old ring in rings. Width only
+// shrinks, geometrically, so total resize work is O(population) per
+// halving and halvings are bounded.
 func (c *calendarQueue) resizeNear(shift uint) {
 	old := c.near
-	c.near = make([]calBucket, len(old)*2)
+	c.near = c.takeRing(len(old) * 2)
 	c.nearShift = shift
 	c.nearMask = int64(len(c.near) - 1)
 	// migrated is far-day aligned, so it is also aligned to the finer
@@ -642,8 +658,25 @@ func (c *calendarQueue) resizeNear(shift uint) {
 		for _, ev := range b.events[b.next:] {
 			c.insertNear(ev)
 		}
-		c.release(b.events)
+		c.drop(b)
 	}
+	c.putRing(old)
+}
+
+// takeRing returns an empty near ring of n buckets, a kept one if rings
+// has it.
+func (c *calendarQueue) takeRing(n int) []calBucket {
+	k := bits.TrailingZeros(uint(n / calNearBuckets))
+	if r := c.rings[k]; r != nil {
+		c.rings[k] = nil
+		return r
+	}
+	return make([]calBucket, n)
+}
+
+// putRing files an emptied near ring in rings.
+func (c *calendarQueue) putRing(r []calBucket) {
+	c.rings[bits.TrailingZeros(uint(len(r)/calNearBuckets))] = r
 }
 
 // resizeFar rebuilds the far ring with more day buckets at constant

@@ -293,6 +293,39 @@ func TestBurstCycleAllocFree(t *testing.T) {
 	}
 }
 
+// TestResetRestoresNearGeometry pins that Reset takes the near ring back
+// to init's size and width, and that a recycled engine regrows it from
+// the rings it kept: a run whose burst halves the width, repeated after
+// each Reset, allocates nothing.
+func TestResetRestoresNearGeometry(t *testing.T) {
+	e := NewEngine(1)
+	cycle := func() {
+		e.Reset(1)
+		e.SetHandler(func(int32, int32) {})
+		// 100 events 1 µs apart fill one initial 131 µs bucket.
+		for i := 0; i < 100; i++ {
+			e.ScheduleFn(time.Millisecond+time.Duration(i)*time.Microsecond, 0, 0)
+		}
+		e.Run(0)
+	}
+	cycle()
+	grown := len(e.cal.near)
+	if grown <= calNearBuckets {
+		t.Fatalf("setup: burst left a %d-bucket near ring, want a finer one", grown)
+	}
+	e.Reset(1)
+	if c := &e.cal; len(c.near) != calNearBuckets || c.nearShift != calNearShift || c.nearMask != calNearBuckets-1 {
+		t.Fatalf("Reset left a %d-bucket near ring of shift %d, want init's %d of shift %d",
+			len(c.near), c.nearShift, calNearBuckets, calNearShift)
+	}
+	if a := testing.AllocsPerRun(3, cycle); a != 0 {
+		t.Fatalf("regrowing the near ring after Reset allocates %v times, want 0", a)
+	}
+	if got := len(e.cal.near); got != grown {
+		t.Fatalf("the repeated burst left a %d-bucket near ring, the first one %d", got, grown)
+	}
+}
+
 // backings returns the near-bucket backing arrays the calendar holds in
 // live buckets and in its spare lists.
 func backings(c *calendarQueue) (live, spare map[*event]bool) {

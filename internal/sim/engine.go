@@ -134,13 +134,13 @@ func NewEngine(seed int64) *Engine {
 }
 
 // Reset rewinds the engine to a fresh post-NewEngine state for seed,
-// keeping the scheduler's allocations and geometry: the calendar's
-// near/far rings stay at whatever widths and spans previous runs grew
-// them to, near-bucket backings return to its spare lists, and far
-// blocks to its freelist. Pop order is strict (at, seq) independent of
-// geometry, so a recycled engine is output-identical to NewEngine(seed)
-// while skipping the calendar warm-up — the run-pool arenas lean on
-// that. Any still-queued events are dropped, with their closures, and
+// keeping the scheduler's allocations: the calendar's near ring goes
+// back to its initial width and keeps the finer rings it grew for reuse,
+// the far ring keeps the span previous runs grew it to, near-bucket
+// backings return to its spare lists, and far blocks to its freelist.
+// Pop order is strict (at, seq) independent of geometry, so a recycled
+// engine is output-identical to NewEngine(seed) while skipping the
+// calendar's warm-up allocations — the run-pool arenas lean on that. Any still-queued events are dropped, with their closures, and
 // the delivery handler is uninstalled.
 func (e *Engine) Reset(seed int64) {
 	e.now = 0

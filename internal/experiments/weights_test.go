@@ -10,33 +10,47 @@ import (
 )
 
 // TestFig3IndexedBitIdentical pins the incremental index against the
-// ledger-direct default at the figure level: fig3 runs commit no reward
-// or transaction mutations, so the index's initial index-order sum is
-// never re-accumulated and both backends must agree bit-for-bit. CI
-// re-runs this under -tags weight_ledgerdirect, where the indexed
-// selection is forced to ledger-direct and equality is the tag's
-// sanity check.
+// ledger-direct default at the figure level, on the dense path and on the
+// sparse one: fig3 runs commit no reward or transaction mutations, so the
+// index's initial index-order sum is never re-accumulated and both
+// backends must agree bit-for-bit. The sparse case also pins that the
+// committee sampler maps seats to nodes the same way whichever backend
+// serves the round's weights.
 func TestFig3IndexedBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("protocol simulation")
 	}
-	cfg := DefaultFig3Config()
-	cfg.Runs = 3
-	cfg.Rounds = 4
-	cfg.DefectionRates = []float64{0.15}
+	dense := DefaultFig3Config()
+	dense.Runs = 3
+	dense.Rounds = 4
+	dense.DefectionRates = []float64{0.15}
 
-	cfg.WeightBackend = weight.BackendLedgerDirect
-	direct, err := RunFig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.WeightBackend = weight.BackendIndexed
-	indexed, err := RunFig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct.Series, indexed.Series) {
-		t.Errorf("fig3 ledger-direct vs indexed diverged:\n%+v\nvs\n%+v", direct.Series, indexed.Series)
+	sparse := LargeFig3Config(6000)
+	sparse.Sparse = protocol.SparseOn
+	sparse.Runs = 2
+	sparse.Rounds = 3
+	sparse.DefectionRates = []float64{0.10, 0.25}
+
+	for _, tc := range []struct {
+		name string
+		cfg  Fig3Config
+	}{{"dense", dense}, {"sparse", sparse}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.WeightBackend = weight.BackendLedgerDirect
+			direct, err := RunFig3(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.WeightBackend = weight.BackendIndexed
+			indexed, err := RunFig3(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(direct.Series, indexed.Series) {
+				t.Errorf("fig3 ledger-direct vs indexed diverged:\n%+v\nvs\n%+v", direct.Series, indexed.Series)
+			}
+		})
 	}
 }
 

@@ -53,7 +53,7 @@ func run(nodes, rounds, runs int, weightsSpec, backendSpec string) error {
 
 	// Sweep 1: ledger-backed weights. "direct" is the pass-through
 	// default; "indexed" routes the same reads through the incremental
-	// Fenwick index — with no reward hook installed both are
+	// stake index — with no reward hook installed both are
 	// bit-identical, so the backend flag here only demonstrates the
 	// selection plumbing.
 	var err error

@@ -13,7 +13,6 @@ import (
 	"github.com/dsn2020-algorand/incentives/internal/ledger"
 	"github.com/dsn2020-algorand/incentives/internal/network"
 	"github.com/dsn2020-algorand/incentives/internal/sortition"
-	"github.com/dsn2020-algorand/incentives/internal/weight"
 )
 
 // SparseMode selects between the dense per-node sortition sweep and the
@@ -126,19 +125,13 @@ type sparseState struct {
 	// runs are reproducible and worker-count invariant.
 	rng *rand.Rand
 
-	// idx is the weight-index fast path for seat→node bisection; nil when
-	// the runner's oracle is not an incremental index. prefix is the
-	// fallback: integer stake-unit prefix sums rebuilt each round.
-	idx    *weight.Index
+	// prefix holds the round's integer stake-unit prefix sums, which
+	// seatNode bisects; trials is its last entry, Σ int(w_i): the total
+	// integer stake units, the binomial trial count a whole-network draw
+	// runs over (dense sortition truncates each node's stake to whole
+	// units — see sortition.Select).
 	prefix []int64
-
-	// trials is Σ int(w_i): the total integer stake units, the binomial
-	// trial count a whole-network draw runs over (dense sortition
-	// truncates each node's stake to whole units — see sortition.Select).
 	trials int64
-	// integral notes whether every stake is a whole number this round,
-	// the precondition for bisecting the float Fenwick tree exactly.
-	integral bool
 
 	// committees maps sortition step → pre-sampled committee. Step 0 is
 	// the proposer lottery; finalVoteStep the final committee.
@@ -312,7 +305,6 @@ func newSparseState(rng *rand.Rand) *sparseState {
 // node structs and committee maps but dropping all run-specific state.
 func (s *sparseState) adopt(rng *rand.Rand) {
 	s.rng = rng
-	s.idx = nil
 	for step, c := range s.committees {
 		c.reset()
 		s.comPool = append(s.comPool, c)
@@ -341,8 +333,8 @@ func (s *sparseState) adopt(rng *rand.Rand) {
 }
 
 // release drops what a pooled sparseState still references of its last
-// run (see Arena.Release): the run's RNG, weight index and payloads, and
-// the ledger and proposal of every pooled node.
+// run (see Arena.Release): the run's RNG and payloads, and the ledger
+// and proposal of every pooled node.
 func (s *sparseState) release() {
 	s.adopt(nil)
 	for _, nd := range s.free {
@@ -369,45 +361,21 @@ func (s *sparseState) committeeFor(step uint64) *sparseCommittee {
 }
 
 // refreshWeights derives the round's integer stake-unit geometry from the
-// runner's weight snapshot: total trials, integrality, and — when the
-// Fenwick fast path is unavailable or inexact — the unit prefix array.
-func (s *sparseState) refreshWeights(stakes []float64, oracle weight.Oracle) {
-	s.trials = 0
-	s.integral = true
-	for _, w := range stakes {
-		t := int64(w)
-		s.trials += t
-		if float64(t) != w {
-			s.integral = false
-		}
-	}
-	s.idx = nil
-	if idx, ok := oracle.(*weight.Index); ok && s.integral {
-		// Whole-unit stakes make the float Fenwick tree an exact integer
-		// prefix structure, so seat units bisect it without building
-		// anything per round.
-		s.idx = idx
-		return
-	}
-	s.prefix = s.prefix[:0]
-	if cap(s.prefix) < len(stakes)+1 {
-		s.prefix = make([]int64, 0, len(stakes)+1)
-	}
+// runner's weight snapshot: the unit prefix array and its total, trials.
+func (s *sparseState) refreshWeights(stakes []float64) {
+	s.prefix = append(slices.Grow(s.prefix[:0], len(stakes)+1), 0)
 	var cum int64
-	s.prefix = append(s.prefix, 0)
 	for _, w := range stakes {
 		cum += int64(w)
 		s.prefix = append(s.prefix, cum)
 	}
+	s.trials = cum
 }
 
-// seatNode maps one stake unit (0 <= unit < trials) to its owning node.
+// seatNode maps one stake unit (0 <= unit < trials) to its owning node:
+// the smallest i with prefix[i+1] > unit.
 func (s *sparseState) seatNode(unit int64) int {
-	if s.idx != nil {
-		return s.idx.Bisect(float64(unit))
-	}
-	// smallest i with prefix[i+1] > unit
-	return sort.Search(len(s.prefix)-1, func(i int) bool { return s.prefix[i+1] > int64(unit) })
+	return sort.Search(len(s.prefix)-1, func(i int) bool { return s.prefix[i+1] > unit })
 }
 
 // sampleCommittee draws one step's whole-network lottery: the total seat
@@ -524,7 +492,7 @@ func (r *Runner) beginRoundSparse(round uint64, lastStep int) {
 		delete(s.committees, step)
 	}
 
-	s.refreshWeights(r.roundStakes, r.weights)
+	s.refreshWeights(r.roundStakes)
 
 	// Pre-sample every step's lottery up front, in a fixed step order, so
 	// the materialized set is known before any phase event fires and

@@ -86,7 +86,7 @@ func TestSparseCommitteeLaw(t *testing.T) {
 		total += w
 	}
 	s := newSparseState(rand.New(rand.NewSource(7)))
-	s.refreshWeights(stakes, nil)
+	s.refreshWeights(stakes)
 	p := tau / total
 
 	seatSum := make([]float64, nNodes)

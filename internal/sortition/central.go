@@ -14,11 +14,10 @@ import (
 // work for committees whose expected size is a constant τ — the runner
 // draws the TOTAL number of selected seats from the binomial over the
 // whole network stake and maps each seat to a node by bisecting the
-// cumulative stake (weight.Index.Bisect / a prefix array). By binomial
-// splitting, seats assigned to nodes in proportion to stake yield exactly
-// the per-node joint distribution Binomial(w_i, p) that independent
-// per-node draws produce; the per-node-draw path survives behind the
-// protocol_pernode_draw build tag as the differential oracle, and the
+// cumulative integer stake. By binomial splitting, seats assigned to
+// nodes in proportion to stake yield exactly the per-node joint
+// distribution Binomial(w_i, p) that independent per-node draws produce.
+// The per-node draw is the protocol's dense round path, and the
 // randomized equivalence suite pins the committee-size distributions of
 // the two paths against each other.
 

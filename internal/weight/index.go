@@ -6,16 +6,16 @@ import (
 )
 
 // Index is the incremental ledger backend: a dense stake mirror plus a
-// Fenwick (binary-indexed) prefix-sum tree, both patched in O(log n) per
-// account mutation by the ledger's stake observer. Refreshing a round's
-// weights therefore costs O(changed accounts) ledger work instead of a
-// full account-table walk, and TotalWeight is a running scalar.
+// running total, both patched in O(1) per account mutation by the
+// ledger's stake observer. Refreshing a round's weights therefore costs
+// O(changed accounts) ledger work instead of a full account-table walk,
+// and TotalWeight is a running scalar.
 //
 // Determinism: per-node weights are assignment-mirrored (dense[id] = new
 // balance), so Weight and WeightsInto are bit-identical to ledger-direct
-// reads. The running total and the tree accumulate deltas, which can
-// drift from an exact re-sum by float ulps as mutations pile up; both
-// are therefore re-derived from dense every resumEvery mutations (an
+// reads. The running total accumulates deltas, which can drift from an
+// exact re-sum by float ulps as mutations pile up; it is therefore
+// re-derived from dense every resumEvery mutations (an
 // amortised-O(1) exact re-sum in the ledger's index order), bounding the
 // drift a long stake-drift run can accumulate instead of letting
 // sortition probabilities diverge without limit. The differential suite
@@ -31,10 +31,9 @@ type Index struct {
 	l     *ledger.Ledger
 	tok   ledger.ObserverToken
 	dense []float64 // dense[id] mirrors account id's stake exactly
-	tree  []float64 // 1-indexed Fenwick tree over dense
 	total float64   // running sum of dense, exactly re-summed periodically
 	// mutations counts observer deliveries since the last exact re-sum;
-	// at resumEvery the total and tree are rebuilt from dense.
+	// at resumEvery the total is rebuilt from dense.
 	mutations  int
 	resumEvery int
 	// updates is the telemetry counter of observed mutations; nil (a
@@ -52,7 +51,6 @@ func NewIndex(l *ledger.Ledger) *Index {
 	x := &Index{
 		l:     l,
 		dense: l.StakesInto(make([]float64, 0, n)),
-		tree:  make([]float64, n+1),
 	}
 	// Re-summing every max(1024, n) mutations keeps the exact rebuild
 	// amortised O(1) per observed mutation while small indexes are not
@@ -66,7 +64,6 @@ func NewIndex(l *ledger.Ledger) *Index {
 	for _, w := range x.dense {
 		x.total += w
 	}
-	x.rebuildTree()
 	if m := obs.DefaultSim(); m != nil {
 		x.updates = m.WeightIndexUpdate
 	}
@@ -81,12 +78,10 @@ func NewIndex(l *ledger.Ledger) *Index {
 func (x *Index) Detach() { x.l.ClearStakeObserver(x.tok) }
 
 // observe is the ledger mutation hook: assignment-mirror the new balance
-// and patch the prefix tree and running total by the delta.
+// and patch the running total by the delta.
 func (x *Index) observe(id int, old, new float64) {
 	x.dense[id] = new
-	delta := new - old
-	x.treeAdd(id, delta)
-	x.total += delta
+	x.total += new - old
 	x.mutations++
 	x.updates.Add(1)
 	if x.mutations >= x.resumEvery {
@@ -94,9 +89,9 @@ func (x *Index) observe(id int, old, new float64) {
 	}
 }
 
-// resum re-derives the running total (in ledger index order, matching
-// TotalStake's walk) and the Fenwick tree exactly from the dense mirror,
-// zeroing the float drift the delta patches accumulate.
+// resum re-derives the running total exactly from the dense mirror (in
+// ledger index order, matching TotalStake's walk), zeroing the float
+// drift the delta patches accumulate.
 func (x *Index) resum() {
 	x.mutations = 0
 	var total float64
@@ -104,29 +99,6 @@ func (x *Index) resum() {
 		total += w
 	}
 	x.total = total
-	x.rebuildTree()
-}
-
-// rebuildTree constructs the Fenwick tree from dense in O(n).
-func (x *Index) rebuildTree() {
-	tree := x.tree
-	for i := range tree {
-		tree[i] = 0
-	}
-	for id, w := range x.dense {
-		tree[id+1] = w
-	}
-	for i := 1; i < len(tree); i++ {
-		if j := i + (i & -i); j < len(tree) {
-			tree[j] += tree[i]
-		}
-	}
-}
-
-func (x *Index) treeAdd(id int, delta float64) {
-	for i := id + 1; i < len(x.tree); i += i & -i {
-		x.tree[i] += delta
-	}
 }
 
 // NumNodes implements Oracle.
@@ -148,55 +120,4 @@ func (x *Index) TotalWeight(_ uint64) float64 { return x.total }
 func (x *Index) WeightsInto(_ uint64, dst []float64) []float64 {
 	dst = append(dst[:0], x.dense...)
 	return dst
-}
-
-// PrefixWeight returns the summed weight of nodes [0, k) from the
-// Fenwick tree in O(log n) — the cumulative-stake query stake-weighted
-// samplers bisect over. Out-of-range k clamps: k <= 0 sums nothing,
-// k >= n sums everything.
-func (x *Index) PrefixWeight(k int) float64 {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(x.dense) {
-		k = len(x.dense)
-	}
-	var sum float64
-	for i := k; i > 0; i -= i & -i {
-		sum += x.tree[i]
-	}
-	return sum
-}
-
-// Bisect inverts PrefixWeight: it returns the node id owning cumulative
-// stake position target, i.e. the smallest id with
-// PrefixWeight(id+1) > target, by descending the Fenwick tree in
-// O(log n). Targets below zero map to the first node; targets at or
-// beyond the total map to the last node. This is the seat→node mapping
-// of the sparse-committee sampler: a uniform target in [0, total)
-// selects each node with probability weight/total.
-func (x *Index) Bisect(target float64) int {
-	n := len(x.dense)
-	if n == 0 {
-		return 0
-	}
-	if target < 0 {
-		target = 0
-	}
-	pos := 0 // 1-based Fenwick position of the last prefix <= target
-	mask := 1
-	for mask<<1 < len(x.tree) {
-		mask <<= 1
-	}
-	for ; mask > 0; mask >>= 1 {
-		next := pos + mask
-		if next < len(x.tree) && x.tree[next] <= target {
-			target -= x.tree[next]
-			pos = next
-		}
-	}
-	if pos >= n {
-		pos = n - 1
-	}
-	return pos
 }

@@ -97,112 +97,4 @@ func TestIndexTotalNoDriftUnderHeavyMutation(t *testing.T) {
 		t.Fatalf("final total drift %v > 1e-9 (index %v, ledger %v)",
 			d, idx.TotalWeight(1), l.TotalStake())
 	}
-	// The tree must stay consistent with the total it backs.
-	if d := relDiff(idx.PrefixWeight(n), idx.TotalWeight(1)); d > 1e-9 {
-		t.Fatalf("tree/total divergence: PrefixWeight(n)=%v, total=%v", idx.PrefixWeight(n), idx.TotalWeight(1))
-	}
-}
-
-// TestPrefixWeightBounds hardens the query against out-of-range k,
-// including the formerly-unguarded negative k.
-func TestPrefixWeightBounds(t *testing.T) {
-	stakes := []float64{4, 0, 9, 2}
-	l := ledger.Genesis(stakes, sim.NewRNG(14, "weight.test.genesis"))
-	idx := weight.NewIndex(l)
-	if got := idx.PrefixWeight(-1); got != 0 {
-		t.Fatalf("PrefixWeight(-1) = %v, want 0", got)
-	}
-	if got := idx.PrefixWeight(-1 << 40); got != 0 {
-		t.Fatalf("PrefixWeight(very negative) = %v, want 0", got)
-	}
-	if got, want := idx.PrefixWeight(99), idx.PrefixWeight(len(stakes)); got != want {
-		t.Fatalf("PrefixWeight(over) = %v, want clamp to %v", got, want)
-	}
-}
-
-// TestPrefixWeightMatchesDenseAfterChurn is the randomized property
-// test: after arbitrary churn/reward replays, PrefixWeight(k) must equal
-// the dense prefix sum over the mirrored weights within a tight
-// relative band (the Fenwick blocks associate additions differently, so
-// equality holds to ulps, not bit-for-bit).
-func TestPrefixWeightMatchesDenseAfterChurn(t *testing.T) {
-	const n = 257 // off power-of-two to exercise ragged tree levels
-	stakes := genStakes(n, 15)
-	l := ledger.Genesis(stakes, sim.NewRNG(15, "weight.test.genesis"))
-	idx := weight.NewIndex(l)
-	rng := sim.NewRNG(15, "weight.test.churn")
-	for replay := 0; replay < 40; replay++ {
-		// A churn/reward burst: rewards to random accounts, including
-		// fractional amounts, occasionally large (stake concentration).
-		for k := 0; k < 1+rng.Intn(300); k++ {
-			amt := rng.Float64() * 3
-			if rng.Intn(10) == 0 {
-				amt *= 1000
-			}
-			if err := l.Credit(rng.Intn(n), amt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dense := idx.WeightsInto(uint64(replay+1), nil)
-		var prefix float64
-		for k := 0; k <= n; k++ {
-			got := idx.PrefixWeight(k)
-			if d := relDiff(got, prefix); d > 1e-12 {
-				t.Fatalf("replay %d: PrefixWeight(%d) = %v, dense prefix %v (rel %v)",
-					replay, k, got, prefix, d)
-			}
-			if k < n {
-				prefix += dense[k]
-			}
-		}
-	}
-}
-
-// TestBisectMatchesLinearScan pins the Fenwick descend against the
-// obvious linear inversion for random targets, including boundary and
-// out-of-range targets and zero-weight accounts.
-func TestBisectMatchesLinearScan(t *testing.T) {
-	const n = 130
-	stakes := genStakes(n, 16)
-	stakes[7], stakes[8], stakes[9] = 0, 0, 0 // zero-weight run
-	l := ledger.Genesis(stakes, sim.NewRNG(16, "weight.test.genesis"))
-	idx := weight.NewIndex(l)
-	rng := sim.NewRNG(16, "weight.test.bisect")
-
-	linear := func(target float64) int {
-		dense := idx.WeightsInto(1, nil)
-		var cum float64
-		for i, w := range dense {
-			if target < cum+w {
-				return i
-			}
-			cum += w
-		}
-		return n - 1
-	}
-
-	for trial := 0; trial < 5000; trial++ {
-		target := rng.Float64() * idx.TotalWeight(1)
-		if got, want := idx.Bisect(target), linear(target); got != want {
-			t.Fatalf("Bisect(%v) = %d, want %d", target, got, want)
-		}
-	}
-	if got := idx.Bisect(-5); got != 0 {
-		t.Fatalf("Bisect(-5) = %d, want 0", got)
-	}
-	if got := idx.Bisect(idx.TotalWeight(1) + 100); got != n-1 {
-		t.Fatalf("Bisect(beyond total) = %d, want %d", got, n-1)
-	}
-	// Mutations must keep the inversion exact.
-	for i := 0; i < 50; i++ {
-		if err := l.Credit(rng.Intn(n), rng.Float64()*20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for trial := 0; trial < 2000; trial++ {
-		target := rng.Float64() * idx.TotalWeight(1)
-		if got, want := idx.Bisect(target), linear(target); got != want {
-			t.Fatalf("post-churn Bisect(%v) = %d, want %d", target, got, want)
-		}
-	}
 }

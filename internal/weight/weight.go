@@ -61,8 +61,8 @@ const (
 	// the default).
 	BackendLedgerDirect Backend = iota
 	// BackendIndexed maintains an incremental stake index (dense mirror +
-	// Fenwick tree) updated by ledger mutation notifications, so per-round
-	// refresh costs O(changed accounts) instead of O(accounts).
+	// running total) updated by ledger mutation notifications, so
+	// per-round refresh costs O(changed accounts) instead of O(accounts).
 	BackendIndexed
 )
 

@@ -86,34 +86,6 @@ func TestIndexDifferentialCredits(t *testing.T) {
 	}
 }
 
-// TestIndexPrefixWeight checks the Fenwick prefix query against a naive
-// prefix sum after a randomized mutation schedule.
-func TestIndexPrefixWeight(t *testing.T) {
-	const n = 257 // straddles a page and a power of two
-	stakes := genStakes(n, 3)
-	l := ledger.Genesis(stakes, sim.NewRNG(3, "weight.test.genesis"))
-	idx := weight.NewIndex(l)
-	rng := sim.NewRNG(3, "weight.test.credits")
-	for k := 0; k < 200; k++ {
-		if err := l.Credit(rng.Intn(n), rng.Float64()*5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ws := idx.WeightsInto(1, nil)
-	var naive float64
-	for k := 0; k <= n; k++ {
-		if d := relDiff(idx.PrefixWeight(k), naive); d > 1e-9 {
-			t.Fatalf("PrefixWeight(%d) = %v, naive %v (rel %g)", k, idx.PrefixWeight(k), naive, d)
-		}
-		if k < n {
-			naive += ws[k]
-		}
-	}
-	if idx.PrefixWeight(n+10) != idx.PrefixWeight(n) {
-		t.Fatal("PrefixWeight past the population should clamp to the total")
-	}
-}
-
 // TestRunnerIndexedDifferential drives a full BA* simulation on the
 // indexed backend with rewards credited and transactions committed every
 // round — both ledger mutation paths — and cross-checks the index

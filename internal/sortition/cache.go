@@ -162,17 +162,3 @@ func (c *Cache) Select(key vrf.PrivateKey, stake float64, p Params) (Result, err
 func (c *Cache) Verify(pub vrf.PublicKey, stake float64, p Params, res Result) bool {
 	return verifyWith(c, pub, stake, p, res)
 }
-
-// SelectBernoulli is the cached-oracle entry point for the whole-node
-// lottery. The Bernoulli draw needs no threshold table (one comparison
-// decides selection), so this delegates to the package-level
-// implementation; it exists so callers holding a Cache can route every
-// sortition variant through the oracle API.
-func (c *Cache) SelectBernoulli(key vrf.PrivateKey, stake float64, p Params) (Result, error) {
-	return SelectBernoulli(key, stake, p)
-}
-
-// VerifyBernoulli mirrors SelectBernoulli for verification.
-func (c *Cache) VerifyBernoulli(pub vrf.PublicKey, stake float64, p Params, res Result) bool {
-	return VerifyBernoulli(pub, stake, p, res)
-}

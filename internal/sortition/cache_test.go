@@ -36,14 +36,6 @@ func TestCacheSelectMatchesDirect(t *testing.T) {
 		if Verify(key.Public, stake, p, want) != cache.Verify(key.Public, stake, p, want) {
 			t.Fatalf("trial %d: cached Verify diverged", trial)
 		}
-		wantB, errWantB := SelectBernoulli(key.Private, stake, p)
-		gotB, errGotB := cache.SelectBernoulli(key.Private, stake, p)
-		if (errWantB == nil) != (errGotB == nil) || wantB != gotB {
-			t.Fatalf("trial %d: cached SelectBernoulli diverged", trial)
-		}
-		if VerifyBernoulli(key.Public, stake, p, wantB) != cache.VerifyBernoulli(key.Public, stake, p, wantB) {
-			t.Fatalf("trial %d: cached VerifyBernoulli diverged", trial)
-		}
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 	"github.com/dsn2020-algorand/incentives/internal/vrf"
 )
 
-// FuzzSelectVerify asserts the sortition soundness invariants for
-// arbitrary stakes and parameters, for both the binomial sub-user lottery
-// and the whole-node Bernoulli ablation:
+// FuzzSelectVerify asserts the sortition soundness invariants of the
+// binomial sub-user lottery for arbitrary stakes and parameters:
 //
 //   - every Select result round-trips through Verify under the matching
 //     public key (completeness);
@@ -50,52 +49,23 @@ func FuzzSelectVerify(f *testing.F) {
 			if err == nil {
 				t.Fatalf("Select accepted invalid params stake=%v tau=%v total=%v", stake, tau, total)
 			}
-		} else {
-			if err != nil {
-				t.Fatalf("Select: %v", err)
-			}
-			if w := int(stake); res.SubUsers < 0 || res.SubUsers > w {
-				t.Fatalf("SubUsers = %d outside [0, %d]", res.SubUsers, w)
-			}
-			if !Verify(key.Public, stake, p, res) {
-				t.Fatalf("Verify rejected its own Select result (stake=%v p=%+v)", stake, p)
-			}
-			cached, err := cache.Select(key.Private, stake, p)
-			if err != nil || cached != res {
-				t.Fatalf("cached Select diverged: %+v vs %+v (err=%v)", cached, res, err)
-			}
-			if !cache.Verify(key.Public, stake, p, res) {
-				t.Fatalf("cached Verify rejected a valid result")
-			}
-		}
-
-		resB, errB := SelectBernoulli(key.Private, stake, p)
-		if !valid {
-			if errB == nil {
-				t.Fatalf("SelectBernoulli accepted invalid params")
-			}
 			return
 		}
-		if errB != nil {
-			t.Fatalf("SelectBernoulli: %v", errB)
+		if err != nil {
+			t.Fatalf("Select: %v", err)
 		}
-		// The whole-node lottery reports the full stake as weight, floored
-		// at one sub-user for fractional stakes.
-		if resB.SubUsers != 0 {
-			want := int(stake)
-			if want < 1 {
-				want = 1
-			}
-			if resB.SubUsers != want {
-				t.Fatalf("Bernoulli SubUsers = %d, want 0 or %d", resB.SubUsers, want)
-			}
+		if w := int(stake); res.SubUsers < 0 || res.SubUsers > w {
+			t.Fatalf("SubUsers = %d outside [0, %d]", res.SubUsers, w)
 		}
-		if !VerifyBernoulli(key.Public, stake, p, resB) {
-			t.Fatalf("VerifyBernoulli rejected its own result")
+		if !Verify(key.Public, stake, p, res) {
+			t.Fatalf("Verify rejected its own Select result (stake=%v p=%+v)", stake, p)
 		}
-		cachedB, err := cache.SelectBernoulli(key.Private, stake, p)
-		if err != nil || cachedB != resB {
-			t.Fatalf("cached SelectBernoulli diverged")
+		cached, err := cache.Select(key.Private, stake, p)
+		if err != nil || cached != res {
+			t.Fatalf("cached Select diverged: %+v vs %+v (err=%v)", cached, res, err)
+		}
+		if !cache.Verify(key.Public, stake, p, res) {
+			t.Fatalf("cached Verify rejected a valid result")
 		}
 	})
 }

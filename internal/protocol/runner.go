@@ -594,22 +594,26 @@ func (r *Runner) runRound() RoundReport {
 		r.hooks.RoundStart(round)
 	}
 
+	// Every online node derives the round seed; even defectors run
+	// sortition to join the network ("paying cost c_so"). Sparse nodes pay
+	// it whether or not the round materializes them.
+	for id, b := range r.behaviors {
+		if r.net.Online(id) && b != Faulty {
+			meter := r.meter.of(id)
+			meter.Sortition++
+			if b != Selfish {
+				meter.Seed++
+			}
+		}
+	}
+
 	lastStep := 2 + r.params.MaxBinarySteps
 	if r.sparse != nil {
 		r.beginRoundSparse(round, lastStep)
 	} else {
 		for _, nd := range r.nodes {
-			nd.synced = nd.ledger.Round() == round && nd.ledger.Tip() == r.canonical.Tip()
+			nd.synced = r.onCanonical(nd.ledger)
 			nd.beginRound(round)
-			// Every online node derives the round seed; even defectors run
-			// sortition to join the network ("paying cost c_so").
-			if r.net.Online(nd.id) && nd.behavior != Faulty {
-				meter := r.meter.of(nd.id)
-				meter.Sortition++
-				if nd.behavior != Selfish {
-					meter.Seed++
-				}
-			}
 		}
 	}
 
@@ -643,12 +647,10 @@ func (r *Runner) runRound() RoundReport {
 	var report RoundReport
 	if r.sparse != nil {
 		report = r.finalizeRoundSparse(round, lastStep)
-		r.catchUpSparse()
-		report.Desynced = len(r.sparse.desynced)
+		report.Desynced = r.catchUpSparse()
 	} else {
 		report = r.finalizeRound(round, lastStep)
-		r.catchUp()
-		report.Desynced = r.countDesynced()
+		report.Desynced = r.catchUp()
 	}
 	if r.reward != nil {
 		r.reward(r.collectRoles(round), report)
@@ -1241,18 +1243,49 @@ func (r *Runner) finalizeRound(round uint64, lastStep int) RoundReport {
 		Population: len(r.nodes),
 		Degraded:   r.degraded,
 	}
-	finalQuorum := r.params.ThresholdFinal * r.tauFinalAbs
-	quorum := r.params.ThresholdStep * r.tauStepAbs
-
-	// Give undecided nodes one last look at the final step's tally.
+	decisions := make(map[ledger.Hash]int)
+	r.classifyOutcomes(&report, lastStep, decisions)
 	for _, nd := range r.nodes {
+		report.Outcomes[nd.id] = nd.outcome
+	}
+	if block := r.pickCanonical(&report, decisions); report.Decided {
+		// Only advance the canonical chain when some node actually reached
+		// agreement; otherwise BA* stalls and the round is retried, which is
+		// Algorand's liveness behaviour under lost synchrony.
+		r.advanceCanonical(block)
+	}
+
+	// Nodes commit what they decided; divergent or missing commits leave
+	// the node desynchronised until catch-up.
+	for _, nd := range r.nodes {
+		if nd.outcome == OutcomeNone {
+			continue
+		}
+		if block, ok := r.blockFor(nd, nd.outcomeHash); ok {
+			_ = nd.ledger.Append(block)
+		}
+	}
+	return report
+}
+
+// classifyOutcomes ends the round for the round's nodes (see roundNodes).
+// Each undecided participant first takes one last look at the final
+// step's tally. Then every node gets BA*'s final/tentative split: a
+// participant that decided a block whose body it holds extracts it FINAL
+// once the final committee certified it and TENTATIVE otherwise, a
+// decided empty block is TENTATIVE, and anything else is NONE. The
+// outcomes land on the nodes and in report's counts, and each node that
+// extracts a block adds one to its hash's count in decisions.
+func (r *Runner) classifyOutcomes(report *RoundReport, lastStep int, decisions map[ledger.Hash]int) {
+	nodes := r.roundNodes()
+	quorum := r.params.ThresholdStep * r.tauStepAbs
+	for _, nd := range nodes {
 		if r.participates(nd) && !nd.decided {
 			r.evaluateBinaryTally(nd, nd.tally(uint64(lastStep)), quorum, uint64(lastStep))
 		}
 	}
-
-	decisions := make(map[ledger.Hash]int)
-	for _, nd := range r.nodes {
+	finalQuorum := r.params.ThresholdFinal * r.tauFinalAbs
+	for _, nd := range nodes {
 		outcome := OutcomeNone
 		var hash ledger.Hash
 		if r.participates(nd) && nd.decided {
@@ -1260,19 +1293,15 @@ func (r *Runner) finalizeRound(round uint64, lastStep int) RoundReport {
 			switch {
 			case hash == nd.emptyHash():
 				outcome = OutcomeTentative
+			case r.proposalFor(nd, hash) == nil:
+				// Knows the winning hash but never received the block body.
 			case nd.finalTally.weightFor(hash) >= finalQuorum:
 				outcome = OutcomeFinal
 			default:
 				outcome = OutcomeTentative
 			}
-			if hash != nd.emptyHash() && r.proposalFor(nd, hash) == nil {
-				// Knows the winning hash but never received the block body.
-				outcome = OutcomeNone
-			}
 		}
-		nd.outcome = outcome
-		nd.outcomeHash = hash
-		report.Outcomes[nd.id] = outcome
+		nd.outcome, nd.outcomeHash = outcome, hash
 		switch outcome {
 		case OutcomeFinal:
 			report.FinalCount++
@@ -1284,39 +1313,14 @@ func (r *Runner) finalizeRound(round uint64, lastStep int) RoundReport {
 			report.NoneCount++
 		}
 	}
-
-	canonicalBlock, decided := r.pickCanonical(round, decisions)
-	report.Decided = decided
-	if decided {
-		// Only advance the canonical chain when some node actually reached
-		// agreement; otherwise BA* stalls and the round is retried, which is
-		// Algorand's liveness behaviour under lost synchrony.
-		report.CanonicalEmpty = canonicalBlock.Empty
-		report.CanonicalHash = canonicalBlock.Hash()
-		if err := r.canonical.Append(canonicalBlock); err == nil && !canonicalBlock.Empty {
-			r.removePending(canonicalBlock.Txns)
-		}
-	}
-
-	// Nodes commit what they decided; divergent or missing commits leave
-	// the node desynchronised until catch-up.
-	for _, nd := range r.nodes {
-		if nd.outcome == OutcomeNone {
-			continue
-		}
-		block, ok := r.blockFor(nd, nd.outcomeHash)
-		if !ok {
-			continue
-		}
-		_ = nd.ledger.Append(block)
-	}
-	return report
 }
 
 // pickCanonical selects the network-wide agreed block: the plurality
 // decision among the round's nodes (the materialized set in sparse
 // mode), falling back to the empty block when nobody decided anything.
-func (r *Runner) pickCanonical(round uint64, decisions map[ledger.Hash]int) (ledger.Block, bool) {
+// It records in report whether the round decided and on which block.
+func (r *Runner) pickCanonical(report *RoundReport, decisions map[ledger.Hash]int) ledger.Block {
+	round := report.Round
 	empty := ledger.EmptyBlock(round, r.canonical.Tip(), ledger.NextSeed(r.canonical.Seed(), round))
 	var bestHash ledger.Hash
 	bestCount := 0
@@ -1325,20 +1329,37 @@ func (r *Runner) pickCanonical(round uint64, decisions map[ledger.Hash]int) (led
 			bestHash, bestCount = h, c
 		}
 	}
-	if bestCount == 0 {
-		return empty, false
-	}
-	if bestHash == empty.Hash() {
-		return empty, true
-	}
-	for _, nd := range r.roundNodes() {
-		if p := r.proposalFor(nd, bestHash); p != nil {
-			return p.Block, true
+	block, decided := empty, bestCount > 0
+	if decided && bestHash != empty.Hash() {
+		// A block decision counts once some round node holds its body.
+		decided = false
+		for _, nd := range r.roundNodes() {
+			if p := r.proposalFor(nd, bestHash); p != nil {
+				block, decided = p.Block, true
+				break
+			}
 		}
 	}
-	return empty, false
+	report.Decided = decided
+	if decided {
+		report.CanonicalEmpty = block.Empty
+		report.CanonicalHash = block.Hash()
+	}
+	return block
 }
 
+// advanceCanonical appends the round's agreed block to the canonical
+// chain and drops its transactions from the pending pool.
+func (r *Runner) advanceCanonical(block ledger.Block) {
+	if err := r.canonical.Append(block); err == nil && !block.Empty {
+		r.removePending(block.Txns)
+	}
+}
+
+// blockFor resolves the block nd commits when it extracts hash: the
+// empty block on its own chain view, or the body of a proposal it
+// accepted. A sparse node's view is the canonical ledger, which advances
+// only once the round's commits are resolved.
 func (r *Runner) blockFor(nd *node, hash ledger.Hash) (ledger.Block, bool) {
 	if hash == nd.emptyHash() {
 		return ledger.EmptyBlock(nd.round, nd.ledger.Tip(), ledger.NextSeed(nd.ledger.Seed(), nd.round)), true
@@ -1366,56 +1387,63 @@ func (r *Runner) removePending(committed []ledger.Transaction) {
 	r.pending = kept
 }
 
-// catchUp lets lagging nodes resynchronise from healthy peers. Selfish
-// nodes free-ride: they passively accept the chain they heard about.
-// Honest nodes succeed with CatchUpProb when some outbound peer is synced
-// and online; degraded rounds make recovery five times less likely,
-// modelling the paper's weak-synchrony periods.
-func (r *Runner) catchUp() {
-	prob := r.params.CatchUpProb
-	if r.degraded {
-		prob *= 0.2
-	}
-	for _, nd := range r.nodes {
-		behind := nd.ledger.Round() != r.canonical.Round() || nd.ledger.Tip() != r.canonical.Tip()
-		if !behind {
-			continue
-		}
-		if nd.behavior == Selfish {
-			nd.ledger = r.canonical.CloneView()
-			r.resyncs++
-			continue
-		}
-		if !r.net.Online(nd.id) {
-			continue
-		}
-		if r.rng.Float64() >= prob {
-			continue
-		}
-		for _, peer := range r.net.Peers(nd.id) {
-			p := r.nodes[peer]
-			// Only honest, synced, online peers serve catch-up data;
-			// defectors free-ride but do not help others recover.
-			if p.behavior != Honest || !r.net.Online(peer) {
-				continue
-			}
-			if p.ledger.Round() == r.canonical.Round() && p.ledger.Tip() == r.canonical.Tip() {
-				nd.ledger = r.canonical.CloneView()
-				r.resyncs++
-				break
-			}
-		}
-	}
+// onCanonical reports whether chain view l is at the canonical chain's
+// tip: its node is not behind.
+func (r *Runner) onCanonical(l *ledger.Ledger) bool {
+	return l.Round() == r.canonical.Round() && l.Tip() == r.canonical.Tip()
 }
 
-func (r *Runner) countDesynced() int {
-	n := 0
-	for _, nd := range r.nodes {
-		if nd.ledger.Round() != r.canonical.Round() || nd.ledger.Tip() != r.canonical.Tip() {
-			n++
+// catchUpProb is the chance that a lagging node's catch-up attempt
+// succeeds: CatchUpProb, five times less likely in a degraded round,
+// modelling the paper's weak-synchrony periods.
+func (r *Runner) catchUpProb() float64 {
+	if r.degraded {
+		return r.params.CatchUpProb * 0.2
+	}
+	return r.params.CatchUpProb
+}
+
+// recovers applies the catch-up rule to a node behind the canonical
+// chain and reports whether it resynchronises this round. A selfish node
+// free-rides: it passively accepts the chain it heard about, without a
+// draw. An offline node neither draws nor recovers. Any other node takes
+// one draw from rng and recovers with probability prob when some
+// outbound peer is honest, online and synced (as synced reports it):
+// defectors free-ride but do not help others recover.
+func (r *Runner) recovers(id int, rng *rand.Rand, prob float64, synced func(peer int) bool) bool {
+	switch {
+	case r.behaviors[id] == Selfish:
+		return true
+	case !r.net.Online(id) || rng.Float64() >= prob:
+		return false
+	}
+	for _, peer := range r.net.Peers(id) {
+		if r.behaviors[peer] == Honest && r.net.Online(peer) && synced(peer) {
+			return true
 		}
 	}
-	return n
+	return false
+}
+
+// catchUp lets lagging nodes resynchronise from healthy peers (see
+// recovers), in node order on the runner's stream, and returns how many
+// nodes are still behind the canonical chain.
+func (r *Runner) catchUp() int {
+	prob := r.catchUpProb()
+	synced := func(peer int) bool { return r.onCanonical(r.nodes[peer].ledger) }
+	behind := 0
+	for _, nd := range r.nodes {
+		if r.onCanonical(nd.ledger) {
+			continue
+		}
+		if r.recovers(nd.id, r.rng, prob, synced) {
+			nd.ledger = r.canonical.CloneView()
+			r.resyncs++
+		} else {
+			behind++
+		}
+	}
+	return behind
 }
 
 // collectRoles reports who filled each role this round; nodes that neither

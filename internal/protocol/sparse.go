@@ -466,8 +466,7 @@ func sparseHops(n, fanout int) int {
 
 // beginRoundSparse replaces the dense O(N) per-node round entry: it
 // pre-samples every step committee, materializes committee ∪ panel, and
-// runs the flat meter passes (sortition/seed costs accrue to all online
-// non-faulty nodes whether or not they are materialized).
+// refreshes the round's mean-field reach and path-delay table.
 func (r *Runner) beginRoundSparse(round uint64, lastStep int) {
 	s := r.sparse
 	n := len(r.roundStakes)
@@ -544,18 +543,6 @@ func (r *Runner) beginRoundSparse(round uint64, lastStep int) {
 		s.actors = append(s.actors, nd)
 	}
 	s.placeLogs(ids, carried)
-
-	// Flat meter pass: every online node derives the round seed; even
-	// defectors run sortition to join the network ("paying cost c_so").
-	for id := 0; id < n; id++ {
-		if r.net.Online(id) && r.behaviors[id] != Faulty {
-			meter := r.meter.of(id)
-			meter.Sortition++
-			if r.behaviors[id] != Selfish {
-				meter.Seed++
-			}
-		}
-	}
 
 	// Mean-field reach for this round's gossip: fanout-ary pushes with
 	// the current live relay fraction and per-hop loss.
@@ -1028,9 +1015,10 @@ func (r *Runner) traceDeliveries() {
 	s.traced = s.traced[:0]
 }
 
-// finalizeRoundSparse mirrors finalizeRound's outcome rules on the
-// materialized set, then extrapolates the unmaterialized population from
-// the probe panel and converts ledger commits into desynced-set updates.
+// finalizeRoundSparse classifies the materialized nodes' outcomes as the
+// dense path does (see classifyOutcomes), extrapolates the unmaterialized
+// population from the probe panel and turns commits into desynced-set
+// updates.
 func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	s := r.sparse
 	n := len(r.roundStakes)
@@ -1039,61 +1027,29 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 		Population: n,
 		Degraded:   r.degraded,
 	}
-	finalQuorum := r.params.ThresholdFinal * r.tauFinalAbs
-	quorum := r.params.ThresholdStep * r.tauStepAbs
-
-	for _, nd := range s.actors {
-		if r.participates(nd) && !nd.decided {
-			r.evaluateBinaryTally(nd, nd.tally(uint64(lastStep)), quorum, uint64(lastStep))
-		}
-	}
-
-	// Outcome classification for materialized nodes: identical rules to
-	// the dense path.
 	decisions := make(map[ledger.Hash]int)
+	r.classifyOutcomes(&report, lastStep, decisions)
+
 	inPanel := make(map[int]struct{}, len(s.panel))
 	for _, id := range s.panel {
 		inPanel[id] = struct{}{}
 	}
-	panelParticipants := 0
+	materializedParticipants, panelParticipants := 0, 0
 	panelFinal, panelTentative := 0, 0
 	for _, nd := range s.actors {
-		outcome := OutcomeNone
-		var hash ledger.Hash
-		if r.participates(nd) && nd.decided {
-			hash = nd.decidedHash
-			switch {
-			case hash == nd.emptyHash():
-				outcome = OutcomeTentative
-			case nd.finalTally.weightFor(hash) >= finalQuorum:
-				outcome = OutcomeFinal
-			default:
-				outcome = OutcomeTentative
-			}
-			if hash != nd.emptyHash() && r.proposalFor(nd, hash) == nil {
-				outcome = OutcomeNone
-			}
+		if !r.participatesID(nd.id) {
+			continue
 		}
-		nd.outcome = outcome
-		nd.outcomeHash = hash
-		switch outcome {
+		materializedParticipants++
+		if _, probe := inPanel[nd.id]; !probe {
+			continue
+		}
+		panelParticipants++
+		switch nd.outcome {
 		case OutcomeFinal:
-			report.FinalCount++
-			decisions[hash]++
+			panelFinal++
 		case OutcomeTentative:
-			report.TentativeCount++
-			decisions[hash]++
-		default:
-			report.NoneCount++
-		}
-		if _, probe := inPanel[nd.id]; probe && r.participatesID(nd.id) {
-			panelParticipants++
-			switch outcome {
-			case OutcomeFinal:
-				panelFinal++
-			case OutcomeTentative:
-				panelTentative++
-			}
+			panelTentative++
 		}
 	}
 
@@ -1101,12 +1057,6 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	// outcome fractions, preserving integer-count randomness with
 	// sequential binomial splits of the remainder. Non-participants are
 	// None by definition, exactly as in the dense path.
-	materializedParticipants := 0
-	for _, nd := range s.actors {
-		if r.participatesID(nd.id) {
-			materializedParticipants++
-		}
-	}
 	totalParticipants := 0
 	for id := 0; id < n; id++ {
 		if r.participatesID(id) {
@@ -1126,23 +1076,19 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	report.FinalCount += int(restFinal)
 	report.TentativeCount += int(restTentative)
 	// Non-participants are None by definition; the materialized ones were
-	// already counted None in the actors loop, so only the unmaterialized
+	// already counted None by classifyOutcomes, so only the unmaterialized
 	// remainder is added here.
 	report.NoneCount += int(rest-restFinal-restTentative) +
 		(n - totalParticipants) - (len(s.actors) - materializedParticipants)
 
-	canonicalBlock, decided := r.pickCanonical(round, decisions)
-	report.Decided = decided
-	if decided {
-		report.CanonicalEmpty = canonicalBlock.Empty
-		report.CanonicalHash = canonicalBlock.Hash()
-	}
+	canonicalBlock := r.pickCanonical(&report, decisions)
 	// The canonical append happens AFTER the desync bookkeeping below:
-	// blockForSparse reconstructs empty commits from the canonical tip,
-	// which must still be the tip the round's blocks were built on —
-	// appending first would make every empty-block committer look
-	// desynced, and a fully-desynced population can never recover (no
-	// synced peers left to serve catch-up).
+	// blockFor reconstructs empty commits from the materialized nodes'
+	// chain view, the canonical ledger, which must still be the tip the
+	// round's blocks were built on — appending first would make every
+	// empty-block committer look desynced, and a fully-desynced
+	// population can never recover (no synced peers left to serve
+	// catch-up).
 
 	// Commits become desynced-set updates. Dense semantics: a node ends
 	// the round synced iff its chain equals the advanced canonical chain —
@@ -1152,7 +1098,7 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	syncedAfter := func(nd *node) bool {
 		committedHash := emptySynced
 		if nd.outcome != OutcomeNone {
-			if block, ok := r.blockForSparse(nd, nd.outcomeHash); ok {
+			if block, ok := r.blockFor(nd, nd.outcomeHash); ok {
 				committedHash = block.Hash()
 			}
 		}
@@ -1161,7 +1107,7 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 			// reconverges within the round.
 			return false
 		}
-		if decided {
+		if report.Decided {
 			return committedHash == report.CanonicalHash
 		}
 		return committedHash == emptySynced
@@ -1221,67 +1167,33 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 		}
 	}
 
-	if decided {
-		if err := r.canonical.Append(canonicalBlock); err == nil && !canonicalBlock.Empty {
-			r.removePending(canonicalBlock.Txns)
-		}
+	if report.Decided {
+		r.advanceCanonical(canonicalBlock)
 	}
 	return report
 }
 
-// blockForSparse resolves the block a materialized node committed to; it
-// never touches per-node ledgers (there are none).
-func (r *Runner) blockForSparse(nd *node, hash ledger.Hash) (ledger.Block, bool) {
-	if hash == nd.emptyHash() {
-		return ledger.EmptyBlock(nd.round, r.canonical.Tip(), ledger.NextSeed(r.canonical.Seed(), nd.round)), true
-	}
-	if p := r.proposalFor(nd, hash); p != nil {
-		return p.Block, true
-	}
-	return ledger.Block{}, false
-}
-
-// catchUpSparse resynchronises lagging nodes by shrinking the desynced
-// set: same recovery rules as the dense path (selfish nodes free-ride,
-// honest nodes need an honest synced online peer plus the CatchUpProb
-// coin), iterated in sorted id order for determinism.
-func (r *Runner) catchUpSparse() {
+// catchUpSparse shrinks the desynced set by the dense path's catch-up
+// rule (see recovers), in sorted id order on the sparse stream, and
+// returns the set's size.
+func (r *Runner) catchUpSparse() int {
 	s := r.sparse
-	if len(s.desynced) == 0 {
-		return
-	}
-	prob := r.params.CatchUpProb
-	if r.degraded {
-		prob *= 0.2
-	}
 	ids := s.desScratch[:0]
 	for id := range s.desynced {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	s.desScratch = ids
+	prob := r.catchUpProb()
+	synced := func(peer int) bool {
+		_, behind := s.desynced[peer]
+		return !behind
+	}
 	for _, id := range ids {
-		if r.behaviors[id] == Selfish {
+		if r.recovers(id, s.rng, prob, synced) {
 			delete(s.desynced, id)
 			r.resyncs++
-			continue
-		}
-		if !r.net.Online(id) {
-			continue
-		}
-		if s.rng.Float64() >= prob {
-			continue
-		}
-		for _, peer := range r.net.Peers(id) {
-			if r.behaviors[peer] != Honest || !r.net.Online(peer) {
-				continue
-			}
-			if _, behind := s.desynced[peer]; behind {
-				continue
-			}
-			delete(s.desynced, id)
-			r.resyncs++
-			break
 		}
 	}
+	return len(s.desynced)
 }

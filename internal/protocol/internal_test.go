@@ -304,3 +304,69 @@ func TestSortRoleStakes(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoversCatchUpRule pins the catch-up rule both round paths share
+// (see recovers): who recovers, and whether the attempt takes a draw
+// from the path's stream. Each case runs recovers on one of two streams
+// seeded alike; that stream's next value must then be the twin's first
+// value when no draw was taken, or its second after one draw.
+func TestRecoversCatchUpRule(t *testing.T) {
+	r, err := NewRunner(sparseTestConfig(40, 3, SparseOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 0
+	peers := r.net.Peers(id)
+	if len(peers) < 4 {
+		t.Fatalf("node %d has %d peers, want at least 4", id, len(peers))
+	}
+	lagging := map[int]bool{}
+	synced := func(peer int) bool { return !lagging[peer] }
+	for _, tc := range []struct {
+		name  string
+		setup func()
+		prob  float64
+		want  bool
+		draws int
+	}{
+		{"selfish lagging node", func() {
+			r.SetBehavior(id, Selfish)
+			for _, p := range peers {
+				lagging[p] = true
+			}
+		}, 0, true, 0},
+		{"offline honest node", func() { r.net.SetOnline(id, false) }, 1, false, 0},
+		{"no honest, online, synced peer", func() {
+			r.SetBehavior(peers[0], Selfish)
+			r.net.SetOnline(peers[1], false)
+			r.SetBehavior(peers[2], Malicious)
+			for _, p := range peers[3:] {
+				lagging[p] = true
+			}
+		}, 1, false, 1},
+		{"one honest, online, synced peer", func() {
+			for _, p := range peers[:len(peers)-1] {
+				lagging[p] = true
+			}
+		}, 1, true, 1},
+		{"failed draw", func() {}, 0, false, 1},
+	} {
+		for i := range r.behaviors {
+			r.SetBehavior(i, Honest)
+			r.net.SetOnline(i, true)
+		}
+		clear(lagging)
+		tc.setup()
+		rng, twin := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		if got := r.recovers(id, rng, tc.prob, synced); got != tc.want {
+			t.Errorf("%s: recovers = %v, want %v", tc.name, got, tc.want)
+		}
+		want := twin.Float64()
+		if tc.draws == 1 {
+			want = twin.Float64()
+		}
+		if rng.Float64() != want {
+			t.Errorf("%s: the attempt did not take exactly %d draw(s)", tc.name, tc.draws)
+		}
+	}
+}

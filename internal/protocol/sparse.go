@@ -641,8 +641,8 @@ func (s *sparseState) placeLogs(ids []int, carried []recvLog) {
 // to the trace panel, whose arrival times the trace records.
 //
 // Unmaterialized nodes receive nothing: they hold no tallies to update.
-// Their sortition/seed costs accrue in the flat meter passes and their
-// outcomes are extrapolated from the probe panel; their verify/relay
+// Their sortition/seed costs accrue in the meter pass at round entry and
+// their outcomes are extrapolated from the probe panel; their verify/relay
 // task counts are NOT modelled (sparse task counters cover materialized
 // nodes only — document-level approximation, see README).
 func (r *Runner) sparseGossip(origin int, msg network.Message) {
@@ -1034,24 +1034,18 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	for _, id := range s.panel {
 		inPanel[id] = struct{}{}
 	}
-	materializedParticipants, panelParticipants := 0, 0
-	panelFinal, panelTentative := 0, 0
+	materializedParticipants := 0
+	var panel [OutcomeFinal + 1]int // the panel's participants by outcome
 	for _, nd := range s.actors {
 		if !r.participatesID(nd.id) {
 			continue
 		}
 		materializedParticipants++
-		if _, probe := inPanel[nd.id]; !probe {
-			continue
-		}
-		panelParticipants++
-		switch nd.outcome {
-		case OutcomeFinal:
-			panelFinal++
-		case OutcomeTentative:
-			panelTentative++
+		if _, probe := inPanel[nd.id]; probe {
+			panel[nd.outcome]++
 		}
 	}
+	panelParticipants := panel[OutcomeNone] + panel[OutcomeTentative] + panel[OutcomeFinal]
 
 	// Extrapolate the unmaterialized participants from the panel's
 	// outcome fractions, preserving integer-count randomness with
@@ -1066,8 +1060,8 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	rest := int64(totalParticipants - materializedParticipants)
 	var restFinal, restTentative int64
 	if rest > 0 && panelParticipants > 0 {
-		pF := float64(panelFinal) / float64(panelParticipants)
-		pT := float64(panelTentative) / float64(panelParticipants)
+		pF := float64(panel[OutcomeFinal]) / float64(panelParticipants)
+		pT := float64(panel[OutcomeTentative]) / float64(panelParticipants)
 		restFinal = sortition.Binomial(s.rng, rest, pF)
 		if pF < 1 {
 			restTentative = sortition.Binomial(s.rng, rest-restFinal, pT/(1-pF))

@@ -1248,11 +1248,12 @@ func (r *Runner) finalizeRound(round uint64, lastStep int) RoundReport {
 	for _, nd := range r.nodes {
 		report.Outcomes[nd.id] = nd.outcome
 	}
-	if block := r.pickCanonical(&report, decisions); report.Decided {
+	canonicalBlock := r.pickCanonical(&report, decisions)
+	if report.Decided {
 		// Only advance the canonical chain when some node actually reached
 		// agreement; otherwise BA* stalls and the round is retried, which is
 		// Algorand's liveness behaviour under lost synchrony.
-		r.advanceCanonical(block)
+		r.advanceCanonical(canonicalBlock)
 	}
 
 	// Nodes commit what they decided; divergent or missing commits leave

@@ -1035,17 +1035,17 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 		inPanel[id] = struct{}{}
 	}
 	materializedParticipants := 0
-	var panel [OutcomeFinal + 1]int // the panel's participants by outcome
+	var panelCount [OutcomeFinal + 1]int // the panel's participants by outcome
 	for _, nd := range s.actors {
 		if !r.participatesID(nd.id) {
 			continue
 		}
 		materializedParticipants++
 		if _, probe := inPanel[nd.id]; probe {
-			panel[nd.outcome]++
+			panelCount[nd.outcome]++
 		}
 	}
-	panelParticipants := panel[OutcomeNone] + panel[OutcomeTentative] + panel[OutcomeFinal]
+	panelParticipants := panelCount[OutcomeNone] + panelCount[OutcomeTentative] + panelCount[OutcomeFinal]
 
 	// Extrapolate the unmaterialized participants from the panel's
 	// outcome fractions, preserving integer-count randomness with
@@ -1060,8 +1060,8 @@ func (r *Runner) finalizeRoundSparse(round uint64, lastStep int) RoundReport {
 	rest := int64(totalParticipants - materializedParticipants)
 	var restFinal, restTentative int64
 	if rest > 0 && panelParticipants > 0 {
-		pF := float64(panel[OutcomeFinal]) / float64(panelParticipants)
-		pT := float64(panel[OutcomeTentative]) / float64(panelParticipants)
+		pF := float64(panelCount[OutcomeFinal]) / float64(panelParticipants)
+		pT := float64(panelCount[OutcomeTentative]) / float64(panelParticipants)
 		restFinal = sortition.Binomial(s.rng, rest, pF)
 		if pF < 1 {
 			restTentative = sortition.Binomial(s.rng, rest-restFinal, pT/(1-pF))

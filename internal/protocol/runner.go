@@ -1295,7 +1295,8 @@ func (r *Runner) classifyOutcomes(report *RoundReport, lastStep int, decisions m
 			case hash == nd.emptyHash():
 				outcome = OutcomeTentative
 			case r.proposalFor(nd, hash) == nil:
-				// Knows the winning hash but never received the block body.
+				// Knows the winning hash but never received the block
+				// body: none.
 			case nd.finalTally.weightFor(hash) >= finalQuorum:
 				outcome = OutcomeFinal
 			default:

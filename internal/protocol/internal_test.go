@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -351,22 +352,131 @@ func TestRecoversCatchUpRule(t *testing.T) {
 		}, 1, true, 1},
 		{"failed draw", func() {}, 0, false, 1},
 	} {
-		for i := range r.behaviors {
-			r.SetBehavior(i, Honest)
-			r.net.SetOnline(i, true)
-		}
-		clear(lagging)
-		tc.setup()
-		rng, twin := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-		if got := r.recovers(id, rng, tc.prob, synced); got != tc.want {
-			t.Errorf("%s: recovers = %v, want %v", tc.name, got, tc.want)
-		}
-		want := twin.Float64()
-		if tc.draws == 1 {
-			want = twin.Float64()
-		}
-		if rng.Float64() != want {
-			t.Errorf("%s: the attempt did not take exactly %d draw(s)", tc.name, tc.draws)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			for i := range r.behaviors {
+				r.SetBehavior(i, Honest)
+				r.net.SetOnline(i, true)
+			}
+			clear(lagging)
+			tc.setup()
+			rng, twin := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			if got := r.recovers(id, rng, tc.prob, synced); got != tc.want {
+				t.Errorf("recovers = %v, want %v", got, tc.want)
+			}
+			want := twin.Float64()
+			if tc.draws == 1 {
+				want = twin.Float64()
+			}
+			if rng.Float64() != want {
+				t.Errorf("the attempt did not take exactly %d draw(s)", tc.draws)
+			}
+		})
+	}
+}
+
+// TestClassifyOutcomes pins the final/tentative/none rule both round
+// paths end through (see classifyOutcomes). Each case readies node 0 of
+// an otherwise undecided dense round and checks the node's outcome, the
+// report's three counts and the decisions map.
+func TestClassifyOutcomes(t *testing.T) {
+	const (
+		n        = 20
+		id       = 0
+		lastStep = 5 // past step 3, so a last-look decision casts no final vote
+	)
+	block := ledger.Hash{7}
+	decide := func(nd *node, h ledger.Hash) { nd.decided, nd.decidedHash = true, h }
+	hold := func(r *Runner, nd *node) {
+		p := &proposalPayload{Block: ledger.Block{Round: 1, Proposer: 3}, BlockHash: block, Proposer: 3}
+		nd.observeProposal(p, r.accept(p))
+	}
+	certify := func(r *Runner, nd *node, margin float64) {
+		nd.finalTally.add(1, block, r.params.ThresholdFinal*r.tauFinalAbs+margin, false)
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(r *Runner, nd *node)
+		want  Outcome
+		empty bool // the extracted hash is the empty block's, not block
+	}{
+		{"certified block", func(r *Runner, nd *node) {
+			decide(nd, block)
+			hold(r, nd)
+			certify(r, nd, 0)
+		}, OutcomeFinal, false},
+		{"block short of the final quorum", func(r *Runner, nd *node) {
+			decide(nd, block)
+			hold(r, nd)
+			certify(r, nd, -1)
+		}, OutcomeTentative, false},
+		{"empty block", func(r *Runner, nd *node) {
+			decide(nd, nd.emptyHash())
+		}, OutcomeTentative, true},
+		{"certified block without its body", func(r *Runner, nd *node) {
+			decide(nd, block)
+			certify(r, nd, 0)
+		}, OutcomeNone, false},
+		{"undecided, last look reaches quorum", func(r *Runner, nd *node) {
+			nd.tally(lastStep).add(1, block, r.params.ThresholdStep*r.tauStepAbs, false)
+			hold(r, nd)
+		}, OutcomeTentative, false},
+		{"selfish node", func(r *Runner, nd *node) {
+			r.SetBehavior(id, Selfish)
+			decide(nd, block)
+			hold(r, nd)
+			certify(r, nd, 0)
+		}, OutcomeNone, false},
+		{"offline node", func(r *Runner, nd *node) {
+			r.net.SetOnline(id, false)
+			decide(nd, block)
+			hold(r, nd)
+			certify(r, nd, 0)
+		}, OutcomeNone, false},
+		{"lagging node", func(r *Runner, nd *node) {
+			nd.synced = false
+			decide(nd, block)
+			hold(r, nd)
+			certify(r, nd, 0)
+		}, OutcomeNone, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRunner(sparseTestConfig(n, 3, SparseOff))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.tauStepAbs, r.tauFinalAbs = r.params.TauStep, r.params.TauFinal
+			for _, nd := range r.nodes {
+				nd.beginRound(1)
+			}
+			nd := r.nodes[id]
+			tc.setup(r, nd)
+			report := RoundReport{Round: 1}
+			decisions := map[ledger.Hash]int{}
+			r.classifyOutcomes(&report, lastStep, decisions)
+
+			if nd.outcome != tc.want {
+				t.Fatalf("outcome = %v, want %v", nd.outcome, tc.want)
+			}
+			counts := map[Outcome]int{OutcomeFinal: report.FinalCount, OutcomeTentative: report.TentativeCount, OutcomeNone: report.NoneCount}
+			wantCounts := map[Outcome]int{OutcomeFinal: 0, OutcomeTentative: 0, OutcomeNone: n - 1}
+			wantCounts[tc.want]++
+			if !maps.Equal(counts, wantCounts) {
+				t.Errorf("counts = %v, want %v", counts, wantCounts)
+			}
+			wantDecisions := map[ledger.Hash]int{}
+			if tc.want != OutcomeNone {
+				hash := block
+				if tc.empty {
+					hash = nd.emptyHash()
+				}
+				if nd.outcomeHash != hash {
+					t.Errorf("outcome hash = %x, want %x", nd.outcomeHash[:4], hash[:4])
+				}
+				wantDecisions[hash] = 1
+			}
+			if !maps.Equal(decisions, wantDecisions) {
+				t.Errorf("decisions = %v, want %v", decisions, wantDecisions)
+			}
+		})
 	}
 }

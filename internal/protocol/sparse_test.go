@@ -69,6 +69,35 @@ func TestSparseAutoSmallPopulationStaysDense(t *testing.T) {
 	reportInvariants(t, rep, 100)
 }
 
+// TestSeatNodeMatchesLinearScan pins the one seat-to-node mapping of the
+// sparse committee sampler against the obvious linear inversion over
+// whole stake units, for every unit: fractional stakes count their whole
+// units only, and zero-unit nodes own no seat. A second, shorter
+// population then refreshes the same prefix array.
+func TestSeatNodeMatchesLinearScan(t *testing.T) {
+	s := newSparseState(rand.New(rand.NewSource(5)))
+	for _, stakes := range [][]float64{
+		{3, 0, 0, 2.7, 0.9, 1, 5, 0, 4.2},
+		{0, 1, 2},
+	} {
+		s.refreshWeights(stakes)
+		var owners []int
+		for i, w := range stakes {
+			for u := int64(0); u < int64(w); u++ {
+				owners = append(owners, i)
+			}
+		}
+		if s.trials != int64(len(owners)) {
+			t.Fatalf("stakes %v: trials = %d, want %d whole units", stakes, s.trials, len(owners))
+		}
+		for unit, want := range owners {
+			if got := s.seatNode(int64(unit)); got != want {
+				t.Fatalf("stakes %v: seatNode(%d) = %d, want %d", stakes, unit, got, want)
+			}
+		}
+	}
+}
+
 // TestSparseCommitteeLaw pins the centralized sampler to the dense joint
 // law: with S ~ Binomial(trials, p) total seats split over distinct stake
 // units, every node's seat count must behave as an independent
